@@ -13,6 +13,7 @@ import concurrent.futures
 import json
 import math
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +30,7 @@ from .config import (
     train_from,
     write_manifest,
 )
-from .evaluation import eval_4d_occupancy, eval_ego_path, write_pgm, write_report_json
+from .evaluation import eval_4d_occupancy, eval_ego_path, scene_grid_for, write_pgm, write_report_json
 from .field import MODE_AMORTIZED, MODE_FIT_PER_SCENE
 from .geom import per_ray_rng
 from .pca import fit_pca, load_pca, save_pca
@@ -149,7 +150,7 @@ def _genqueries_sample(args):
     doc["config_digest"] = config_digest(cfg)
     with open(out / f"sample{idx:03d}.meta.json", "w") as f:
         json.dump(doc, f, sort_keys=True, indent=1)
-    return idx
+    return doc
 
 
 def cmd_genqueries(cfg: dict, dataset_dir, out_dir, workers: int = 1, force: bool = False) -> int:
@@ -164,11 +165,20 @@ def cmd_genqueries(cfg: dict, dataset_dir, out_dir, workers: int = 1, force: boo
         jobs = [(cfg, str(dataset), str(tmp), i) for i in indices]
         if workers > 1 and len(jobs) > 1:
             with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-                list(pool.map(_genqueries_sample, jobs))
+                metas = list(pool.map(_genqueries_sample, jobs))
         else:
-            for job in jobs:
-                _genqueries_sample(job)
-        write_manifest(tmp, "genqueries", digest, {"n_samples": len(indices)})
+            metas = [_genqueries_sample(job) for job in jobs]
+        emitted, requested = Counter(), Counter()
+        for m in metas:
+            emitted.update(m["emitted"])
+            requested.update(m["requested"])
+        exhausted = sorted({k for m in metas for k in m["exhausted"]})
+        write_manifest(
+            tmp, "genqueries", digest,
+            {"n_samples": len(indices), "emitted": emitted, "requested": requested, "exhausted": exhausted},
+        )
+    counts = ", ".join(f"{k} {n}/{requested[k]}" if k in requested else f"{k} {n}" for k, n in emitted.items())
+    print(f"genqueries: emitted/requested {counts}; short of quota: {', '.join(exhausted) or 'none'}")
     print(f"genqueries: {len(indices)} samples -> {out_dir}")
     return 0
 
@@ -234,6 +244,11 @@ def _check_thresholds(report: dict, thresholds: dict) -> list:
     return failures
 
 
+def _scene_grids(fp, scenes, cfg: dict) -> list:
+    """Each scene's BEV grid, encoded once per eval from the suite's past scans."""
+    return [scene_grid_for(fp, scene, past_offsets=cfg["suite"]["past_offsets"]) for scene in scenes]
+
+
 def cmd_eval(cfg: dict, checkpoint_path, dataset_dir, out_path, rasters=None, force: bool = False) -> int:
     digest = config_digest(cfg)
     fp, _, _, meta = load_checkpoint(checkpoint_path)
@@ -247,8 +262,9 @@ def cmd_eval(cfg: dict, checkpoint_path, dataset_dir, out_path, rasters=None, fo
     if fp.mode == MODE_FIT_PER_SCENE:
         scenes = scenes[:1]
     grid = evalgrid_from(cfg)
-    report = eval_4d_occupancy(fp, scenes, grid, raytrace=cfg["eval"]["raytrace"])
-    ego = eval_ego_path(fp, scenes, sampler_from(cfg), bev_step=cfg["eval"]["ego_bev_step"])
+    z_grids = _scene_grids(fp, scenes, cfg)
+    report = eval_4d_occupancy(fp, scenes, grid, raytrace=cfg["eval"]["raytrace"], z_grids=z_grids)
+    ego = eval_ego_path(fp, scenes, sampler_from(cfg), bev_step=cfg["eval"]["ego_bev_step"], z_grids=z_grids)
     report["ap_ego"] = ego["ap_ego"]
     report["ego_base_rate"] = ego["ego_base_rate"]
     report["config_digest"] = digest
@@ -301,8 +317,9 @@ def cmd_scaling(cfg: dict, queries_dir, eval_dataset_dir, out_dir, force: bool =
                 warmup_steps=cfg["scaling"]["warmup_steps"],
             )
             result = train(all_samples[:count], field_cfg, tcfg)
-            report = eval_4d_occupancy(result.params, scenes, grid, raytrace=False)
-            ego = eval_ego_path(result.params, scenes, sampler)
+            z_grids = _scene_grids(result.params, scenes, cfg)
+            report = eval_4d_occupancy(result.params, scenes, grid, raytrace=False, z_grids=z_grids)
+            ego = eval_ego_path(result.params, scenes, sampler, z_grids=z_grids)
             rows.append(
                 {
                     "n_samples": count,

@@ -13,7 +13,7 @@ import json
 import os
 from pathlib import Path
 
-from .evaluation import EvalGrid
+from .evaluation import PAST_OFFSETS, EvalGrid
 from .field import FieldConfig
 from .geom import AugmentConfig
 from .queries import Roi4, SamplerConfig
@@ -33,7 +33,7 @@ DEFAULT_CONFIG = {
         "region_half": 12.0,
         "ground_range": [0.0, 0.0],
         "d_raw": 24,
-        "past_offsets": [-1.0, -0.5, 0.0],
+        "past_offsets": list(PAST_OFFSETS),
         "future_dt": 0.3,
         "n_future": 10,
         "image_times": [0.0, 0.6, 1.2, 1.8, 2.4, 3.0],
@@ -137,25 +137,15 @@ def config_digest(cfg: dict) -> str:
     return hashlib.sha256(canonical_json(cfg).encode()).hexdigest()
 
 
+def _tuples(section: dict) -> dict:
+    """A config section as dataclass keyword arguments: JSON lists become tuples."""
+    return {k: tuple(v) if isinstance(v, list) else v for k, v in section.items()}
+
+
 def sampler_from(cfg: dict, seed: int | None = None) -> SamplerConfig:
-    s = cfg["sampler"]
-    return SamplerConfig(
-        delta=s["delta"],
-        n_occ_pos=s["n_occ_pos"],
-        n_occ_neg=s["n_occ_neg"],
-        n_feat=s["n_feat"],
-        n_ego_pos=s["n_ego_pos"],
-        n_ego_neg=s["n_ego_neg"],
-        w_ego=s["w_ego"],
-        roi=Roi4(
-            x=tuple(s["roi"]["x"]), y=tuple(s["roi"]["y"]), z=tuple(s["roi"]["z"]), t_max=s["roi"]["t_max"]
-        ),
-        jitter_tau=s["jitter_tau"],
-        missing_ray_min_run=s["missing_ray_min_run"],
-        missing_ray_samples_per_ray=s["missing_ray_samples_per_ray"],
-        depth_tol=s["depth_tol"],
-        seed=cfg["seed"] if seed is None else seed,
-    )
+    s = _tuples(cfg["sampler"])
+    s["roi"] = Roi4(**_tuples(cfg["sampler"]["roi"]))
+    return SamplerConfig(**s, seed=cfg["seed"] if seed is None else seed)
 
 
 def augment_from(cfg: dict) -> AugmentConfig:
@@ -170,40 +160,11 @@ def augment_from(cfg: dict) -> AugmentConfig:
 
 
 def field_from(cfg: dict) -> FieldConfig:
-    f = cfg["field"]
-    return FieldConfig(
-        x_range=tuple(f["x_range"]),
-        y_range=tuple(f["y_range"]),
-        cell=f["cell"],
-        channels=f["channels"],
-        z_range=tuple(f["z_range"]),
-        t_max=f["t_max"],
-        n_freqs=f["n_freqs"],
-        head_hidden=f["head_hidden"],
-        d_feat=cfg["pca"]["d"],
-        k_past=f["k_past"],
-        leaky_slope=f["leaky_slope"],
-    )
+    return FieldConfig(**_tuples(cfg["field"]), d_feat=cfg["pca"]["d"])
 
 
 def train_from(cfg: dict, seed: int | None = None, **overrides) -> TrainConfig:
-    t = dict(cfg["train"])
-    t.update(overrides)
-    return TrainConfig(
-        lambda_occ=t["lambda_occ"],
-        lambda_dino=t["lambda_dino"],
-        lambda_ego=t["lambda_ego"],
-        lr_max=t["lr_max"],
-        warmup_steps=t["warmup_steps"],
-        total_steps=t["total_steps"],
-        batch_occ=t["batch_occ"],
-        batch_feat=t["batch_feat"],
-        batch_ego=t["batch_ego"],
-        seed=cfg["seed"] if seed is None else seed,
-        mode=t["mode"],
-        freeze_encoder=t["freeze_encoder"],
-        per_term_average=t["per_term_average"],
-    )
+    return TrainConfig(**{**cfg["train"], **overrides}, seed=cfg["seed"] if seed is None else seed)
 
 
 def evalgrid_from(cfg: dict) -> EvalGrid:

@@ -277,10 +277,13 @@ def soft_iou(scores, labels) -> float:
 # harnesses
 
 
-def _past_enc_input(scene: Scene, t0: float, cfg) -> EncoderInput:
+PAST_OFFSETS = (-1.0, -0.5, 0.0)  # the suite's default past-scan times relative to t0
+
+
+def _past_enc_input(scene: Scene, t0: float, past_offsets) -> EncoderInput:
     ref = inverse(ego_pose_at(scene, t0))
     point_sets, rel_times = [], []
-    for dt in (-1.0, -0.5, 0.0):
+    for dt in past_offsets:
         scan = cast_lidar_scan(scene, lidar_pose_at(scene, t0 + dt), scene.rig.lidar_pattern, t0 + dt)
         rel = scan.transformed(ref)
         point_sets.append(rel.endpoints()[rel.hit_indices])
@@ -288,11 +291,12 @@ def _past_enc_input(scene: Scene, t0: float, cfg) -> EncoderInput:
     return EncoderInput(point_sets, rel_times)
 
 
-def scene_grid_for(fp: FieldParams, scene: Scene, t0: float = 0.0) -> np.ndarray:
-    """The field's BEV grid for a scene: encoded from past scans in
-    amortized mode, the learned grid itself in fit-per-scene mode."""
+def scene_grid_for(fp: FieldParams, scene: Scene, t0: float = 0.0, past_offsets=PAST_OFFSETS) -> np.ndarray:
+    """The field's BEV grid for a scene: encoded from the scans at
+    ``t0 + past_offsets`` in amortized mode (the suite's offsets, as in
+    training), the learned grid itself in fit-per-scene mode."""
     if fp.mode == MODE_AMORTIZED:
-        return encode(fp, _past_enc_input(scene, t0, fp.config))
+        return encode(fp, _past_enc_input(scene, t0, past_offsets))
     return fp.params["grid.z"]
 
 
@@ -312,13 +316,15 @@ def eval_4d_occupancy(
     grid: EvalGrid,
     t0: float = 0.0,
     raytrace: bool = True,
+    z_grids=None,
 ) -> dict:
     """Dense occupancy forecasting over the probe lattice.
 
     Scores every probe at every time with the occupancy head; labels come
     from lidar ray tracing (paper protocol, unknowns excluded) and from the
-    exact simulator oracle (all probes). Returns the metric bundle with
-    per-time breakdown and probe label counts.
+    exact simulator oracle (all probes). ``z_grids`` holds each scene's
+    ``scene_grid_for`` grid (computed here when omitted). Returns the metric
+    bundle with per-time breakdown and probe label counts.
     """
     from .scene import occupancy_oracle
 
@@ -326,10 +332,11 @@ def eval_4d_occupancy(
     per_time = {t: {"scores": [], "ray": [], "exact": []} for t in grid.times}
     counts = {"free": 0, "occupied": 0, "unknown": 0}
     centers = grid.centers()
-    for scene in scenes:
+    if z_grids is None:
+        z_grids = [scene_grid_for(fp, scene, t0) for scene in scenes]
+    for scene, z_grid in zip(scenes, z_grids):
         ref = inverse(ego_pose_at(scene, t0))
         to_world = ego_pose_at(scene, t0)
-        z_grid = scene_grid_for(fp, scene, t0)
         ray_labels = None
         if raytrace:
             eval_scans = []
@@ -406,22 +413,25 @@ def eval_ego_path(
     sampler: SamplerConfig,
     t0: float = 0.0,
     bev_step: float = 0.5,
+    z_grids=None,
 ) -> dict:
     """AP of the ego-path head over a BEV probe lattice labeled by the tube
-    rule, plus one probability raster per scene for qualitative dumps."""
+    rule, plus one probability raster per scene for qualitative dumps.
+    ``z_grids`` as in ``eval_4d_occupancy``."""
     cfg = fp.config
     xs = np.arange(cfg.x_range[0] + bev_step / 2, cfg.x_range[1], bev_step)
     ys = np.arange(cfg.y_range[0] + bev_step / 2, cfg.y_range[1], bev_step)
     yg, xg = np.meshgrid(ys, xs, indexing="ij")
     all_scores, all_labels, rasters = [], [], []
-    for scene in scenes:
+    if z_grids is None:
+        z_grids = [scene_grid_for(fp, scene, t0) for scene in scenes]
+    for scene, z_grid in zip(scenes, z_grids):
         ref = inverse(ego_pose_at(scene, t0))
         verts = ref.apply(ego_path_vertices(scene, t0, t0 + sampler.t_max))
         z_probe = float(np.clip(verts[:, 2].mean(), cfg.z_range[0], cfg.z_range[1]))
         probes = np.stack([xg.ravel(), yg.ravel(), np.full(xg.size, z_probe)], axis=1)
         d = ego_tube_distance(verts, probes)
         labels = (d <= sampler.w_ego).astype(np.int8)
-        z_grid = scene_grid_for(fp, scene, t0)
         scores = _field_scores(fp, z_grid, probes, sampler.t_max / 2.0, head="ego")
         all_scores.append(scores)
         all_labels.append(labels)

@@ -156,3 +156,48 @@ def per_ray_rng(seed: int, ray_index: int, stream: int = 0) -> np.random.Generat
     key = np.array([seed & _U64, stream & _U64], dtype=np.uint64)
     counter = np.array([0, ray_index & _U64, 0, 0], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key, counter=counter))
+
+
+_PHILOX_M = (np.uint64(0xD2E7470EE14C6C93), np.uint64(0xCA5A826395121157))
+_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+_LO32 = np.uint64(0xFFFFFFFF)
+
+
+def _mulhilo(a: np.uint64, b: np.ndarray):
+    """High and low 64-bit words of the 128-bit products a * b, from
+    32-bit halves so that every partial product fits in uint64."""
+    a0, a1 = a & _LO32, a >> np.uint64(32)
+    b0, b1 = b & _LO32, b >> np.uint64(32)
+    p01, p10 = a0 * b1, a1 * b0
+    mid = ((a0 * b0) >> np.uint64(32)) + (p01 & _LO32) + (p10 & _LO32)
+    hi = a1 * b1 + (p01 >> np.uint64(32)) + (p10 >> np.uint64(32)) + (mid >> np.uint64(32))
+    return hi, a * b
+
+
+def philox_uniforms(seed: int, stream: int, keys, offsets) -> np.ndarray:
+    """Draw ``offsets[i]`` of the ``per_ray_rng(seed, keys[i], stream)``
+    stream, for all i at once, bit-identical to ``Generator.uniform()``.
+
+    numpy's Philox4x64-10 is counter-based: with key ``[seed, stream]`` and
+    initial counter ``[0, ray, 0, 0]`` it bumps the counter before each
+    4-word block, so draw j is word ``j % 4`` of the block at counter
+    ``[j // 4 + 1, ray, 0, 0]``, and the uniform is ``(word >> 11) * 2**-53``.
+    Each run of consecutive entries sharing a key and a block is computed
+    once, so callers should list draws in key, then draw order.
+    """
+    keys = np.asarray(keys, dtype=np.uint64)
+    offsets = np.asarray(offsets, dtype=np.int64)
+    block = offsets // 4
+    new = np.ones(len(keys), dtype=bool)
+    new[1:] = (keys[1:] != keys[:-1]) | (block[1:] != block[:-1])
+    first = np.flatnonzero(new)
+    c0 = block[first].astype(np.uint64) + np.uint64(1)
+    c1 = keys[first]
+    c2 = c3 = np.zeros(len(first), dtype=np.uint64)
+    for r in range(10):  # round r uses the key bumped r times by the Weyl constants
+        k0, k1 = (np.uint64((k + r * w) & _U64) for k, w in zip((seed, stream), _PHILOX_W))
+        hi0, lo0 = _mulhilo(_PHILOX_M[0], c0)
+        hi1, lo1 = _mulhilo(_PHILOX_M[1], c2)
+        c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
+    words = np.stack([c0, c1, c2, c3], axis=1)[np.cumsum(new) - 1, offsets % 4]
+    return (words >> np.uint64(11)) * 2.0**-53

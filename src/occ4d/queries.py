@@ -7,19 +7,26 @@ and free-space negatives harvested from extended runs of missing rays.
 
 All randomness flows through counter-based streams keyed by
 (seed, purpose, ray-or-point index), so outputs are byte-identical at any
-worker count. Rotation augmentation is applied after generation, to scans
-and query positions jointly, which makes equivariance exact.
+worker count. Stream k is numpy's Philox4x64-10 with key [seed, stream] and
+counter [0, k, 0, 0]; its draw j is word j % 4 of the block at counter
+[j // 4 + 1, k, 0, 0] (``geom.philox_uniforms``). The per-ray generators
+are array code over all rays of a scan: ``_draw_filtered`` reproduces, for
+every ray at once, the redraw rounds a per-ray ``per_ray_rng`` generator
+would run, draw for draw. Rotation augmentation is applied after
+generation, to scans and query positions jointly, which makes equivariance
+exact.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .geom import AugmentConfig, Pose, compose, inverse, per_ray_rng, rotate_about_z
+from .geom import AugmentConfig, Pose, compose, inverse, per_ray_rng, philox_uniforms, rotate_about_z
 from .pca import PcaModel, project
 from .scene import FeatureImage, LidarScan, Scene, ego_path_vertices, ego_pose_at
 
@@ -51,6 +58,7 @@ _PURPOSE_ROT = 7
 _PURPOSE_SUBSAMPLE = 8
 
 _MAX_REDRAWS = 64
+_GROUP_DRAWS = 1 << 18
 _EGO_NEG_ATTEMPTS = 100
 
 QUERYSET_MAGIC = b"OCC4DQRY"
@@ -93,7 +101,7 @@ class Roi4:
         )
 
 
-# paper-scale query budget, for reference and for SamplerConfig.paper_scale()
+# paper-scale query budget, for reference
 PAPER_N_OCC = 900_000
 PAPER_N_FEAT = 100_000
 PAPER_N_EGO = 10_000
@@ -135,18 +143,6 @@ class SamplerConfig:
     @property
     def t_max(self) -> float:
         return self.roi.t_max
-
-    @staticmethod
-    def paper_scale(**overrides) -> "SamplerConfig":
-        kw = dict(
-            n_occ_pos=PAPER_N_OCC,
-            n_occ_neg=PAPER_N_OCC,
-            n_feat=PAPER_N_FEAT,
-            n_ego_pos=PAPER_N_EGO,
-            n_ego_neg=PAPER_N_EGO,
-        )
-        kw.update(overrides)
-        return SamplerConfig(**kw)
 
 
 @dataclass
@@ -238,24 +234,56 @@ def _labeled_set(tag, times, positions, labels, d) -> QuerySet:
     )
 
 
-def _draw_filtered(gen, needed: int, make_positions, roi: Roi4):
-    """Draw uniforms one batch at a time, mapping them through
-    ``make_positions(u) -> (pos, ok)`` and keeping roi-contained survivors.
-    Returns (positions, exhausted_flag)."""
-    kept = []
-    total = 0
-    attempts = 0
-    while total < needed and attempts < _MAX_REDRAWS:
-        u = gen.uniform(size=needed - total)
-        pos, ok = make_positions(u)
-        ok = ok & roi.contains_xyz(pos)
-        if ok.any():
-            kept.append(pos[ok])
-            total += int(ok.sum())
-        attempts += 1
-    if kept:
-        return np.concatenate(kept, axis=0), total < needed
-    return np.zeros((0, 3)), True
+def _runs(counts: np.ndarray):
+    """(owner, position) of every element of consecutive runs of the given lengths."""
+    owner = np.repeat(np.arange(len(counts)), counts)
+    return owner, np.arange(len(owner)) - np.repeat(np.cumsum(counts) - counts, counts)
+
+
+def _draw_filtered(seed: int, stream: int, rays: np.ndarray, needed: np.ndarray, make_positions, roi: Roi4):
+    """Roi-filtered draws for all keys (rays) of one stream at once.
+
+    Replays, for each key k and its stream ``per_ray_rng(seed, rays[k],
+    stream)``, the redraw loop: round r draws ``needed[k] - total`` uniforms
+    at the key's running offset, maps them through ``make_positions(idx, u)
+    -> (pos, ok)`` (``idx`` indexes ``rays``) and keeps the draws that pass
+    ``ok & roi.contains_xyz(pos)``, for at most ``_MAX_REDRAWS`` rounds.
+    Round 0 is one Philox call. Keys still short then draw their worst-case
+    remaining budget, (needed - total) * (_MAX_REDRAWS - 1), in one more
+    call, and the rounds are replayed on per-key prefix sums of ``ok``: a
+    tail draw is kept iff it is ok and lies before the key's final offset.
+    Keys go in groups of at most ``_GROUP_DRAWS`` worst-case draws, to bound
+    memory. Returns (idx, positions) of the kept draws in key order, then in
+    draw order.
+    """
+    group = np.cumsum(needed) * _MAX_REDRAWS // _GROUP_DRAWS
+    cuts = [0, *(np.flatnonzero(np.diff(group)) + 1), len(rays)]
+    idx_parts, pos_parts = [], []
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+
+        def draw(idx, offsets, lo=lo):
+            pos, ok = make_positions(lo + idx, philox_uniforms(seed, stream, rays[lo + idx], offsets))
+            return pos, ok & roi.contains_xyz(pos)
+
+        want = needed[lo:hi]
+        idx0, off0 = _runs(want)
+        pos0, ok0 = draw(idx0, off0)
+        deficit = want - np.bincount(idx0[ok0], minlength=len(want))
+        budget = deficit * (_MAX_REDRAWS - 1)
+        idx1, off1 = _runs(budget)
+        pos1, ok1 = draw(idx1, want[idx1] + off1)
+        kept = np.concatenate([[0], np.cumsum(ok1)])
+        start = np.cumsum(budget) - budget
+        end, short = np.zeros(len(want), np.int64), deficit
+        for _ in range(_MAX_REDRAWS - 1):
+            end = end + short
+            short = deficit - (kept[start + end] - kept[start])
+        keep1 = ok1 & (off1 < end[idx1])
+        idx = np.concatenate([idx0[ok0], idx1[keep1]])
+        order = np.argsort(idx, kind="stable")
+        idx_parts.append(lo + idx[order])
+        pos_parts.append(np.concatenate([pos0[ok0], pos1[keep1]])[order])
+    return np.concatenate(idx_parts), np.concatenate(pos_parts)
 
 
 def _split_count(total: int, n_parts: int) -> list:
@@ -280,26 +308,16 @@ def gen_occupancy_negatives(
     if len(hits) == 0:
         raise EmptyScanError("scan has no hit rays")
     tau = cfg.jitter_tau if tau is None else tau
-    quota = _per_ray_quota(count, len(hits))
-    positions, times = [], []
-    for j, ray in enumerate(hits):
-        if quota[j] == 0:
-            continue
-        gen = per_ray_rng(cfg.seed, int(ray), _stream(_PURPOSE_NEG, scan_stream))
-        s = scan.origins[ray]
-        p = scan.origins[ray] + scan.ranges[ray] * scan.dirs[ray]
+    s = scan.origins[hits]
+    seg = scan.endpoints()[hits] - s
 
-        def make(u, s=s, p=p):
-            dtau = u ** tau
-            pos = s[None, :] + dtau[:, None] * (p - s)[None, :]
-            return pos, (dtau != 0.0) & (dtau != 1.0)
+    def make(idx, u):
+        dtau = u ** tau
+        return s[idx] + dtau[:, None] * seg[idx], (dtau != 0.0) & (dtau != 1.0)
 
-        pos, _ = _draw_filtered(gen, int(quota[j]), make, cfg.roi)
-        positions.append(pos)
-        times.append(np.full(len(pos), scan.times[ray]))
-    pos = np.concatenate(positions) if positions else np.zeros((0, 3))
-    t = np.concatenate(times) if times else np.zeros(0)
-    return _labeled_set(TAG_RAY_NEG, t, pos, np.zeros(len(pos), np.uint8), 0)
+    stream = _stream(_PURPOSE_NEG, scan_stream)
+    idx, pos = _draw_filtered(cfg.seed, stream, hits, _per_ray_quota(count, len(hits)), make, cfg.roi)
+    return _labeled_set(TAG_RAY_NEG, scan.times[hits[idx]], pos, np.zeros(len(pos), np.uint8), 0)
 
 
 def gen_occupancy_positives(
@@ -317,72 +335,41 @@ def gen_occupancy_positives(
     ends = scan.endpoints()[hits]
     buf_far = ends + cfg.delta * scan.dirs[hits]
     eligible = cfg.roi.contains_xyz(ends) & cfg.roi.contains_xyz(buf_far)
-    hits = hits[eligible]
-    if len(hits) == 0:
-        return _labeled_set(TAG_RAY_POS, np.zeros(0), np.zeros((0, 3)), np.zeros(0, np.uint8), 0)
-    quota = _per_ray_quota(count, len(hits))
-    positions, times = [], []
-    for j, ray in enumerate(hits):
-        if quota[j] == 0:
-            continue
-        gen = per_ray_rng(cfg.seed, int(ray), _stream(_PURPOSE_POS, scan_stream))
-        p = scan.origins[ray] + scan.ranges[ray] * scan.dirs[ray]
-        u_dir = scan.dirs[ray]
+    hits, ends = hits[eligible], ends[eligible]
+    dirs = scan.dirs[hits]
 
-        def make(u, p=p, u_dir=u_dir):
-            r = cfg.delta * u
-            pos = p[None, :] + r[:, None] * u_dir[None, :]
-            return pos, u != 0.0
+    def make(idx, u):
+        return ends[idx] + (cfg.delta * u)[:, None] * dirs[idx], u != 0.0
 
-        pos, _ = _draw_filtered(gen, int(quota[j]), make, cfg.roi)
-        positions.append(pos)
-        times.append(np.full(len(pos), scan.times[ray]))
-    pos = np.concatenate(positions) if positions else np.zeros((0, 3))
-    t = np.concatenate(times) if times else np.zeros(0)
-    return _labeled_set(TAG_RAY_POS, t, pos, np.ones(len(pos), np.uint8), 0)
+    quota = _per_ray_quota(count, len(hits)) if len(hits) else np.zeros(0, np.int64)
+    idx, pos = _draw_filtered(cfg.seed, _stream(_PURPOSE_POS, scan_stream), hits, quota, make, cfg.roi)
+    return _labeled_set(TAG_RAY_POS, scan.times[hits[idx]], pos, np.ones(len(pos), np.uint8), 0)
 
 
 def missing_ray_regions(scan: LidarScan, min_run: int) -> np.ndarray:
     """Ray indices belonging to runs of >= min_run consecutive missing
-    azimuth columns within an elevation row."""
-    miss = scan.miss.reshape(scan.rows, scan.cols)
-    out = []
-    for row in range(scan.rows):
-        m = miss[row]
-        col = 0
-        while col < scan.cols:
-            if not m[col]:
-                col += 1
-                continue
-            start = col
-            while col < scan.cols and m[col]:
-                col += 1
-            if col - start >= min_run:
-                out.extend(range(row * scan.cols + start, row * scan.cols + col))
-    return np.array(out, dtype=np.int64)
+    azimuth columns within an elevation row, in ray order."""
+    pad = np.zeros((scan.rows, 1), dtype=np.int8)
+    edges = np.diff(np.hstack([pad, scan.miss.reshape(scan.rows, scan.cols).astype(np.int8), pad]), axis=1)
+    first = np.flatnonzero(edges == 1)  # run starts and ends pair up in row-major order
+    length = np.flatnonzero(edges == -1) - first
+    first, length = first[length >= min_run], length[length >= min_run]
+    owner, pos = _runs(length)
+    return first[owner] // (scan.cols + 1) * scan.cols + first[owner] % (scan.cols + 1) + pos
 
 
 def gen_missing_ray_negatives(scan: LidarScan, cfg: SamplerConfig, scan_stream: int = 0) -> QuerySet:
     """Free-space queries along extended missing-ray regions, sampled at
     u ~ U(0.05, 0.95) of max range."""
     rays = missing_ray_regions(scan, cfg.missing_ray_min_run)
-    positions, times = [], []
-    for ray in rays:
-        gen = per_ray_rng(cfg.seed, int(ray), _stream(_PURPOSE_MISS, scan_stream))
-        s = scan.origins[ray]
-        d = scan.dirs[ray]
 
-        def make(u, s=s, d=d):
-            r = (0.05 + 0.9 * u) * scan.max_range
-            pos = s[None, :] + r[:, None] * d[None, :]
-            return pos, np.ones(len(u), dtype=bool)
+    def make(idx, u):
+        r = (0.05 + 0.9 * u) * scan.max_range
+        return scan.origins[rays[idx]] + r[:, None] * scan.dirs[rays[idx]], np.ones(len(u), dtype=bool)
 
-        pos, _ = _draw_filtered(gen, cfg.missing_ray_samples_per_ray, make, cfg.roi)
-        positions.append(pos)
-        times.append(np.full(len(pos), scan.times[ray]))
-    pos = np.concatenate(positions) if positions else np.zeros((0, 3))
-    t = np.concatenate(times) if times else np.zeros(0)
-    return _labeled_set(TAG_MISSING_RAY, t, pos, np.zeros(len(pos), np.uint8), 0)
+    quota = np.full(len(rays), cfg.missing_ray_samples_per_ray, dtype=np.int64)
+    idx, pos = _draw_filtered(cfg.seed, _stream(_PURPOSE_MISS, scan_stream), rays, quota, make, cfg.roi)
+    return _labeled_set(TAG_MISSING_RAY, scan.times[rays[idx]], pos, np.zeros(len(pos), np.uint8), 0)
 
 
 def world_to_cam(pose: Pose, pts: np.ndarray) -> np.ndarray:
@@ -459,31 +446,20 @@ def gen_feature_queries(
     endpoints = scan.endpoints()[hits]
     visible, u, v = min_depth_visible(img, endpoints, cfg.depth_tol)
 
-    positions, times, targets = [], [], []
-    for j in np.nonzero(visible)[0]:
-        ray = int(hits[j])
-        gen = per_ray_rng(cfg.seed, ray, _stream(_PURPOSE_FEAT, scan_stream))
-        p = endpoints[j]
-        u_dir = scan.dirs[ray]
+    vis = np.flatnonzero(visible)
+    rays = hits[vis]
 
-        def make(w, p=p, u_dir=u_dir):
-            r = cfg.delta * w
-            pos = p[None, :] + r[:, None] * u_dir[None, :]
-            return pos, w != 0.0
+    def make(idx, w):
+        return endpoints[vis[idx]] + (cfg.delta * w)[:, None] * scan.dirs[rays[idx]], w != 0.0
 
-        pos, _ = _draw_filtered(gen, 1, make, cfg.roi)
-        if len(pos) == 0:
-            continue
-        positions.append(pos[0])
-        times.append(scan.times[ray])
-        targets.append(project(pca, img.features[v[j], u[j]]))
-    n = len(positions)
-    d = pca.d
+    stream = _stream(_PURPOSE_FEAT, scan_stream)
+    idx, pos = _draw_filtered(cfg.seed, stream, rays, np.ones(len(rays), np.int64), make, cfg.roi)
+    n, d = len(idx), pca.d
     if n == 0:
         return QuerySet.empty(d)
+    targets = [project(pca, img.features[v[j], u[j]]) for j in vis[idx]]
     qs = QuerySet(
-        np.full(n, TAG_FEATURE, np.uint8), np.array(times), np.array(positions),
-        np.zeros(n, np.uint8), np.array(targets), d,
+        np.full(n, TAG_FEATURE, np.uint8), scan.times[rays[idx]], pos, np.zeros(n, np.uint8), np.array(targets), d,
     )
     if cap is not None and qs.n > cap:
         gen = per_ray_rng(cfg.seed, scan_stream, _stream(_PURPOSE_SUBSAMPLE, 0))
@@ -624,15 +600,7 @@ class SampleMeta:
     exhausted: list
 
     def to_dict(self) -> dict:
-        return {
-            "t0": self.t0,
-            "theta": self.theta,
-            "tau": self.tau,
-            "seed": self.seed,
-            "requested": self.requested,
-            "emitted": self.emitted,
-            "exhausted": self.exhausted,
-        }
+        return asdict(self)
 
 
 def assemble_sample(
@@ -765,15 +733,29 @@ def save_queryset(qs: QuerySet, path) -> None:
         f.write(b"".join(chunks))
 
 
+@contextlib.contextmanager
+def truncation_errors(path, kind: str):
+    """Re-raise what parsing a short ``kind`` file raises (struct.error,
+    IndexError, numpy's or json's ValueError) as a ValueError naming it."""
+    try:
+        yield
+    except (struct.error, IndexError, ValueError) as e:
+        raise ValueError(f"{path}: truncated {kind} file ({e})") from e
+
+
 def load_queryset(path) -> QuerySet:
     with open(path, "rb") as f:
         raw = f.read()
+    if len(raw) < 24:
+        raise ValueError(f"{path}: truncated query-set file ({len(raw)} bytes)")
     if raw[:8] != QUERYSET_MAGIC:
         raise ValueError(f"{path}: not a query-set file")
     version, d = struct.unpack_from("<II", raw, 8)
     if version != QUERYSET_VERSION:
         raise ValueError(f"{path}: unsupported query-set version {version}")
     (n,) = struct.unpack_from("<Q", raw, len(raw) - 8)
+    if n > (len(raw) - 24) // 18:  # every record takes at least 18 bytes
+        raise ValueError(f"{path}: truncated query-set file ({len(raw)} bytes for {n} records)")
     body = raw[16 : len(raw) - 8]
     tags = np.empty(n, np.uint8)
     times = np.empty(n)
@@ -781,19 +763,20 @@ def load_queryset(path) -> QuerySet:
     labels = np.zeros(n, np.uint8)
     feats = []
     off = 0
-    for i in range(n):
-        tag = body[off]
-        tags[i] = tag
-        t, x, y, z = struct.unpack_from("<ffff", body, off + 1)
-        times[i] = t
-        positions[i] = (x, y, z)
-        off += 17
-        if tag == TAG_FEATURE:
-            feats.append(np.frombuffer(body, dtype="<f4", count=d, offset=off).astype(np.float64))
-            off += 4 * d
-        else:
-            labels[i] = body[off]
-            off += 1
+    with truncation_errors(path, "query-set"):
+        for i in range(n):
+            tag = body[off]
+            tags[i] = tag
+            t, x, y, z = struct.unpack_from("<ffff", body, off + 1)
+            times[i] = t
+            positions[i] = (x, y, z)
+            off += 17
+            if tag == TAG_FEATURE:
+                feats.append(np.frombuffer(body, dtype="<f4", count=d, offset=off).astype(np.float64))
+                off += 4 * d
+            else:
+                labels[i] = body[off]
+                off += 1
     if off != len(body):
         raise ValueError(f"{path}: trailing bytes in record stream")
     feats = np.array(feats).reshape(-1, d) if feats else np.zeros((0, d))
@@ -815,6 +798,8 @@ def save_encoder_input(enc: EncoderInput, path) -> None:
 def load_encoder_input(path) -> EncoderInput:
     with open(path, "rb") as f:
         raw = f.read()
+    if len(raw) < 16:
+        raise ValueError(f"{path}: truncated encoder-input file ({len(raw)} bytes)")
     if raw[:8] != _ENC_MAGIC:
         raise ValueError(f"{path}: not an encoder-input file")
     version, k = struct.unpack_from("<II", raw, 8)
@@ -822,11 +807,12 @@ def load_encoder_input(path) -> EncoderInput:
         raise ValueError(f"{path}: unsupported encoder-input version {version}")
     off = 16
     point_sets, rel_times = [], []
-    for _ in range(k):
-        count, t = struct.unpack_from("<Id", raw, off)
-        off += struct.calcsize("<Id")
-        pts = np.frombuffer(raw, dtype="<f8", count=count * 3, offset=off).reshape(count, 3).copy()
-        off += pts.nbytes
-        point_sets.append(pts)
-        rel_times.append(t)
+    with truncation_errors(path, "encoder-input"):
+        for _ in range(k):
+            count, t = struct.unpack_from("<Id", raw, off)
+            off += struct.calcsize("<Id")
+            pts = np.frombuffer(raw, dtype="<f8", count=count * 3, offset=off).reshape(count, 3).copy()
+            off += pts.nbytes
+            point_sets.append(pts)
+            rel_times.append(t)
     return EncoderInput(point_sets, rel_times)

@@ -10,7 +10,7 @@ from __future__ import annotations
 import csv
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -24,7 +24,7 @@ from .field import (
     loss_and_grads,
 )
 from .geom import per_ray_rng
-from .queries import EncoderInput, OCCUPANCY_TAGS, QuerySet, TAG_EGO_NEG, TAG_EGO_POS, TAG_FEATURE
+from .queries import EncoderInput, OCCUPANCY_TAGS, QuerySet, TAG_EGO_NEG, TAG_EGO_POS, TAG_FEATURE, truncation_errors
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -247,19 +247,7 @@ def save_checkpoint(path, fp: FieldParams, state: AdamState | None = None, step:
     doc = {
         "mode": fp.mode,
         "step": step,
-        "field_config": {
-            "x_range": list(cfg.x_range),
-            "y_range": list(cfg.y_range),
-            "cell": cfg.cell,
-            "channels": cfg.channels,
-            "z_range": list(cfg.z_range),
-            "t_max": cfg.t_max,
-            "n_freqs": cfg.n_freqs,
-            "head_hidden": cfg.head_hidden,
-            "d_feat": cfg.d_feat,
-            "k_past": cfg.k_past,
-            "leaky_slope": cfg.leaky_slope,
-        },
+        "field_config": asdict(cfg),
         "meta": meta or {},
     }
     payload = json.dumps(doc, sort_keys=True).encode()
@@ -282,44 +270,34 @@ def load_checkpoint(path):
 
     with open(path, "rb") as f:
         raw = f.read()
+    if len(raw) < 16:
+        raise ValueError(f"{path}: truncated checkpoint file ({len(raw)} bytes)")
     if raw[:8] != _CKPT_MAGIC:
         raise ValueError(f"{path}: not a checkpoint file")
     version, meta_len = struct.unpack_from("<II", raw, 8)
     if version != _CKPT_VERSION:
         raise ValueError(f"{path}: unsupported checkpoint version {version}")
     off = 16
-    doc = json.loads(raw[off : off + meta_len].decode())
-    off += meta_len
-    (n_sections,) = struct.unpack_from("<I", raw, off)
-    off += 4
     tensors = {}
-    for _ in range(n_sections):
-        (name_len,) = struct.unpack_from("<H", raw, off)
-        off += 2
-        name = raw[off : off + name_len].decode()
-        off += name_len
-        (ndim,) = struct.unpack_from("<B", raw, off)
-        off += 1
-        shape = struct.unpack_from(f"<{ndim}I", raw, off)
-        off += 4 * ndim
-        count = int(np.prod(shape)) if ndim else 1
-        arr = np.frombuffer(raw, dtype="<f8", count=count, offset=off).reshape(shape).copy()
-        off += arr.nbytes
-        tensors[name] = arr
-    fc = doc["field_config"]
-    cfg = FieldConfig(
-        x_range=tuple(fc["x_range"]),
-        y_range=tuple(fc["y_range"]),
-        cell=fc["cell"],
-        channels=fc["channels"],
-        z_range=tuple(fc["z_range"]),
-        t_max=fc["t_max"],
-        n_freqs=fc["n_freqs"],
-        head_hidden=fc["head_hidden"],
-        d_feat=fc["d_feat"],
-        k_past=fc["k_past"],
-        leaky_slope=fc["leaky_slope"],
-    )
+    with truncation_errors(path, "checkpoint"):
+        doc = json.loads(raw[off : off + meta_len].decode())
+        off += meta_len
+        (n_sections,) = struct.unpack_from("<I", raw, off)
+        off += 4
+        for _ in range(n_sections):
+            (name_len,) = struct.unpack_from("<H", raw, off)
+            off += 2
+            name = raw[off : off + name_len].decode()
+            off += name_len
+            (ndim,) = struct.unpack_from("<B", raw, off)
+            off += 1
+            shape = struct.unpack_from(f"<{ndim}I", raw, off)
+            off += 4 * ndim
+            count = int(np.prod(shape)) if ndim else 1
+            arr = np.frombuffer(raw, dtype="<f8", count=count, offset=off).reshape(shape).copy()
+            off += arr.nbytes
+            tensors[name] = arr
+    cfg = FieldConfig(**{k: tuple(v) if isinstance(v, list) else v for k, v in doc["field_config"].items()})
     params = {k: v for k, v in tensors.items() if not k.startswith("adam.")}
     fp = FieldParams(cfg, doc["mode"], params)
     state = None

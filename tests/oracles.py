@@ -187,3 +187,143 @@ def ks_statistic_uniform(samples) -> float:
     cdf_hi = np.arange(1, n + 1) / n
     cdf_lo = np.arange(0, n) / n
     return float(max(np.abs(cdf_hi - xs).max(), np.abs(xs - cdf_lo).max()))
+
+
+# ---------------------------------------------------------------------------
+# scalar query generators: one numpy Philox generator per ray and a redraw
+# loop per ray, as the package generated queries before its array replay.
+# They share ray selection (quota, visibility, missing-ray runs) with the
+# package and check only the per-ray draws.
+
+
+def missing_ray_regions_scalar(miss, rows, cols, min_run):
+    """Ray indices in runs of >= min_run consecutive misses within a row,
+    found by walking each row."""
+    out = []
+    for row in range(rows):
+        col = 0
+        while col < cols:
+            start = col
+            while col < cols and miss[row * cols + col]:
+                col += 1
+            if col - start >= min_run:
+                out.extend(range(row * cols + start, row * cols + col))
+            col = max(col, start + 1)
+    return out
+
+
+def draw_filtered_scalar(gen, needed, make_positions, roi, max_redraws):
+    """Up to max_redraws rounds of needed - total draws each, keeping the
+    roi-contained draws that make_positions marks ok."""
+    kept = []
+    total = 0
+    for _ in range(max_redraws):
+        if total >= needed:
+            break
+        u = gen.uniform(size=needed - total)
+        pos, ok = make_positions(u)
+        ok = ok & roi.contains_xyz(pos)
+        kept.extend(pos[ok])
+        total += int(ok.sum())
+    return kept
+
+
+def _scalar_set(q, tag, positions, times, labels, feats=None, d=0):
+    n = len(positions)
+    return q.QuerySet(
+        np.full(n, tag, np.uint8), np.array(times, dtype=float), np.array(positions, dtype=float).reshape(-1, 3),
+        np.full(n, labels, np.uint8), np.zeros((0, d)) if feats is None else np.array(feats).reshape(-1, d), d,
+    )
+
+
+def occupancy_negatives_scalar(scan, cfg, count, scan_stream=0, tau=None):
+    from occ4d import queries as q
+    from occ4d.geom import per_ray_rng
+
+    hits = scan.hit_indices
+    tau = cfg.jitter_tau if tau is None else tau
+    quota = q._per_ray_quota(count, len(hits))
+    positions, times = [], []
+    for j, ray in enumerate(hits):
+        gen = per_ray_rng(cfg.seed, int(ray), q._stream(q._PURPOSE_NEG, scan_stream))
+        s = scan.origins[ray]
+        p = scan.origins[ray] + scan.ranges[ray] * scan.dirs[ray]
+
+        def make(u, s=s, p=p):
+            dtau = u ** tau
+            return s[None, :] + dtau[:, None] * (p - s)[None, :], (dtau != 0.0) & (dtau != 1.0)
+
+        kept = draw_filtered_scalar(gen, int(quota[j]), make, cfg.roi, q._MAX_REDRAWS)
+        positions.extend(kept)
+        times.extend([scan.times[ray]] * len(kept))
+    return _scalar_set(q, q.TAG_RAY_NEG, positions, times, 0)
+
+
+def occupancy_positives_scalar(scan, cfg, count, scan_stream=0):
+    from occ4d import queries as q
+    from occ4d.geom import per_ray_rng
+
+    hits = scan.hit_indices
+    ends = scan.endpoints()[hits]
+    eligible = cfg.roi.contains_xyz(ends) & cfg.roi.contains_xyz(ends + cfg.delta * scan.dirs[hits])
+    hits = hits[eligible]
+    positions, times = [], []
+    quota = q._per_ray_quota(count, len(hits)) if len(hits) else []
+    for j, ray in enumerate(hits):
+        gen = per_ray_rng(cfg.seed, int(ray), q._stream(q._PURPOSE_POS, scan_stream))
+        p = scan.origins[ray] + scan.ranges[ray] * scan.dirs[ray]
+        u_dir = scan.dirs[ray]
+
+        def make(u, p=p, u_dir=u_dir):
+            return p[None, :] + (cfg.delta * u)[:, None] * u_dir[None, :], u != 0.0
+
+        kept = draw_filtered_scalar(gen, int(quota[j]), make, cfg.roi, q._MAX_REDRAWS)
+        positions.extend(kept)
+        times.extend([scan.times[ray]] * len(kept))
+    return _scalar_set(q, q.TAG_RAY_POS, positions, times, 1)
+
+
+def missing_ray_negatives_scalar(scan, cfg, scan_stream=0):
+    from occ4d import queries as q
+    from occ4d.geom import per_ray_rng
+
+    positions, times = [], []
+    for ray in q.missing_ray_regions(scan, cfg.missing_ray_min_run):
+        gen = per_ray_rng(cfg.seed, int(ray), q._stream(q._PURPOSE_MISS, scan_stream))
+        s, d = scan.origins[ray], scan.dirs[ray]
+
+        def make(u, s=s, d=d):
+            r = (0.05 + 0.9 * u) * scan.max_range
+            return s[None, :] + r[:, None] * d[None, :], np.ones(len(u), dtype=bool)
+
+        kept = draw_filtered_scalar(gen, cfg.missing_ray_samples_per_ray, make, cfg.roi, q._MAX_REDRAWS)
+        positions.extend(kept)
+        times.extend([scan.times[ray]] * len(kept))
+    return _scalar_set(q, q.TAG_MISSING_RAY, positions, times, 0)
+
+
+def feature_queries_scalar(scan, images, pca, cfg, scan_stream=0):
+    """Uncapped feature queries (``cap=None``)."""
+    from occ4d import queries as q
+    from occ4d.geom import per_ray_rng
+    from occ4d.pca import project
+
+    img = q.closest_image(images, float(scan.times[0]))
+    hits = scan.hit_indices
+    endpoints = scan.endpoints()[hits]
+    visible, u, v = q.min_depth_visible(img, endpoints, cfg.depth_tol)
+    positions, times, targets = [], [], []
+    for j in np.nonzero(visible)[0]:
+        ray = int(hits[j])
+        gen = per_ray_rng(cfg.seed, ray, q._stream(q._PURPOSE_FEAT, scan_stream))
+        p, u_dir = endpoints[j], scan.dirs[ray]
+
+        def make(w, p=p, u_dir=u_dir):
+            return p[None, :] + (cfg.delta * w)[:, None] * u_dir[None, :], w != 0.0
+
+        kept = draw_filtered_scalar(gen, 1, make, cfg.roi, q._MAX_REDRAWS)
+        if kept:
+            positions.append(kept[0])
+            times.append(scan.times[ray])
+            targets.append(project(pca, img.features[v[j], u[j]]))
+    return _scalar_set(q, q.TAG_FEATURE, positions, times, 0, targets, pca.d)

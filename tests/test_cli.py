@@ -1,4 +1,5 @@
 import json
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -100,6 +101,28 @@ class TestPipeline:
         assert meta["config_digest"] == config_digest(cfg)
         assert meta["emitted"]["ray_negative"] == 700
         assert meta["emitted"]["ray_positive"] == 700
+
+    def test_queries_manifest_counts(self, pipeline):
+        root, _ = pipeline
+        man = read_manifest(root / "queries")
+        metas = [json.loads(p.read_text()) for p in sorted((root / "queries").glob("sample*.meta.json"))]
+        assert man["requested"]["ray_negative"] == 2 * 700
+        for kind, n in man["emitted"].items():
+            assert n == sum(m["emitted"][kind] for m in metas)
+        assert man["exhausted"] == sorted({k for m in metas for k in m["exhausted"]})
+        assert not any(f["path"] == "manifest.json" for f in man["files"])
+
+    def test_train_on_truncated_sample_fails_cleanly(self, pipeline, tmp_path, capsys):
+        root, cfg_path = pipeline
+        queries = tmp_path / "queries"
+        shutil.copytree(root / "queries", queries)
+        sample = queries / "sample000.bin"
+        raw = sample.read_bytes()
+        sample.write_bytes(raw[: len(raw) // 2])
+        code = main(["train", "--config", str(cfg_path), "--queries", str(queries), "--out", str(tmp_path / "run")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("occ4d train:") and "truncated" in err and str(sample) in err
 
     def test_train_outputs(self, pipeline):
         root, _ = pipeline
@@ -222,3 +245,43 @@ class TestDeterminism:
             )
             manifests.append(read_manifest(base / "data")["files"])
         assert manifests[0] == manifests[1]
+
+
+class TestEvalEncoderInput:
+    def test_eval_encodes_the_training_past_scans_once_per_scene(self, tmp_path, monkeypatch):
+        # non-default past offsets: eval must encode the same scans, at the
+        # same relative times, as the sample genqueries wrote (at theta = 0)
+        import occ4d.evaluation as evaluation
+        from occ4d.queries import load_encoder_input
+
+        cfg_path = tmp_path / "config.json"
+        doc = json.loads(json.dumps(SMOKE_OVERRIDES))
+        doc["suite"].update({"n_scenes": 1, "n_future": 2, "past_offsets": [-0.6, 0.0]})
+        doc["field"]["k_past"] = 2
+        doc["train"].update({"total_steps": 3, "warmup_steps": 1})
+        doc["augment"] = {"rotation_enabled": False}
+        cfg_path.write_text(json.dumps(doc))
+        args = ["--config", str(cfg_path)]
+        assert main(["simulate", *args, "--out", str(tmp_path / "data")]) == 0
+        assert main(["genqueries", *args, "--dataset", str(tmp_path / "data"), "--out", str(tmp_path / "q")]) == 0
+        assert main(["train", *args, "--queries", str(tmp_path / "q"), "--out", str(tmp_path / "run")]) == 0
+
+        seen = []
+        real_encode = evaluation.encode
+
+        def recording_encode(fp, enc):
+            seen.append(enc)
+            return real_encode(fp, enc)
+
+        monkeypatch.setattr(evaluation, "encode", recording_encode)
+        code = main(
+            ["eval", *args, "--checkpoint", str(tmp_path / "run" / "checkpoint.bin"),
+             "--dataset", str(tmp_path / "data"), "--out", str(tmp_path / "report.json")]
+        )
+        assert code == 0
+        assert len(seen) == 1
+        written = load_encoder_input(tmp_path / "q" / "sample000.enc.bin")
+        assert seen[0].rel_times == written.rel_times == [-0.6, 0.0]
+        assert len(seen[0].point_sets) == len(written.point_sets)
+        for got, want in zip(seen[0].point_sets, written.point_sets):
+            np.testing.assert_array_equal(got, want)

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from occ4d.geom import AugmentConfig, Pose, Ray, compose, inverse, per_ray_rng, rotate_about_z, yaw_matrix
+from occ4d.geom import (
+    AugmentConfig, Pose, Ray, compose, inverse, per_ray_rng, philox_uniforms, rotate_about_z, yaw_matrix,
+)
 
 from oracles import homogeneous, ks_statistic_uniform
 
@@ -156,3 +158,38 @@ class TestPerRayRng:
                 mixed[i].append(gens[i].uniform())
         for i in range(4):
             np.testing.assert_array_equal(seq[i], np.array(mixed[i]))
+
+
+U64_MAX = 2**64 - 1
+
+
+class TestPhiloxUniforms:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, U64_MAX),
+        purpose=st.integers(0, 2**32 - 1),
+        scan=st.integers(0, 2**32 - 1),
+        rays=st.lists(st.integers(0, U64_MAX), min_size=1, max_size=3),
+        sizes=st.lists(st.integers(0, 9), min_size=1, max_size=4),
+        skip=st.integers(0, 11),
+    )
+    def test_matches_per_ray_rng_draw_for_draw(self, seed, purpose, scan, rays, sizes, skip):
+        # draws consumed over several uniform(size=...) calls, listed from
+        # offset `skip` on, so runs start and end inside 4-word blocks
+        stream = (purpose << 32) | scan
+        keys, offsets, expected = [], [], []
+        for ray in rays:
+            gen = per_ray_rng(seed, ray, stream)
+            draws = np.concatenate([gen.uniform(size=k) for k in sizes])[skip:]
+            keys += [ray] * len(draws)
+            offsets += range(skip, skip + len(draws))
+            expected += list(draws)
+        got = philox_uniforms(seed, stream, np.array(keys, dtype=np.uint64), np.array(offsets, dtype=np.int64))
+        np.testing.assert_array_equal(got, np.array(expected))
+
+    @settings(max_examples=50, deadline=None)
+    @given(seed=st.integers(0, U64_MAX), ray=st.integers(0, U64_MAX), offsets=st.lists(st.integers(0, 40), max_size=12))
+    def test_any_offset_order(self, seed, ray, offsets):
+        draws = per_ray_rng(seed, ray, 3).uniform(size=41)
+        got = philox_uniforms(seed, 3, np.full(len(offsets), ray, dtype=np.uint64), np.array(offsets, dtype=np.int64))
+        np.testing.assert_array_equal(got, draws[offsets])

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from occ4d.geom import AugmentConfig, Pose, inverse, per_ray_rng, rotate_about_z
+from occ4d import queries
 from occ4d.pca import fit_pca
 from occ4d.queries import (
     EmptyScanError,
@@ -50,7 +51,16 @@ from occ4d.scene import (
     render_feature_image,
 )
 
-from oracles import ks_statistic_uniform, polyline_dist_xy, splat_zbuffer
+from oracles import (
+    feature_queries_scalar,
+    ks_statistic_uniform,
+    missing_ray_negatives_scalar,
+    missing_ray_regions_scalar,
+    occupancy_negatives_scalar,
+    occupancy_positives_scalar,
+    polyline_dist_xy,
+    splat_zbuffer,
+)
 
 
 def synthetic_scan(origins, endpoints, rows=1, cols=None, max_range=40.0, t=0.0, miss_dirs=()):
@@ -208,6 +218,18 @@ class TestMissingRays:
         # a higher threshold than the run length yields nothing
         assert len(missing_ray_regions(scan, 22)) == 0
 
+    def test_regions_match_row_walk_oracle(self):
+        rng = np.random.default_rng(3)
+        for _ in range(50):
+            rows, cols = (int(k) for k in rng.integers(1, 12, size=2))
+            miss = rng.uniform(size=rows * cols) < rng.uniform()
+            scan = synthetic_scan([], [], rows=rows, cols=cols, miss_dirs=[((0, 0, 1), (1, 0, 0))] * (rows * cols))
+            scan.miss[:] = miss
+            for min_run in (1, 3):
+                got = missing_ray_regions(scan, min_run)
+                assert got.dtype == np.int64
+                np.testing.assert_array_equal(got, missing_ray_regions_scalar(miss, rows, cols, min_run))
+
     def test_isolated_miss_ignored(self):
         scan = synthetic_scan(
             [(0, 0, 1)] * 4,
@@ -314,6 +336,118 @@ class TestFeatureQueries:
         scan = synthetic_scan([(0, 0, 2)], [(5, 0, 1)])
         with pytest.raises(ValueError):
             gen_feature_queries(scan, [], pca16, SamplerConfig())
+
+
+def assert_same_queries(got, want):
+    for name in ("tags", "times", "positions", "labels", "feats"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.shape == b.shape and a.dtype == b.dtype, name
+        assert np.array_equal(a, b), name
+
+
+NARROW_ROI = Roi4(x=(-6.0, 9.0), y=(-8.0, 5.0), z=(0.3, 2.0))
+
+
+class TestArrayReplayMatchesScalarOracle:
+    """The array generators emit exactly what one numpy Philox generator
+    and one redraw loop per ray emit."""
+
+    @pytest.mark.parametrize("roi", [Roi4(), NARROW_ROI], ids=["default_roi", "narrow_roi"])
+    def test_scene_scans(self, roi, pca16):
+        for seed, t in ((1, 0.0), (2, 0.9)):
+            scene = random_scene(seed=seed)
+            scan = cast_lidar_scan(scene, lidar_pose_at(scene, t), scene.rig.lidar_pattern, t)
+            img = render_feature_image(scene, camera_pose_at(scene, t), scene.rig.camera, t, 16)
+            cfg = SamplerConfig(seed=seed, roi=roi)
+            assert_same_queries(gen_occupancy_negatives(scan, cfg, 1500, 2), occupancy_negatives_scalar(scan, cfg, 1500, 2))
+            assert_same_queries(gen_occupancy_positives(scan, cfg, 1500, 1), occupancy_positives_scalar(scan, cfg, 1500, 1))
+            assert_same_queries(gen_missing_ray_negatives(scan, cfg, 4), missing_ray_negatives_scalar(scan, cfg, 4))
+            assert_same_queries(
+                gen_feature_queries(scan, [img], pca16, cfg, 3, cap=None), feature_queries_scalar(scan, [img], pca16, cfg, 3)
+            )
+
+    def test_small_draw_groups(self, pca16, monkeypatch):
+        # keys split into many groups give the same draws as one group
+        monkeypatch.setattr(queries, "_GROUP_DRAWS", 200)
+        scene = random_scene(seed=4)
+        scan = cast_lidar_scan(scene, lidar_pose_at(scene, 0.3), scene.rig.lidar_pattern, 0.3)
+        img = render_feature_image(scene, camera_pose_at(scene, 0.3), scene.rig.camera, 0.3, 16)
+        cfg = SamplerConfig(seed=4, roi=NARROW_ROI)
+        assert_same_queries(gen_occupancy_negatives(scan, cfg, 3000), occupancy_negatives_scalar(scan, cfg, 3000))
+        assert_same_queries(gen_missing_ray_negatives(scan, cfg), missing_ray_negatives_scalar(scan, cfg))
+        cfg = SamplerConfig(seed=4)
+        qs = gen_feature_queries(scan, [img], pca16, cfg, cap=None)
+        assert_same_queries(qs, feature_queries_scalar(scan, [img], pca16, cfg))
+        assert qs.n > 50
+
+    @pytest.mark.parametrize("tau", [0.7, 2.5])
+    def test_jitter_tau(self, tau):
+        scene = random_scene(seed=3)
+        scan = cast_lidar_scan(scene, lidar_pose_at(scene, 0.3), scene.rig.lidar_pattern, 0.3)
+        cfg = SamplerConfig(seed=5, roi=NARROW_ROI)
+        qs = gen_occupancy_negatives(scan, cfg, 2000, 1, tau=tau)
+        assert_same_queries(qs, occupancy_negatives_scalar(scan, cfg, 2000, 1, tau=tau))
+
+    def test_rays_outside_roi_use_every_round(self):
+        # the second ray lies wholly outside the roi (x > 14) and draws all
+        # 64 rounds; 8 draws over 3 rays exercise the round-robin quota
+        scan = synthetic_scan([(0, 0, 1), (20, 0, 1), (0, 0, 1)], [(10, 0, 1), (30, 0, 1), (0, 30, 1)])
+        cfg = SamplerConfig(seed=11)
+        qs = gen_occupancy_negatives(scan, cfg, 8)
+        assert_same_queries(qs, occupancy_negatives_scalar(scan, cfg, 8))
+        assert 0 < qs.n < 8
+
+    def test_quota_zero_rays(self):
+        scan = synthetic_scan([(0, 0, 1)] * 3, [(10, 0, 1), (0, 10, 1), (5, 5, 1)])
+        for count in (0, 2):
+            cfg = SamplerConfig(seed=4)
+            assert_same_queries(gen_occupancy_negatives(scan, cfg, count), occupancy_negatives_scalar(scan, cfg, count))
+            assert_same_queries(gen_occupancy_positives(scan, cfg, count), occupancy_positives_scalar(scan, cfg, count))
+
+    def test_single_hit_with_large_quota(self):
+        # more than half the ray lies outside the roi, so redraw rounds follow round 0
+        scan = synthetic_scan([(0, 0, 1)], [(30, 0, 1)])
+        cfg = SamplerConfig(seed=1)
+        for tau in (1.0, 0.5):
+            qs = gen_occupancy_negatives(scan, cfg, 300, tau=tau)
+            assert_same_queries(qs, occupancy_negatives_scalar(scan, cfg, 300, tau=tau))
+        assert_same_queries(gen_occupancy_positives(scan, cfg, 300), occupancy_positives_scalar(scan, cfg, 300))
+
+    def test_missing_rays_leaving_the_roi(self):
+        # 6 steep rays climb above z = 3 before 0.05 of max range and never
+        # emit; 6 level rays leave the x-y box part of the way out
+        steep = [((0, 0, 1.5), (0.6 * math.cos(a), 0.6 * math.sin(a), 0.8)) for a in np.linspace(0, 1, 6)]
+        level = [((0, 0, 1.0), (math.cos(a), math.sin(a), 0.0)) for a in np.linspace(2, 3, 6)]
+        scan = synthetic_scan([(0, 0, 1)] * 4, [(5, 0, 1), (0, 5, 1), (-5, 0, 1), (0, -5, 1)],
+                              rows=1, cols=16, miss_dirs=steep + level)
+        cfg = SamplerConfig(seed=2, missing_ray_samples_per_ray=3)
+        qs = gen_missing_ray_negatives(scan, cfg)
+        assert_same_queries(qs, missing_ray_negatives_scalar(scan, cfg))
+        assert 0 < qs.n < 12 * 3
+
+    def test_empty_missing_ray_set(self):
+        scan = synthetic_scan([(0, 0, 1)] * 4, [(5, 0, 1), (0, 5, 1), (-5, 0, 1), (0, -5, 1)])
+        qs = gen_missing_ray_negatives(scan, SamplerConfig())
+        assert qs.n == 0
+        assert_same_queries(qs, missing_ray_negatives_scalar(scan, SamplerConfig()))
+
+    def test_feature_buffers_outside_roi(self):
+        img = front_camera_image()
+        pca = fit_pca(np.random.default_rng(1).normal(size=(100, 8)), 4)
+        # three visible hits; the roi ends at x = 7, so the hit at x = 9 never emits
+        scan = synthetic_scan([(0, 0, 2)] * 3, [(5, 0.4, 0.5), (9, -0.5, 0.6), (6, 0.0, 0.1)])
+        cfg = SamplerConfig(seed=0, roi=Roi4(x=(-14.0, 7.0)))
+        qs = gen_feature_queries(scan, [img], pca, cfg, cap=None)
+        assert_same_queries(qs, feature_queries_scalar(scan, [img], pca, cfg))
+        assert qs.n == 2
+
+    def test_no_visible_feature_points(self):
+        img = front_camera_image()
+        pca = fit_pca(np.random.default_rng(1).normal(size=(100, 8)), 4)
+        scan = synthetic_scan([(0, 0, 2)], [(-5, 0.0, 0.5)])
+        qs = gen_feature_queries(scan, [img], pca, SamplerConfig(seed=0), cap=None)
+        assert_same_queries(qs, feature_queries_scalar(scan, [img], pca, SamplerConfig(seed=0)))
+        assert qs.n == 0
 
 
 class TestEgoPathQueries:
@@ -475,6 +609,22 @@ class TestQuerySetFormat:
         qs = self._tiny()
         idx = qs.indices_for(TAG_FEATURE)
         np.testing.assert_array_equal(qs.feature_targets(idx), qs.feats)
+
+    @pytest.mark.parametrize("cut", [lambda n: 0, lambda n: 10, lambda n: n // 2], ids=["empty", "10_bytes", "half"])
+    def test_truncated_files_raise_value_error(self, tmp_path, cut):
+        enc = EncoderInput([np.random.default_rng(0).normal(size=(40, 3)), np.ones((9, 3))], [-0.5, 0.0])
+        cases = [
+            ("q.bin", save_queryset, QuerySet.concat([self._tiny()] * 50, 2), load_queryset),
+            ("enc.bin", save_encoder_input, enc, load_encoder_input),
+        ]
+        for name, save, obj, load in cases:
+            p = tmp_path / name
+            save(obj, p)
+            raw = p.read_bytes()
+            p.write_bytes(raw[: cut(len(raw))])
+            with pytest.raises(ValueError, match="truncated") as e:
+                load(p)
+            assert str(p) in str(e.value)
 
     def test_encoder_input_round_trip(self, tmp_path):
         enc = EncoderInput([np.random.default_rng(0).normal(size=(7, 3)), np.zeros((0, 3))], [-0.5, 0.0])

@@ -152,6 +152,17 @@ class TestCheckpoint:
             np.testing.assert_array_equal(back.params[k], fp.params[k])
         np.testing.assert_array_equal(bstate.m["enc.embed.w"], state.m["enc.embed.w"])
 
+    @pytest.mark.parametrize("cut", [lambda n: 0, lambda n: 10, lambda n: n // 2], ids=["empty", "10_bytes", "half"])
+    def test_truncated_checkpoint_raises_value_error(self, tmp_path, cut):
+        fp = init_params(SMALL, seed=20, mode=MODE_AMORTIZED)
+        p = tmp_path / "ckpt.bin"
+        save_checkpoint(p, fp, AdamState.zeros(fp.params), step=5)
+        raw = p.read_bytes()
+        p.write_bytes(raw[: cut(len(raw))])
+        with pytest.raises(ValueError, match="truncated") as e:
+            load_checkpoint(p)
+        assert str(p) in str(e.value)
+
     def test_resume_equals_uninterrupted(self, tmp_path):
         sample = make_sample(21)
         cfg = TrainConfig(mode=MODE_AMORTIZED, total_steps=40, warmup_steps=5, seed=7)
