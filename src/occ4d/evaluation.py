@@ -32,7 +32,7 @@ PAPER_EVAL_TIMES = (0.6, 1.2, 1.8, 2.4, 3.0)
 class EvalGrid:
     """Probe lattice: voxel centers of ``step``-sized cells over the region,
     probed at the configured future times. Desk default is a 32 x 32 m
-    region; paper_scale() widens it to 80 x 80 m."""
+    region."""
 
     x: tuple = (-16.0, 16.0)
     y: tuple = (-16.0, 16.0)
@@ -45,12 +45,6 @@ class EvalGrid:
             raise ValueError("step must be positive")
         if any(t < 0 for t in self.times):
             raise ValueError("probe times must be >= 0")
-
-    @staticmethod
-    def paper_scale(**overrides) -> "EvalGrid":
-        kw = dict(x=(-40.0, 40.0), y=(-40.0, 40.0), step=0.2, times=PAPER_EVAL_TIMES)
-        kw.update(overrides)
-        return EvalGrid(**kw)
 
     @property
     def shape(self) -> tuple:

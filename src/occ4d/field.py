@@ -401,16 +401,13 @@ def _bce_from_logits(logits: np.ndarray, labels: np.ndarray) -> np.ndarray:
     return np.maximum(logits, 0.0) - logits * labels + np.log1p(np.exp(-np.abs(logits)))
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
+def sigmoid(x: np.ndarray) -> np.ndarray:
     out = np.empty_like(x)
     pos = x >= 0
     out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
     e = np.exp(x[~pos])
     out[~pos] = e / (1.0 + e)
     return out
-
-
-sigmoid = _sigmoid
 
 
 @dataclass
@@ -543,7 +540,7 @@ def loss_and_grads(
         out, cache = head_forward(fp, "occ", x[batch.occ_rows], want_cache=True)
         logits = out[:, 0]
         occ_term = float(np.mean(_bce_from_logits(logits, batch.occ_labels)))
-        dlogits = (co * (_sigmoid(logits) - batch.occ_labels))[:, None]
+        dlogits = (co * (sigmoid(logits) - batch.occ_labels))[:, None]
         hg, dxh = head_backward(fp, "occ", cache, dlogits)
         for k, v in hg.items():
             grads[k] += v
@@ -561,7 +558,7 @@ def loss_and_grads(
         out, cache = head_forward(fp, "ego", x[batch.ego_rows], want_cache=True)
         logits = out[:, 0]
         ego_term = float(np.mean(_bce_from_logits(logits, batch.ego_labels)))
-        dlogits = (ce * (_sigmoid(logits) - batch.ego_labels))[:, None]
+        dlogits = (ce * (sigmoid(logits) - batch.ego_labels))[:, None]
         hg, dxh = head_backward(fp, "ego", cache, dlogits)
         for k, v in hg.items():
             grads[k] += v

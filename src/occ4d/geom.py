@@ -98,37 +98,12 @@ def inverse(p: Pose) -> Pose:
 
 
 @dataclass(frozen=True)
-class Ray:
-    """A single timed lidar ray: origin, hit point or miss direction, time."""
-
-    origin: np.ndarray
-    endpoint: np.ndarray | None
-    miss: bool
-    direction: np.ndarray
-    time: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "origin", _frozen_array(self.origin, (3,)))
-        object.__setattr__(self, "direction", _frozen_array(self.direction, (3,)))
-        if abs(np.linalg.norm(self.direction) - 1.0) > ORTHO_TOL:
-            raise ValueError("ray direction must have unit norm")
-        if self.miss:
-            if self.endpoint is not None:
-                raise ValueError("miss rays carry no endpoint")
-        else:
-            object.__setattr__(self, "endpoint", _frozen_array(self.endpoint, (3,)))
-            if np.linalg.norm(self.endpoint - self.origin) <= 0.0:
-                raise ValueError("hit ray must have |p - s| > 0")
-
-
-@dataclass(frozen=True)
 class AugmentConfig:
     """Training-sample augmentation knobs.
 
     theta is drawn uniformly from [theta_min, theta_max] when rotation is
     enabled. jitter_tau reshapes the along-ray negative draw (d^tau); tau=1
-    is plain uniform sampling. translation_max is a reserved hook and must
-    stay 0 for now.
+    is plain uniform sampling.
     """
 
     theta_min: float = -math.radians(20.0)
@@ -136,15 +111,12 @@ class AugmentConfig:
     jitter_tau: float = 1.0
     rotation_enabled: bool = True
     jitter_enabled: bool = False
-    translation_max: float = 0.0
 
     def __post_init__(self):
         if self.theta_min > self.theta_max:
             raise ValueError("theta_min must be <= theta_max")
         if self.jitter_tau <= 0.0:
             raise ValueError("jitter_tau must be positive")
-        if self.translation_max != 0.0:
-            raise ValueError("translation augmentation is a config hook only")
 
 
 def per_ray_rng(seed: int, ray_index: int, stream: int = 0) -> np.random.Generator:

@@ -7,15 +7,11 @@ dependency-free; tests check it against a dense eigensolver oracle.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-FIT_SUBSET_SIZE = 50_000
-
-_PCA_MAGIC = b"OCC4DPCA"
-_PCA_VERSION = 1
+from . import artifact
 
 
 class RankDeficiencyError(ValueError):
@@ -136,26 +132,14 @@ def reconstruct(model: PcaModel, coords: np.ndarray) -> np.ndarray:
 
 
 def save_pca(model: PcaModel, path) -> None:
-    with open(path, "wb") as f:
-        f.write(_PCA_MAGIC)
-        f.write(struct.pack("<III", _PCA_VERSION, model.d, model.d_raw))
-        f.write(np.ascontiguousarray(model.mean, dtype="<f8").tobytes())
-        f.write(np.ascontiguousarray(model.components, dtype="<f8").tobytes())
-        f.write(np.ascontiguousarray(model.explained_variance, dtype="<f8").tobytes())
+    artifact.save(
+        path, "pca", {},
+        mean=np.asarray(model.mean, "<f8"),
+        components=np.asarray(model.components, "<f8"),
+        explained_variance=np.asarray(model.explained_variance, "<f8"),
+    )
 
 
 def load_pca(path) -> PcaModel:
-    with open(path, "rb") as f:
-        raw = f.read()
-    if raw[:8] != _PCA_MAGIC:
-        raise ValueError(f"{path}: not a PCA model file")
-    version, d, d_raw = struct.unpack_from("<III", raw, 8)
-    if version != _PCA_VERSION:
-        raise ValueError(f"{path}: unsupported PCA version {version}")
-    off = 8 + struct.calcsize("<III")
-    mean = np.frombuffer(raw, dtype="<f8", count=d_raw, offset=off).copy()
-    off += mean.nbytes
-    comps = np.frombuffer(raw, dtype="<f8", count=d * d_raw, offset=off).reshape(d, d_raw).copy()
-    off += comps.nbytes
-    ev = np.frombuffer(raw, dtype="<f8", count=d, offset=off).copy()
-    return PcaModel(mean=mean, components=comps, explained_variance=ev)
+    _, a = artifact.load(path, "pca")
+    return PcaModel(mean=a["mean"], components=a["components"], explained_variance=a["explained_variance"])

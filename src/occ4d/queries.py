@@ -19,13 +19,12 @@ exact.
 
 from __future__ import annotations
 
-import contextlib
 import math
-import struct
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
+from . import artifact
 from .geom import AugmentConfig, Pose, compose, inverse, per_ray_rng, philox_uniforms, rotate_about_z
 from .pca import PcaModel, project
 from .scene import FeatureImage, LidarScan, Scene, ego_path_vertices, ego_pose_at
@@ -60,10 +59,6 @@ _PURPOSE_SUBSAMPLE = 8
 _MAX_REDRAWS = 64
 _GROUP_DRAWS = 1 << 18
 _EGO_NEG_ATTEMPTS = 100
-
-QUERYSET_MAGIC = b"OCC4DQRY"
-QUERYSET_VERSION = 1
-
 
 class EmptyScanError(ValueError):
     pass
@@ -700,119 +695,32 @@ def assemble_sample(
 
 
 # ---------------------------------------------------------------------------
-# binary query-set format: 16-byte header (magic, version u32, d u32),
-# records of (tag u8, time f32, position 3xf32, payload u8 | d x f32),
-# trailing u64 record count
+# query-set / encoder-input artifacts
 
 
 def save_queryset(qs: QuerySet, path) -> None:
-    chunks = [QUERYSET_MAGIC, struct.pack("<II", QUERYSET_VERSION, qs.d)]
-    base = np.dtype([("tag", "<u1"), ("time", "<f4"), ("pos", "<f4", (3,))])
-    i = 0
-    while i < qs.n:
-        j = i
-        tag = qs.tags[i]
-        while j < qs.n and qs.tags[j] == tag:
-            j += 1
-        count = j - i
-        if tag == TAG_FEATURE:
-            dt = np.dtype(base.descr + [("feat", "<f4", (qs.d,))])
-            block = np.zeros(count, dtype=dt)
-            block["feat"] = qs.feats[qs._feat_row[i:j]]
-        else:
-            dt = np.dtype(base.descr + [("label", "<u1")])
-            block = np.zeros(count, dtype=dt)
-            block["label"] = qs.labels[i:j]
-        block["tag"] = qs.tags[i:j]
-        block["time"] = qs.times[i:j]
-        block["pos"] = qs.positions[i:j]
-        chunks.append(block.tobytes())
-        i = j
-    chunks.append(struct.pack("<Q", qs.n))
-    with open(path, "wb") as f:
-        f.write(b"".join(chunks))
-
-
-@contextlib.contextmanager
-def truncation_errors(path, kind: str):
-    """Re-raise what parsing a short ``kind`` file raises (struct.error,
-    IndexError, numpy's or json's ValueError) as a ValueError naming it."""
-    try:
-        yield
-    except (struct.error, IndexError, ValueError) as e:
-        raise ValueError(f"{path}: truncated {kind} file ({e})") from e
+    artifact.save(
+        path, "queryset", {},
+        tags=qs.tags,
+        times=np.asarray(qs.times, "<f4"),
+        positions=np.asarray(qs.positions, "<f4"),
+        labels=np.where(qs.tags == TAG_FEATURE, 0, qs.labels).astype("u1"),
+        feats=np.asarray(qs.feats, "<f4"),
+    )
 
 
 def load_queryset(path) -> QuerySet:
-    with open(path, "rb") as f:
-        raw = f.read()
-    if len(raw) < 24:
-        raise ValueError(f"{path}: truncated query-set file ({len(raw)} bytes)")
-    if raw[:8] != QUERYSET_MAGIC:
-        raise ValueError(f"{path}: not a query-set file")
-    version, d = struct.unpack_from("<II", raw, 8)
-    if version != QUERYSET_VERSION:
-        raise ValueError(f"{path}: unsupported query-set version {version}")
-    (n,) = struct.unpack_from("<Q", raw, len(raw) - 8)
-    if n > (len(raw) - 24) // 18:  # every record takes at least 18 bytes
-        raise ValueError(f"{path}: truncated query-set file ({len(raw)} bytes for {n} records)")
-    body = raw[16 : len(raw) - 8]
-    tags = np.empty(n, np.uint8)
-    times = np.empty(n)
-    positions = np.empty((n, 3))
-    labels = np.zeros(n, np.uint8)
-    feats = []
-    off = 0
-    with truncation_errors(path, "query-set"):
-        for i in range(n):
-            tag = body[off]
-            tags[i] = tag
-            t, x, y, z = struct.unpack_from("<ffff", body, off + 1)
-            times[i] = t
-            positions[i] = (x, y, z)
-            off += 17
-            if tag == TAG_FEATURE:
-                feats.append(np.frombuffer(body, dtype="<f4", count=d, offset=off).astype(np.float64))
-                off += 4 * d
-            else:
-                labels[i] = body[off]
-                off += 1
-    if off != len(body):
-        raise ValueError(f"{path}: trailing bytes in record stream")
-    feats = np.array(feats).reshape(-1, d) if feats else np.zeros((0, d))
-    return QuerySet(tags, times, positions, labels, feats, d)
-
-
-_ENC_MAGIC = b"OCC4DENC"
+    _, a = artifact.load(path, "queryset")
+    feats = a["feats"]
+    return QuerySet(a["tags"], a["times"], a["positions"], a["labels"], feats, feats.shape[1])
 
 
 def save_encoder_input(enc: EncoderInput, path) -> None:
-    with open(path, "wb") as f:
-        f.write(_ENC_MAGIC)
-        f.write(struct.pack("<II", 1, len(enc.point_sets)))
-        for pts, t in zip(enc.point_sets, enc.rel_times):
-            f.write(struct.pack("<Id", len(pts), t))
-            f.write(np.ascontiguousarray(pts, dtype="<f8").tobytes())
+    points = {f"points{i}": np.asarray(pts, "<f8").reshape(-1, 3) for i, pts in enumerate(enc.point_sets)}
+    artifact.save(path, "encoder-input", {}, rel_times=np.asarray(enc.rel_times, "<f8"), **points)
 
 
 def load_encoder_input(path) -> EncoderInput:
-    with open(path, "rb") as f:
-        raw = f.read()
-    if len(raw) < 16:
-        raise ValueError(f"{path}: truncated encoder-input file ({len(raw)} bytes)")
-    if raw[:8] != _ENC_MAGIC:
-        raise ValueError(f"{path}: not an encoder-input file")
-    version, k = struct.unpack_from("<II", raw, 8)
-    if version != 1:
-        raise ValueError(f"{path}: unsupported encoder-input version {version}")
-    off = 16
-    point_sets, rel_times = [], []
-    with truncation_errors(path, "encoder-input"):
-        for _ in range(k):
-            count, t = struct.unpack_from("<Id", raw, off)
-            off += struct.calcsize("<Id")
-            pts = np.frombuffer(raw, dtype="<f8", count=count * 3, offset=off).reshape(count, 3).copy()
-            off += pts.nbytes
-            point_sets.append(pts)
-            rel_times.append(t)
-    return EncoderInput(point_sets, rel_times)
+    _, a = artifact.load(path, "encoder-input")
+    rel_times = a["rel_times"].tolist()
+    return EncoderInput([a[f"points{i}"] for i in range(len(rel_times))], rel_times)

@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import json
 import math
-import struct
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from . import artifact
 from .geom import Pose, per_ray_rng, yaw_matrix
 
 GROUND_CLASS = 0
@@ -161,19 +161,6 @@ class LidarScan:
         """Hit points; rows where miss is set are not meaningful."""
         r = np.where(self.miss, 0.0, self.ranges)
         return self.origins + r[:, None] * self.dirs
-
-    def ray(self, i: int):
-        from .geom import Ray
-
-        if self.miss[i]:
-            return Ray(self.origins[i], None, True, self.dirs[i], float(self.times[i]))
-        return Ray(
-            self.origins[i],
-            self.origins[i] + self.ranges[i] * self.dirs[i],
-            False,
-            self.dirs[i],
-            float(self.times[i]),
-        )
 
     def transformed(self, pose: Pose) -> "LidarScan":
         """Scan expressed in the frame that ``pose`` maps world points into."""
@@ -661,100 +648,49 @@ def load_scene_json(path) -> Scene:
 
 
 # ---------------------------------------------------------------------------
-# binary scan / image files
-
-_SCAN_MAGIC = b"OCC4DSCN"
-_IMG_MAGIC = b"OCC4DIMG"
-_FORMAT_VERSION = 1
+# scan / image artifacts
 
 
 def save_scan(scan: LidarScan, path) -> None:
-    with open(path, "wb") as f:
-        f.write(_SCAN_MAGIC)
-        f.write(struct.pack("<IIIId", _FORMAT_VERSION, scan.n, scan.rows, scan.cols, scan.max_range))
-        for arr, dt in (
-            (scan.origins, "<f8"),
-            (scan.dirs, "<f8"),
-            (scan.ranges, "<f8"),
-            (scan.miss.astype(np.uint8), "<u1"),
-            (scan.times, "<f8"),
-            (scan.hit_kind, "<i4"),
-            (scan.thickness, "<f8"),
-        ):
-            f.write(np.ascontiguousarray(arr, dtype=dt).tobytes())
+    artifact.save(
+        path, "scan", {"rows": int(scan.rows), "cols": int(scan.cols), "max_range": float(scan.max_range)},
+        origins=np.asarray(scan.origins, "<f8"),
+        dirs=np.asarray(scan.dirs, "<f8"),
+        ranges=np.asarray(scan.ranges, "<f8"),
+        miss=np.asarray(scan.miss, "u1"),
+        times=np.asarray(scan.times, "<f8"),
+        hit_kind=np.asarray(scan.hit_kind, "<i4"),
+        thickness=np.asarray(scan.thickness, "<f8"),
+    )
 
 
 def load_scan(path) -> LidarScan:
-    with open(path, "rb") as f:
-        raw = f.read()
-    if raw[:8] != _SCAN_MAGIC:
-        raise ValueError(f"{path}: not a scan file")
-    version, n, rows, cols, max_range = struct.unpack_from("<IIIId", raw, 8)
-    if version != _FORMAT_VERSION:
-        raise ValueError(f"{path}: unsupported scan version {version}")
-    off = 8 + struct.calcsize("<IIIId")
-
-    def take(shape, dt):
-        nonlocal off
-        a = np.frombuffer(raw, dtype=dt, count=int(np.prod(shape)), offset=off).reshape(shape)
-        off += a.nbytes
-        return a.astype(np.float64) if dt == "<f8" else a
-
-    origins = take((n, 3), "<f8")
-    dirs = take((n, 3), "<f8")
-    ranges = take((n,), "<f8")
-    miss = take((n,), "<u1").astype(bool)
-    times = take((n,), "<f8")
-    hit_kind = take((n,), "<i4").astype(np.int32)
-    thickness = take((n,), "<f8")
-    return LidarScan(origins, dirs, ranges, miss, times, int(rows), int(cols), float(max_range), hit_kind, thickness)
+    meta, a = artifact.load(path, "scan")
+    return LidarScan(
+        a["origins"], a["dirs"], a["ranges"], a["miss"].astype(bool), a["times"],
+        meta["rows"], meta["cols"], meta["max_range"], a["hit_kind"], a["thickness"],
+    )
 
 
 def save_feature_image(img: FeatureImage, path) -> None:
-    with open(path, "wb") as f:
-        f.write(_IMG_MAGIC)
-        intr = img.intrinsics
-        f.write(
-            struct.pack(
-                "<IIIIdffff",
-                _FORMAT_VERSION,
-                img.width,
-                img.height,
-                img.d_raw,
-                img.time,
-                intr.fx,
-                intr.fy,
-                intr.cx,
-                intr.cy,
-            )
-        )
-        f.write(np.ascontiguousarray(img.pose.rotation, dtype="<f8").tobytes())
-        f.write(np.ascontiguousarray(img.pose.translation, dtype="<f8").tobytes())
-        f.write(np.ascontiguousarray(img.depth, dtype="<f8").tobytes())
-        f.write(np.ascontiguousarray(img.features, dtype="<f4").tobytes())
+    intr = img.intrinsics
+    artifact.save(
+        path, "feature-image", {"time": float(img.time)},
+        rotation=np.asarray(img.pose.rotation, "<f8"),
+        translation=np.asarray(img.pose.translation, "<f8"),
+        depth=np.asarray(img.depth, "<f8"),
+        features=np.asarray(img.features, "<f4"),
+        intrinsics=np.array([intr.fx, intr.fy, intr.cx, intr.cy], "<f4"),
+    )
 
 
 def load_feature_image(path) -> FeatureImage:
-    with open(path, "rb") as f:
-        raw = f.read()
-    if raw[:8] != _IMG_MAGIC:
-        raise ValueError(f"{path}: not a feature-image file")
-    header = struct.unpack_from("<IIIIdffff", raw, 8)
-    version, w, h, d_raw, t, fx, fy, cx, cy = header
-    if version != _FORMAT_VERSION:
-        raise ValueError(f"{path}: unsupported image version {version}")
-    off = 8 + struct.calcsize("<IIIIdffff")
-    rot = np.frombuffer(raw, dtype="<f8", count=9, offset=off).reshape(3, 3)
-    off += 72
-    trans = np.frombuffer(raw, dtype="<f8", count=3, offset=off)
-    off += 24
-    depth = np.frombuffer(raw, dtype="<f8", count=w * h, offset=off).reshape(h, w)
-    off += depth.nbytes
-    feats = np.frombuffer(raw, dtype="<f4", count=w * h * d_raw, offset=off).reshape(h, w, d_raw)
+    meta, a = artifact.load(path, "feature-image")
+    h, w = a["depth"].shape
     return FeatureImage(
-        features=feats.astype(np.float64),
-        depth=depth.astype(np.float64),
-        pose=Pose(rot, trans),
-        intrinsics=CameraIntrinsics(w, h, fx, fy, cx, cy),
-        time=float(t),
+        features=a["features"].astype(np.float64),
+        depth=a["depth"],
+        pose=Pose(a["rotation"], a["translation"]),
+        intrinsics=CameraIntrinsics(w, h, *a["intrinsics"].tolist()),
+        time=meta["time"],
     )

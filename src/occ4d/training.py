@@ -9,11 +9,11 @@ from __future__ import annotations
 
 import csv
 import math
-import struct
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from . import artifact
 from .field import (
     Batch,
     FieldConfig,
@@ -24,7 +24,7 @@ from .field import (
     loss_and_grads,
 )
 from .geom import per_ray_rng
-from .queries import EncoderInput, OCCUPANCY_TAGS, QuerySet, TAG_EGO_NEG, TAG_EGO_POS, TAG_FEATURE, truncation_errors
+from .queries import EncoderInput, OCCUPANCY_TAGS, QuerySet, TAG_EGO_NEG, TAG_EGO_POS, TAG_FEATURE
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -32,9 +32,6 @@ ADAM_EPS = 1e-8
 
 _STREAM_SAMPLE_SEL = 0x5E1
 _STREAM_BATCH_IDX = 0xB1D
-
-_CKPT_MAGIC = b"OC4DCKPT"
-_CKPT_VERSION = 1
 
 
 class TrainingDiverged(RuntimeError):
@@ -228,75 +225,20 @@ def write_loss_csv(history, path, append: bool = False) -> None:
             w.writerow([row[0]] + [repr(float(v)) for v in row[1:]])
 
 
-def _write_section(f, name: str, arr: np.ndarray) -> None:
-    enc = name.encode()
-    f.write(struct.pack("<H", len(enc)))
-    f.write(enc)
-    arr = np.ascontiguousarray(arr, dtype="<f8")
-    f.write(struct.pack("<B", arr.ndim))
-    f.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-    f.write(arr.tobytes())
-
-
 def save_checkpoint(path, fp: FieldParams, state: AdamState | None = None, step: int = 0, meta: dict | None = None) -> None:
-    """Versioned binary checkpoint: JSON metadata followed by named f64
-    row-major tensor sections (parameters, then optional Adam moments)."""
-    import json
-
-    cfg = fp.config
-    doc = {
-        "mode": fp.mode,
-        "step": step,
-        "field_config": asdict(cfg),
-        "meta": meta or {},
-    }
-    payload = json.dumps(doc, sort_keys=True).encode()
-    sections = list(fp.params.items())
+    """Versioned checkpoint artifact: mode, step, field config and meta as
+    metadata; parameters, then optional Adam moments, as named f64 arrays."""
+    tensors = dict(fp.params)
     if state is not None:
-        sections += [(f"adam.m.{k}", v) for k, v in state.m.items()]
-        sections += [(f"adam.v.{k}", v) for k, v in state.v.items()]
-    with open(path, "wb") as f:
-        f.write(_CKPT_MAGIC)
-        f.write(struct.pack("<II", _CKPT_VERSION, len(payload)))
-        f.write(payload)
-        f.write(struct.pack("<I", len(sections)))
-        for name, arr in sections:
-            _write_section(f, name, arr)
+        tensors.update({f"adam.m.{k}": v for k, v in state.m.items()})
+        tensors.update({f"adam.v.{k}": v for k, v in state.v.items()})
+    doc = {"mode": fp.mode, "step": int(step), "field_config": asdict(fp.config), "meta": meta or {}}
+    artifact.save(path, "checkpoint", doc, **{k: np.asarray(v, "<f8") for k, v in tensors.items()})
 
 
 def load_checkpoint(path):
     """Returns (FieldParams, AdamState | None, step, meta dict)."""
-    import json
-
-    with open(path, "rb") as f:
-        raw = f.read()
-    if len(raw) < 16:
-        raise ValueError(f"{path}: truncated checkpoint file ({len(raw)} bytes)")
-    if raw[:8] != _CKPT_MAGIC:
-        raise ValueError(f"{path}: not a checkpoint file")
-    version, meta_len = struct.unpack_from("<II", raw, 8)
-    if version != _CKPT_VERSION:
-        raise ValueError(f"{path}: unsupported checkpoint version {version}")
-    off = 16
-    tensors = {}
-    with truncation_errors(path, "checkpoint"):
-        doc = json.loads(raw[off : off + meta_len].decode())
-        off += meta_len
-        (n_sections,) = struct.unpack_from("<I", raw, off)
-        off += 4
-        for _ in range(n_sections):
-            (name_len,) = struct.unpack_from("<H", raw, off)
-            off += 2
-            name = raw[off : off + name_len].decode()
-            off += name_len
-            (ndim,) = struct.unpack_from("<B", raw, off)
-            off += 1
-            shape = struct.unpack_from(f"<{ndim}I", raw, off)
-            off += 4 * ndim
-            count = int(np.prod(shape)) if ndim else 1
-            arr = np.frombuffer(raw, dtype="<f8", count=count, offset=off).reshape(shape).copy()
-            off += arr.nbytes
-            tensors[name] = arr
+    doc, tensors = artifact.load(path, "checkpoint")
     cfg = FieldConfig(**{k: tuple(v) if isinstance(v, list) else v for k, v in doc["field_config"].items()})
     params = {k: v for k, v in tensors.items() if not k.startswith("adam.")}
     fp = FieldParams(cfg, doc["mode"], params)
@@ -305,4 +247,4 @@ def load_checkpoint(path):
     moments_v = {k[len("adam.v.") :]: t for k, t in tensors.items() if k.startswith("adam.v.")}
     if moments_m:
         state = AdamState(moments_m, moments_v)
-    return fp, state, int(doc["step"]), doc.get("meta", {})
+    return fp, state, doc["step"], doc["meta"]

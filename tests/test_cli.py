@@ -124,6 +124,18 @@ class TestPipeline:
         err = capsys.readouterr().err
         assert err.startswith("occ4d train:") and "truncated" in err and str(sample) in err
 
+    def test_genqueries_on_truncated_scan_fails_cleanly(self, pipeline, tmp_path, capsys):
+        root, cfg_path = pipeline
+        data = tmp_path / "data"
+        shutil.copytree(root / "data", data)
+        scan = sorted((data / "scans").iterdir())[0]
+        raw = scan.read_bytes()
+        scan.write_bytes(raw[: len(raw) // 2])
+        code = main(["genqueries", "--config", str(cfg_path), "--dataset", str(data), "--out", str(tmp_path / "queries")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("occ4d genqueries:") and "truncated" in err and str(scan) in err
+
     def test_train_outputs(self, pipeline):
         root, _ = pipeline
         run = root / "run"

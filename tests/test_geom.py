@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from occ4d.geom import (
-    AugmentConfig, Pose, Ray, compose, inverse, per_ray_rng, philox_uniforms, rotate_about_z, yaw_matrix,
+    AugmentConfig, Pose, compose, inverse, per_ray_rng, philox_uniforms, rotate_about_z, yaw_matrix,
 )
 
 from oracles import homogeneous, ks_statistic_uniform
@@ -102,16 +102,6 @@ class TestRotateAboutZ:
         out = rotate_about_z(pts, 0.3)
         assert out.shape == (4, 3)
         np.testing.assert_allclose(out[2], rotate_about_z(pts[2], 0.3))
-
-
-class TestRay:
-    def test_unit_direction_enforced(self):
-        with pytest.raises(ValueError):
-            Ray(np.zeros(3), None, True, np.array([1.0, 1.0, 0.0]), 0.0)
-
-    def test_hit_needs_extent(self):
-        with pytest.raises(ValueError):
-            Ray(np.zeros(3), np.zeros(3), False, np.array([1.0, 0.0, 0.0]), 0.0)
 
 
 class TestAugmentConfig:

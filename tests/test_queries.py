@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -5,7 +6,8 @@ import pytest
 
 from occ4d.geom import AugmentConfig, Pose, inverse, per_ray_rng, rotate_about_z
 from occ4d import queries
-from occ4d.pca import fit_pca
+from occ4d.field import init_params
+from occ4d.pca import fit_pca, load_pca, save_pca
 from occ4d.queries import (
     EmptyScanError,
     EncoderInput,
@@ -46,11 +48,17 @@ from occ4d.scene import (
     ego_pose_at,
     ego_path_vertices,
     lidar_pose_at,
+    load_feature_image,
+    load_scan,
     occupancy_oracle,
     random_scene,
     render_feature_image,
+    save_feature_image,
+    save_scan,
 )
+from occ4d.training import save_checkpoint
 
+from test_field import SMALL
 from oracles import (
     feature_queries_scalar,
     ks_statistic_uniform,
@@ -591,19 +599,28 @@ class TestQuerySetFormat:
         np.testing.assert_allclose(back.feats, qs.feats, atol=1e-6)
         assert back.d == 2
 
+    def test_round_trip_edge_cases(self, tmp_path):
+        p = tmp_path / "q.bin"
+        no_feats = QuerySet(np.array([0, 1], np.uint8), [0.5, 1.0], np.zeros((2, 3)), np.array([0, 1], np.uint8), [], 0)
+        save_queryset(no_feats, p)
+        back = load_queryset(p)
+        assert back.d == 0 and back.feats.shape == (0, 0)
+        np.testing.assert_array_equal(back.labels, [0, 1])
+        qs = self._tiny()
+        qs.labels[2] = 1  # labels carry no meaning on FEATURE rows and load as 0
+        save_queryset(qs, p)
+        np.testing.assert_array_equal(load_queryset(p).labels, [0, 1, 0, 0, 1, 0])
+
     def test_golden_layout(self, tmp_path):
-        # frozen byte layout: header + first record of the tiny set
+        # frozen v2 layout: a zip of .npy members plus JSON metadata
         p = tmp_path / "q.bin"
         save_queryset(self._tiny(), p)
-        raw = p.read_bytes()
-        assert raw[:8] == b"OCC4DQRY"
-        assert raw[8:12] == (1).to_bytes(4, "little")
-        assert raw[12:16] == (2).to_bytes(4, "little")
-        import struct
-
-        assert raw[16] == 0  # tag
-        assert struct.unpack_from("<f", raw, 17)[0] == pytest.approx(0.5)
-        assert raw[-8:] == (6).to_bytes(8, "little")
+        assert p.read_bytes()[:4] == b"PK\x03\x04"
+        with np.load(p, allow_pickle=False) as z:
+            meta = json.loads(str(z["meta"]))
+            dtypes = {name: z[name].dtype.str for name in z.files if name != "meta"}
+        assert meta == {"kind": "queryset", "version": 2}
+        assert dtypes == {"tags": "|u1", "times": "<f4", "positions": "<f4", "labels": "|u1", "feats": "<f4"}
 
     def test_feature_targets_alignment(self):
         qs = self._tiny()
@@ -613,9 +630,13 @@ class TestQuerySetFormat:
     @pytest.mark.parametrize("cut", [lambda n: 0, lambda n: 10, lambda n: n // 2], ids=["empty", "10_bytes", "half"])
     def test_truncated_files_raise_value_error(self, tmp_path, cut):
         enc = EncoderInput([np.random.default_rng(0).normal(size=(40, 3)), np.ones((9, 3))], [-0.5, 0.0])
+        scene = random_scene(seed=3)
         cases = [
             ("q.bin", save_queryset, QuerySet.concat([self._tiny()] * 50, 2), load_queryset),
             ("enc.bin", save_encoder_input, enc, load_encoder_input),
+            ("scan.bin", save_scan, cast_lidar_scan(scene, lidar_pose_at(scene, 0.0), scene.rig.lidar_pattern, 0.0), load_scan),
+            ("img.bin", save_feature_image, render_feature_image(scene, camera_pose_at(scene, 0.0), scene.rig.camera, 0.0, 8), load_feature_image),
+            ("pca.bin", save_pca, fit_pca(np.random.default_rng(1).normal(size=(100, 8)), 4), load_pca),
         ]
         for name, save, obj, load in cases:
             p = tmp_path / name
@@ -625,6 +646,20 @@ class TestQuerySetFormat:
             with pytest.raises(ValueError, match="truncated") as e:
                 load(p)
             assert str(p) in str(e.value)
+
+    def test_v1_file_is_rejected_by_name(self, tmp_path):
+        p = tmp_path / "old.bin"
+        p.write_bytes(b"OCC4DQRY" + (1).to_bytes(4, "little") + (2).to_bytes(4, "little") + bytes(8))
+        with pytest.raises(ValueError, match="not an occ4d queryset file") as e:
+            load_queryset(p)
+        assert str(p) in str(e.value) and "pickle" not in str(e.value)
+
+    def test_other_kind_is_rejected_by_name(self, tmp_path):
+        p = tmp_path / "ckpt.bin"
+        save_checkpoint(p, init_params(SMALL, seed=0))
+        with pytest.raises(ValueError, match="not an occ4d queryset file") as e:
+            load_queryset(p)
+        assert str(p) in str(e.value) and "checkpoint" in str(e.value) and "pickle" not in str(e.value)
 
     def test_encoder_input_round_trip(self, tmp_path):
         enc = EncoderInput([np.random.default_rng(0).normal(size=(7, 3)), np.zeros((0, 3))], [-0.5, 0.0])
