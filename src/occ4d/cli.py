@@ -13,6 +13,7 @@ import concurrent.futures
 import json
 import math
 import sys
+import time
 from collections import Counter
 from pathlib import Path
 
@@ -250,6 +251,7 @@ def _scene_grids(fp, scenes, cfg: dict) -> list:
 
 
 def cmd_eval(cfg: dict, checkpoint_path, dataset_dir, out_path, rasters=None, force: bool = False) -> int:
+    start = time.perf_counter()
     digest = config_digest(cfg)
     fp, _, _, meta = load_checkpoint(checkpoint_path)
     ckpt_digest = meta.get("config_digest")
@@ -263,8 +265,9 @@ def cmd_eval(cfg: dict, checkpoint_path, dataset_dir, out_path, rasters=None, fo
         scenes = scenes[:1]
     grid = evalgrid_from(cfg)
     z_grids = _scene_grids(fp, scenes, cfg)
-    report = eval_4d_occupancy(fp, scenes, grid, raytrace=cfg["eval"]["raytrace"], z_grids=z_grids)
-    ego = eval_ego_path(fp, scenes, sampler_from(cfg), bev_step=cfg["eval"]["ego_bev_step"], z_grids=z_grids)
+    timings = {}
+    report = eval_4d_occupancy(fp, scenes, grid, raytrace=cfg["eval"]["raytrace"], z_grids=z_grids, timings=timings)
+    ego = eval_ego_path(fp, scenes, sampler_from(cfg), bev_step=cfg["eval"]["ego_bev_step"], z_grids=z_grids, timings=timings)
     report["ap_ego"] = ego["ap_ego"]
     report["ego_base_rate"] = ego["ego_base_rate"]
     report["config_digest"] = digest
@@ -282,6 +285,9 @@ def cmd_eval(cfg: dict, checkpoint_path, dataset_dir, out_path, rasters=None, fo
         f"{k}={report[k]:.4f}" for k in ("r_at_p70", "r_at_p70_exact", "ap_occ_exact", "soft_iou", "ap_ego") if k in report
     )
     print(f"eval: {line} -> {out_path}")
+    total = time.perf_counter() - start
+    spent = ", ".join(f"{k} {timings.get(k, 0.0):.2f} s" for k in ("score", "labels", "metrics"))
+    print(f"eval: {spent} of {total:.2f} s; {report['n_probes'] / total:.0f} probes/s")
     if failures:
         print("acceptance thresholds failed: " + "; ".join(failures), file=sys.stderr)
         return 1

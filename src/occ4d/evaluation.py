@@ -10,11 +10,13 @@ from __future__ import annotations
 
 import json
 import math
+import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .field import FieldParams, MODE_AMORTIZED, encode, query_head, sigmoid
+from .field import FieldParams, MODE_AMORTIZED, encode, lattice_head, sigmoid
 from .geom import Pose, inverse
 from .queries import EncoderInput, SamplerConfig, ego_tube_distance
 from .scene import LidarScan, Scene, cast_lidar_scan, ego_path_vertices, ego_pose_at, lidar_pose_at
@@ -54,12 +56,10 @@ class EvalGrid:
         return (nz, ny, nx)
 
     def centers(self) -> np.ndarray:
-        """All probe centers as an (nz * ny * nx, 3) array, z-major."""
-        nz, ny, nx = self.shape
-        xs = self.x[0] + (np.arange(nx) + 0.5) * self.step
-        ys = self.y[0] + (np.arange(ny) + 0.5) * self.step
-        zs = self.z[0] + (np.arange(nz) + 0.5) * self.step
-        zg, yg, xg = np.meshgrid(zs, ys, xs, indexing="ij")
+        """All probe centers as an (nz * ny * nx, 3) array, z-major; an axis
+        value within 1e-9 step of 0 is exactly 0, e.g. on the ground z = 0."""
+        axes = [lo + (np.arange(n) + 0.5) * self.step for lo, n in zip((self.z[0], self.y[0], self.x[0]), self.shape)]
+        zg, yg, xg = np.meshgrid(*[np.where(np.abs(a) < 1e-9 * self.step, 0.0, a) for a in axes], indexing="ij")
         return np.stack([xg.ravel(), yg.ravel(), zg.ravel()], axis=1)
 
 
@@ -221,37 +221,42 @@ def _pr_sweep(scores: np.ndarray, labels: np.ndarray):
     return thr, precision, recall
 
 
-def recall_at_precision(scores, labels, precision_target: float):
-    """Max recall over thresholds whose precision meets the target, plus the
-    loosest qualifying threshold; (0, inf) when none qualifies."""
+def _recall_and_ap(scores, labels, precision_target: float = 0.7):
+    """(recall, threshold) as recall_at_precision gives them and AP as
+    average_precision gives it, from one sweep."""
     labels = np.asarray(labels)
     if labels.sum() == 0 or labels.sum() == len(labels):
         raise ValueError("labels need at least one positive and one negative")
     thr, precision, recall = _pr_sweep(scores, labels)
+    ap = _step_area(precision, recall)
     ok = precision >= precision_target
     if not ok.any():
-        return 0.0, math.inf
+        return 0.0, math.inf, ap
     best = recall[ok].max()
-    qualifying = thr[ok & (recall == best)]
-    return float(best), float(qualifying.min())
+    return float(best), float(thr[ok & (recall == best)].min()), ap
+
+
+def recall_at_precision(scores, labels, precision_target: float):
+    """Max recall over thresholds whose precision meets the target, plus the
+    loosest qualifying threshold; (0, inf) when none qualifies."""
+    return _recall_and_ap(scores, labels, precision_target)[:2]
+
+
+def _step_area(precision, recall) -> float:
+    prev = np.concatenate([[0.0], recall[:-1]])
+    return float(np.cumsum((recall - prev) * precision)[-1])
 
 
 def average_precision(scores, labels) -> float:
     """Step-interpolated area under the precision-recall curve:
     sum over thresholds of (R_k - R_{k-1}) * P_k.
 
-    Accumulated sequentially in descending-threshold order, matching the
-    obvious scalar enumeration bit for bit."""
+    Accumulated sequentially in descending-threshold order (np.cumsum adds
+    strictly in order), matching the obvious scalar enumeration bit for bit."""
     labels = np.asarray(labels)
     if labels.sum() == 0:
         raise ValueError("average precision needs at least one positive")
-    _, precision, recall = _pr_sweep(scores, labels)
-    prev = np.concatenate([[0.0], recall[:-1]])
-    terms = (recall - prev) * precision
-    ap = 0.0
-    for t in terms:
-        ap += float(t)
-    return ap
+    return _step_area(*_pr_sweep(scores, labels)[1:])
 
 
 def soft_iou(scores, labels) -> float:
@@ -294,14 +299,13 @@ def scene_grid_for(fp: FieldParams, scene: Scene, t0: float = 0.0, past_offsets=
     return fp.params["grid.z"]
 
 
-def _field_scores(fp: FieldParams, z_grid, centers: np.ndarray, t: float, head="occ", chunk=65536):
-    out = np.empty(len(centers))
-    times = np.full(chunk, t)
-    for lo in range(0, len(centers), chunk):
-        block = centers[lo : lo + chunk]
-        logits = query_head(fp, z_grid, head, block, times[: len(block)])[:, 0]
-        out[lo : lo + len(block)] = logits
-    return sigmoid(out)
+@contextmanager
+def _timed(timings, key: str):
+    """Add the block's wall seconds to ``timings[key]`` (when given)."""
+    start = time.perf_counter()
+    yield
+    if timings is not None:
+        timings[key] = timings.get(key, 0.0) + time.perf_counter() - start
 
 
 def eval_4d_occupancy(
@@ -311,14 +315,16 @@ def eval_4d_occupancy(
     t0: float = 0.0,
     raytrace: bool = True,
     z_grids=None,
+    timings=None,
 ) -> dict:
     """Dense occupancy forecasting over the probe lattice.
 
     Scores every probe at every time with the occupancy head; labels come
     from lidar ray tracing (paper protocol, unknowns excluded) and from the
     exact simulator oracle (all probes). ``z_grids`` holds each scene's
-    ``scene_grid_for`` grid (computed here when omitted). Returns the metric
-    bundle with per-time breakdown and probe label counts.
+    ``scene_grid_for`` grid (computed here when omitted); ``timings`` adds up
+    the seconds of "score", "labels" and "metrics". Returns the metric bundle
+    with per-time breakdown and probe label counts.
     """
     from .scene import occupancy_oracle
 
@@ -326,6 +332,7 @@ def eval_4d_occupancy(
     per_time = {t: {"scores": [], "ray": [], "exact": []} for t in grid.times}
     counts = {"free": 0, "occupied": 0, "unknown": 0}
     centers = grid.centers()
+    layer = grid.shape[1] * grid.shape[2]
     if z_grids is None:
         z_grids = [scene_grid_for(fp, scene, t0) for scene in scenes]
     for scene, z_grid in zip(scenes, z_grids):
@@ -333,17 +340,20 @@ def eval_4d_occupancy(
         to_world = ego_pose_at(scene, t0)
         ray_labels = None
         if raytrace:
-            eval_scans = []
-            for t in grid.times:
-                scan = cast_lidar_scan(
-                    scene, lidar_pose_at(scene, t0 + t), scene.rig.lidar_pattern, t0 + t
-                )
-                eval_scans.append(scan.transformed(ref).time_shifted(-t0))
-            ray_labels = label_by_raytrace(eval_scans, grid, scene=scene, to_world=to_world)
+            with _timed(timings, "labels"):
+                eval_scans = []
+                for t in grid.times:
+                    scan = cast_lidar_scan(
+                        scene, lidar_pose_at(scene, t0 + t), scene.rig.lidar_pattern, t0 + t
+                    )
+                    eval_scans.append(scan.transformed(ref).time_shifted(-t0))
+                ray_labels = label_by_raytrace(eval_scans, grid, scene=scene, to_world=to_world)
         world = to_world.apply(centers)
         for ti, t in enumerate(grid.times):
-            scores = _field_scores(fp, z_grid, centers, t)
-            exact = occupancy_oracle(scene, world, t0 + t).astype(np.int8)
+            with _timed(timings, "score"):
+                scores = sigmoid(lattice_head(fp, z_grid, "occ", centers[:layer, :2], centers[::layer, 2], t)[:, 0])
+            with _timed(timings, "labels"):
+                exact = occupancy_oracle(scene, world, t0 + t).astype(np.int8)
             all_scores.append(scores)
             all_exact.append(exact)
             per_time[t]["scores"].append(scores)
@@ -356,48 +366,42 @@ def eval_4d_occupancy(
                 counts["occupied"] += int(np.sum(rl == LABEL_OCCUPIED))
                 counts["unknown"] += int(np.sum(rl == LABEL_UNKNOWN))
 
-    scores = np.concatenate(all_scores)
-    exact = np.concatenate(all_exact)
-    report = {
-        "probe_counts": counts,
-        "n_probes": int(len(scores)),
-        "per_time_breakdown": [],
-    }
-    r, thr = recall_at_precision(scores, exact, 0.7)
-    report["r_at_p70_exact"] = r
-    report["threshold_exact"] = thr
-    report["ap_occ_exact"] = average_precision(scores, exact)
-    report["soft_iou"] = soft_iou(scores, exact)
-    if raytrace:
-        ray = np.concatenate(all_ray_labels)
-        known = ray != LABEL_UNKNOWN
-        if known.any() and 0 < ray[known].sum() < known.sum():
-            r, thr = recall_at_precision(scores[known], ray[known], 0.7)
+    with _timed(timings, "metrics"):
+        scores = np.concatenate(all_scores)
+        exact = np.concatenate(all_exact)
+        report = {"probe_counts": counts, "n_probes": int(len(scores)), "per_time_breakdown": []}
+        r, thr, ap = _recall_and_ap(scores, exact)
+        report["r_at_p70_exact"] = r
+        report["threshold_exact"] = thr
+        report["ap_occ_exact"] = ap
+        report["soft_iou"] = soft_iou(scores, exact)
+        if raytrace:
+            ray = np.concatenate(all_ray_labels)
+            known = ray != LABEL_UNKNOWN
+            if known.any() and 0 < ray[known].sum() < known.sum():
+                r, thr, ap = _recall_and_ap(scores[known], ray[known])
+            else:
+                r, thr, ap = 0.0, math.inf, 0.0
             report["r_at_p70"] = r
             report["threshold"] = thr
-            report["ap_occ"] = average_precision(scores[known], ray[known])
-        else:
-            report["r_at_p70"] = 0.0
-            report["threshold"] = math.inf
-            report["ap_occ"] = 0.0
-    for t in grid.times:
-        row = {"time": t}
-        sc = np.concatenate(per_time[t]["scores"])
-        ex = np.concatenate(per_time[t]["exact"])
-        if 0 < ex.sum() < len(ex):
-            row["r_at_p70_exact"] = recall_at_precision(sc, ex, 0.7)[0]
-            row["ap_occ_exact"] = average_precision(sc, ex)
-        if raytrace:
-            rl = np.concatenate(per_time[t]["ray"])
-            known = rl != LABEL_UNKNOWN
-            row["probe_counts"] = {
-                "free": int(np.sum(rl == LABEL_FREE)),
-                "occupied": int(np.sum(rl == LABEL_OCCUPIED)),
-                "unknown": int(np.sum(rl == LABEL_UNKNOWN)),
-            }
-            if known.any() and 0 < rl[known].sum() < known.sum():
-                row["r_at_p70"] = recall_at_precision(sc[known], rl[known], 0.7)[0]
-        report["per_time_breakdown"].append(row)
+            report["ap_occ"] = ap
+        for t in grid.times:
+            row = {"time": t}
+            sc = np.concatenate(per_time[t]["scores"])
+            ex = np.concatenate(per_time[t]["exact"])
+            if 0 < ex.sum() < len(ex):
+                row["r_at_p70_exact"], _, row["ap_occ_exact"] = _recall_and_ap(sc, ex)
+            if raytrace:
+                rl = np.concatenate(per_time[t]["ray"])
+                known = rl != LABEL_UNKNOWN
+                row["probe_counts"] = {
+                    "free": int(np.sum(rl == LABEL_FREE)),
+                    "occupied": int(np.sum(rl == LABEL_OCCUPIED)),
+                    "unknown": int(np.sum(rl == LABEL_UNKNOWN)),
+                }
+                if known.any() and 0 < rl[known].sum() < known.sum():
+                    row["r_at_p70"] = _recall_and_ap(sc[known], rl[known])[0]
+            report["per_time_breakdown"].append(row)
     return report
 
 
@@ -408,10 +412,11 @@ def eval_ego_path(
     t0: float = 0.0,
     bev_step: float = 0.5,
     z_grids=None,
+    timings=None,
 ) -> dict:
     """AP of the ego-path head over a BEV probe lattice labeled by the tube
     rule, plus one probability raster per scene for qualitative dumps.
-    ``z_grids`` as in ``eval_4d_occupancy``."""
+    ``z_grids`` and ``timings`` as in ``eval_4d_occupancy``."""
     cfg = fp.config
     xs = np.arange(cfg.x_range[0] + bev_step / 2, cfg.x_range[1], bev_step)
     ys = np.arange(cfg.y_range[0] + bev_step / 2, cfg.y_range[1], bev_step)
@@ -424,9 +429,10 @@ def eval_ego_path(
         verts = ref.apply(ego_path_vertices(scene, t0, t0 + sampler.t_max))
         z_probe = float(np.clip(verts[:, 2].mean(), cfg.z_range[0], cfg.z_range[1]))
         probes = np.stack([xg.ravel(), yg.ravel(), np.full(xg.size, z_probe)], axis=1)
-        d = ego_tube_distance(verts, probes)
-        labels = (d <= sampler.w_ego).astype(np.int8)
-        scores = _field_scores(fp, z_grid, probes, sampler.t_max / 2.0, head="ego")
+        with _timed(timings, "labels"):
+            labels = (ego_tube_distance(verts, probes) <= sampler.w_ego).astype(np.int8)
+        with _timed(timings, "score"):
+            scores = sigmoid(lattice_head(fp, z_grid, "ego", probes[:, :2], [z_probe], sampler.t_max / 2.0)[:, 0])
         all_scores.append(scores)
         all_labels.append(labels)
         rasters.append(scores.reshape(len(ys), len(xs)))

@@ -48,6 +48,8 @@ class FieldConfig:
     def __post_init__(self):
         if self.cell <= 0 or self.channels < 1 or self.head_hidden < 1:
             raise ValueError("invalid field config")
+        if not 0.0 <= self.leaky_slope <= 1.0:
+            raise ValueError("leaky_slope must be in [0, 1]")
 
     @property
     def grid_w(self) -> int:
@@ -83,12 +85,6 @@ class FieldParams:
 
     def copy(self) -> "FieldParams":
         return FieldParams(self.config, self.mode, {k: v.copy() for k, v in self.params.items()})
-
-    def zeros_like(self) -> dict:
-        return {k: np.zeros_like(v) for k, v in self.params.items()}
-
-    def n_params(self) -> int:
-        return int(sum(v.size for v in self.params.values()))
 
 
 def _param_shapes(cfg: FieldConfig, mode: str) -> list:
@@ -196,8 +192,9 @@ def _conv2d_backward(x: np.ndarray, w: np.ndarray, dout: np.ndarray):
     return dw, db, dxp[1:-1, 1:-1]
 
 
-def _leaky(x: np.ndarray, slope: float) -> np.ndarray:
-    return np.where(x > 0, x, slope * x)
+def _leaky(x: np.ndarray, slope: float, out=None) -> np.ndarray:
+    # for 0 <= slope <= 1 the same bits as np.where(x > 0, x, slope * x)
+    return np.maximum(x, slope * x, out=out)
 
 
 def _leaky_grad(x: np.ndarray, slope: float) -> np.ndarray:
@@ -316,10 +313,13 @@ def interp_backward(cache, dfeat: np.ndarray, grid_shape) -> np.ndarray:
 def head_forward(fp: FieldParams, name: str, x: np.ndarray, want_cache=False):
     p = fp.params
     slope = fp.config.leaky_slope
-    pre1 = x @ p[f"head.{name}.w1"] + p[f"head.{name}.b1"]
-    h1 = _leaky(pre1, slope)
-    pre2 = h1 @ p[f"head.{name}.w2"] + p[f"head.{name}.b2"]
-    h2 = _leaky(pre2, slope)
+    # in place where nothing is cached: the same bits from fewer, reused buffers
+    pre1 = x @ p[f"head.{name}.w1"]
+    pre1 += p[f"head.{name}.b1"]
+    h1 = _leaky(pre1, slope, out=None if want_cache else pre1)
+    pre2 = h1 @ p[f"head.{name}.w2"]
+    pre2 += p[f"head.{name}.b2"]
+    h2 = _leaky(pre2, slope, out=None if want_cache else pre2)
     out = h2 @ p[f"head.{name}.w3"] + p[f"head.{name}.b3"]
     if want_cache:
         return out, (x, pre1, h1, pre2, h2)
@@ -370,6 +370,23 @@ def query_head(fp: FieldParams, z_grid: np.ndarray, name: str, positions: np.nda
     """One head only; the occupancy fast path for dense evaluation."""
     x = head_input(z_grid, np.atleast_2d(positions), np.asarray(times, dtype=np.float64), fp.config)
     return head_forward(fp, name, x)
+
+
+def lattice_head(fp: FieldParams, z_grid: np.ndarray, name: str, xy: np.ndarray, zs, t: float, chunk: int = 65536) -> np.ndarray:
+    """One head on the lattice of (x, y) columns ``xy`` and heights ``zs`` at
+    time ``t``, z-major (row k * len(xy) + i is column i at height zs[k]).
+    Interpolates each column and encodes each height once, then runs the
+    same ``chunk``-row blocks as ``query_head`` on ``chunk``-probe blocks:
+    bit-identical, as BLAS rounds a row by its place in the block."""
+    cfg = fp.config
+    feat = interp_grid(z_grid, xy[:, 0], xy[:, 1], cfg)
+    ft = fourier_zt(np.asarray(zs, dtype=np.float64), np.full(len(zs), float(t)), cfg)
+    out = np.empty((len(zs) * len(xy), cfg.head_out(name)))
+    for lo in range(0, len(out), chunk):
+        rows = np.arange(lo, min(lo + chunk, len(out)))
+        x = np.concatenate([feat[rows % len(xy)], ft[rows // len(xy)]], axis=1)
+        out[lo : lo + len(rows)] = head_forward(fp, name, x)
+    return out
 
 
 def query_input_grads(fp: FieldParams, z_grid: np.ndarray, name: str, positions: np.ndarray, times: np.ndarray):

@@ -188,6 +188,16 @@ class TestPipeline:
         assert code == 1
         assert "digest" in capsys.readouterr().err
 
+    def test_eval_reports_where_its_time_went(self, pipeline, tmp_path, capsys):
+        root, cfg_path = pipeline
+        args = ["--config", str(cfg_path), "--checkpoint", str(root / "run" / "checkpoint.bin")]
+        assert main(["eval", *args, "--dataset", str(root / "data"), "--out", str(tmp_path / "r.json")]) == 0
+        timing = capsys.readouterr().out.strip().splitlines()[-1]
+        for part in ("score", "labels", "metrics", "probes/s"):
+            assert part in timing, timing
+        # the timings go to stdout only: the report is the pipeline's, byte for byte
+        assert (tmp_path / "r.json").read_bytes() == (root / "report.json").read_bytes()
+
     def test_existing_output_refused_without_force(self, pipeline, capsys):
         root, cfg_path = pipeline
         code = main(["simulate", "--config", str(cfg_path), "--out", str(root / "data")])

@@ -137,6 +137,30 @@ class TestLabelByRaytrace:
         assert disagree.mean() < 0.01
 
 
+class TestEvalGridCenters:
+    @staticmethod
+    def unsnapped(grid):
+        nz, ny, nx = grid.shape
+        axes = [lo + (np.arange(n) + 0.5) * grid.step for lo, n in zip((grid.z[0], grid.y[0], grid.x[0]), (nz, ny, nx))]
+        zg, yg, xg = np.meshgrid(*axes, indexing="ij")
+        return np.stack([xg.ravel(), yg.ravel(), zg.ravel()], axis=1)
+
+    def test_ground_layer_is_exactly_zero(self):
+        grid = EvalGrid(x=(-16.0, 16.0), y=(-16.0, 16.0), z=(-0.6, 3.0), step=0.4)
+        nz, ny, nx = grid.shape
+        z_layers = grid.centers()[:: ny * nx, 2]
+        assert self.unsnapped(grid)[ny * nx, 2] != 0.0  # 1.1e-16 by round-off
+        assert z_layers[1] == 0.0
+        assert np.count_nonzero(z_layers == 0.0) == 1
+        np.testing.assert_allclose(z_layers, self.unsnapped(grid)[:: ny * nx, 2], atol=1e-15)
+
+    @pytest.mark.parametrize("step", [0.2, 0.4])
+    def test_default_and_benchmark_lattices_unchanged(self, step):
+        # the benchmark's workloads probe the default region at 0.2 m and 0.4 m
+        grid = EvalGrid(step=step)
+        assert np.array_equal(grid.centers(), self.unsnapped(grid))
+
+
 class TestLabeledProbe:
     def test_rejects_nonfinite_score(self):
         with pytest.raises(ValueError):

@@ -16,13 +16,17 @@ from occ4d.field import (
     head_input,
     init_params,
     interp_grid,
+    lattice_head,
     loss,
     loss_and_grads,
     pillar_histogram,
     query_field,
+    query_head,
     query_input_grads,
     sigmoid,
 )
+from occ4d.field import _leaky
+from occ4d.evaluation import EvalGrid
 from occ4d.queries import EncoderInput, QuerySet
 
 SMALL = FieldConfig(
@@ -390,3 +394,78 @@ class TestSigmoid:
     def test_matches_definition(self):
         x = np.linspace(-30, 30, 101)
         np.testing.assert_allclose(sigmoid(x), 1.0 / (1.0 + np.exp(-x)), atol=1e-12)
+
+
+def test_leaky_slope_outside_unit_interval_rejected():
+    for slope in (-0.1, 1.5):
+        with pytest.raises(ValueError):
+            FieldConfig(leaky_slope=slope)
+    FieldConfig(leaky_slope=0.0)
+    FieldConfig(leaky_slope=1.0)
+
+
+@pytest.mark.parametrize("slope", [0.0, 0.1, 0.5, 1.0])
+def test_leaky_same_bits_as_where(slope):
+    rng = np.random.default_rng(5)
+    special = [0.0, -0.0, np.nan, -np.nan, 5e-324, -5e-324, 1e308, -1e308, -np.inf]
+    if slope > 0:
+        special.append(np.inf)  # 0 * inf is nan, so slope 0 maps +inf to nan
+    x = np.concatenate([rng.normal(size=4096) * 10.0 ** rng.integers(-300, 300, 4096), special])
+    with np.errstate(invalid="ignore", over="ignore"):
+        want = np.where(x > 0, x, slope * x)
+        got = _leaky(x, slope)
+        np.maximum(x, slope * x, out=x)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    assert np.array_equal(x.view(np.uint64), want.view(np.uint64))
+
+
+def chunked_query_head(fp, z_grid, name, positions, t, chunk=65536):
+    """Scores as dense eval computed them probe by probe: query_head on
+    ``chunk``-probe blocks of the z-major lattice."""
+    out = np.empty((len(positions), fp.config.head_out(name)))
+    for lo in range(0, len(positions), chunk):
+        block = positions[lo : lo + chunk]
+        out[lo : lo + len(block)] = query_head(fp, z_grid, name, block, np.full(len(block), t))
+    return out
+
+
+def field_and_grid(mode, seed=3):
+    cfg = FieldConfig()
+    rng = np.random.default_rng(seed)
+    fp = init_params(cfg, seed, mode)
+    if mode == MODE_AMORTIZED:
+        pts = rng.uniform([-18, -18, -0.4], [18, 18, 3.0], size=(3000, 3))
+        return fp, encode(fp, EncoderInput([pts, pts[:1000], pts[:2000]], [-1.0, -0.5, 0.0]))
+    fp.params["grid.z"][:] = rng.normal(size=fp.params["grid.z"].shape)
+    return fp, fp.params["grid.z"]
+
+
+LATTICES = {
+    "default": EvalGrid(),
+    "7x5x3": EvalGrid(x=(-1.4, 0.0), y=(-1.0, 0.0), z=(0.0, 0.6), step=0.2),
+    "single-layer": EvalGrid(x=(-3.0, 5.0), y=(-1.0, 1.4), z=(0.0, 0.2), step=0.2),
+    "non-square": EvalGrid(x=(-6.0, 4.0), y=(-2.0, 1.2), z=(-0.4, 0.4), step=0.4),
+}
+
+
+@pytest.mark.parametrize("mode", [MODE_FIT_PER_SCENE, MODE_AMORTIZED])
+@pytest.mark.parametrize("lattice", sorted(LATTICES))
+def test_lattice_head_equals_chunked_query_head(mode, lattice):
+    grid = LATTICES[lattice]
+    fp, z_grid = field_and_grid(mode)
+    nz, ny, nx = grid.shape
+    centers = grid.centers()
+    xy, zs = centers[: ny * nx, :2], centers[:: ny * nx, 2]
+    assert len(zs) == nz
+    for name in ("occ", "ego"):
+        got = lattice_head(fp, z_grid, name, xy, zs, 1.8)
+        assert np.array_equal(got, chunked_query_head(fp, z_grid, name, centers, 1.8))
+
+
+@pytest.mark.parametrize("chunk", [1, 13, 35, 36])
+def test_lattice_head_chunks_across_layers(chunk):
+    grid = LATTICES["7x5x3"]
+    fp, z_grid = field_and_grid(MODE_FIT_PER_SCENE, seed=4)
+    centers = grid.centers()
+    got = lattice_head(fp, z_grid, "feat", centers[:35, :2], centers[::35, 2], 0.6, chunk=chunk)
+    assert np.array_equal(got, chunked_query_head(fp, z_grid, "feat", centers, 0.6, chunk=chunk))

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from occ4d.evaluation import average_precision, recall_at_precision, soft_iou
+from occ4d.evaluation import _pr_sweep, _recall_and_ap, average_precision, recall_at_precision, soft_iou
 
 from oracles import (
     average_precision_bruteforce,
@@ -133,3 +133,30 @@ def test_metric_oracles_property(scores, seed):
     r_exp, _ = recall_at_precision_bruteforce(scores, labels, 0.7)
     assert r_got == pytest.approx(r_exp, abs=0.0)
     assert 0.0 <= r_got <= 1.0
+
+
+def test_one_sweep_equals_the_two_public_metrics():
+    rng = np.random.default_rng(11)
+    cases = [random_instance(rng, ties=bool(i % 2)) for i in range(200)]
+    cases.append(random_instance(rng, n=200_000, ties=True))
+    cases.append(random_instance(rng, n=200_000))
+    for scores, labels in cases:
+        for target in (0.7, 0.3, 0.99):
+            r, thr, ap = _recall_and_ap(scores, labels, target)
+            assert (r, thr) == recall_at_precision(scores, labels, target)
+            assert ap == average_precision(scores, labels)
+    with pytest.raises(ValueError):
+        _recall_and_ap([0.5, 0.6], [1, 1])
+    with pytest.raises(ValueError):
+        _recall_and_ap([0.5, 0.6], [0, 0])
+
+
+def test_average_precision_adds_terms_in_order():
+    rng = np.random.default_rng(12)
+    scores, labels = random_instance(rng, n=300_000)
+    _, precision, recall = _pr_sweep(scores, labels)
+    terms = (recall - np.concatenate([[0.0], recall[:-1]])) * precision
+    ap = 0.0
+    for t in terms:
+        ap += float(t)
+    assert average_precision(scores, labels) == ap
