@@ -245,9 +245,11 @@ def _check_thresholds(report: dict, thresholds: dict) -> list:
     return failures
 
 
-def _scene_grids(fp, scenes, cfg: dict) -> list:
-    """Each scene's BEV grid, encoded once per eval from the suite's past scans."""
-    return [scene_grid_for(fp, scene, past_offsets=cfg["suite"]["past_offsets"]) for scene in scenes]
+def _scene_grids(fp, scenes, cfg: dict) -> tuple:
+    """Eval's t0, the latest past scan's time as in training's samples, and
+    each scene's BEV grid, encoded once per eval from the suite's past scans."""
+    past = cfg["suite"]["past_offsets"]
+    return max(past), [scene_grid_for(fp, scene, past) for scene in scenes]
 
 
 def cmd_eval(cfg: dict, checkpoint_path, dataset_dir, out_path, rasters=None, force: bool = False) -> int:
@@ -264,10 +266,10 @@ def cmd_eval(cfg: dict, checkpoint_path, dataset_dir, out_path, rasters=None, fo
     if fp.mode == MODE_FIT_PER_SCENE:
         scenes = scenes[:1]
     grid = evalgrid_from(cfg)
-    z_grids = _scene_grids(fp, scenes, cfg)
+    t0, z_grids = _scene_grids(fp, scenes, cfg)
     timings = {}
-    report = eval_4d_occupancy(fp, scenes, grid, raytrace=cfg["eval"]["raytrace"], z_grids=z_grids, timings=timings)
-    ego = eval_ego_path(fp, scenes, sampler_from(cfg), bev_step=cfg["eval"]["ego_bev_step"], z_grids=z_grids, timings=timings)
+    report = eval_4d_occupancy(fp, scenes, grid, t0, raytrace=cfg["eval"]["raytrace"], z_grids=z_grids, timings=timings)
+    ego = eval_ego_path(fp, scenes, sampler_from(cfg), t0, cfg["eval"]["ego_bev_step"], z_grids=z_grids, timings=timings)
     report["ap_ego"] = ego["ap_ego"]
     report["ego_base_rate"] = ego["ego_base_rate"]
     report["config_digest"] = digest
@@ -286,8 +288,11 @@ def cmd_eval(cfg: dict, checkpoint_path, dataset_dir, out_path, rasters=None, fo
     )
     print(f"eval: {line} -> {out_path}")
     total = time.perf_counter() - start
-    spent = ", ".join(f"{k} {timings.get(k, 0.0):.2f} s" for k in ("score", "labels", "metrics"))
-    print(f"eval: {spent} of {total:.2f} s; {report['n_probes'] / total:.0f} probes/s")
+    r, o = timings.get("raytrace", 0.0), timings.get("oracle", 0.0)
+    print(
+        f"eval: score {timings.get('score', 0.0):.2f} s, labels {r + o:.2f} s (raytrace {r:.2f} s, oracle {o:.2f} s), "
+        f"metrics {timings.get('metrics', 0.0):.2f} s of {total:.2f} s; {report['n_probes'] / total:.0f} probes/s"
+    )
     if failures:
         print("acceptance thresholds failed: " + "; ".join(failures), file=sys.stderr)
         return 1
@@ -323,9 +328,9 @@ def cmd_scaling(cfg: dict, queries_dir, eval_dataset_dir, out_dir, force: bool =
                 warmup_steps=cfg["scaling"]["warmup_steps"],
             )
             result = train(all_samples[:count], field_cfg, tcfg)
-            z_grids = _scene_grids(result.params, scenes, cfg)
-            report = eval_4d_occupancy(result.params, scenes, grid, raytrace=False, z_grids=z_grids)
-            ego = eval_ego_path(result.params, scenes, sampler, z_grids=z_grids)
+            t0, z_grids = _scene_grids(result.params, scenes, cfg)
+            report = eval_4d_occupancy(result.params, scenes, grid, t0=t0, raytrace=False, z_grids=z_grids)
+            ego = eval_ego_path(result.params, scenes, sampler, t0=t0, z_grids=z_grids)
             rows.append(
                 {
                     "n_samples": count,

@@ -1,9 +1,10 @@
 """Evaluation protocols: ray-traced voxel labels, recall at fixed precision,
 average precision, Soft-IoU, and the dense 4D occupancy / ego-path harnesses.
 
-Voxel traversal is an incremental Amanatides-Woo march; tests establish its
-correctness against a brute-force per-voxel slab oracle rather than trusting
-it. Metric routines are exact threshold sweeps with ties grouped.
+Voxel traversal is an incremental Amanatides-Woo march, run on all rays of a
+scan in lockstep; tests check it against the per-ray march and that against a
+brute-force per-voxel slab oracle rather than trusting it. Metric routines
+are exact threshold sweeps with ties grouped.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 from .field import FieldParams, MODE_AMORTIZED, encode, lattice_head, sigmoid
 from .geom import Pose, inverse
 from .queries import EncoderInput, SamplerConfig, ego_tube_distance
-from .scene import LidarScan, Scene, cast_lidar_scan, ego_path_vertices, ego_pose_at, lidar_pose_at
+from .scene import Scene, boxes_contain, cast_lidar_scan, ego_path_vertices, ego_pose_at, lidar_pose_at
 
 LABEL_FREE = 0
 LABEL_OCCUPIED = 1
@@ -80,7 +81,7 @@ class LabeledProbe:
 
 def traverse_voxels(p0: np.ndarray, p1: np.ndarray, grid: EvalGrid):
     """Voxel indices (iz, iy, ix) crossed by the segment p0 -> p1, via the
-    incremental grid-stepping march."""
+    incremental grid-stepping march: the per-ray reference of march_voxels."""
     nz, ny, nx = grid.shape
     lo = np.array([grid.x[0], grid.y[0], grid.z[0]])
     g0 = (np.asarray(p0, dtype=np.float64) - lo) / grid.step
@@ -126,25 +127,54 @@ def traverse_voxels(p0: np.ndarray, p1: np.ndarray, grid: EvalGrid):
     return out
 
 
-def _boxes_contain(scene: Scene, pts_world: np.ndarray, t: float) -> np.ndarray:
-    """Inside-any-advected-box test (ground excluded; the paper's protocol
-    treats annotated boxes, not terrain, as occupancy evidence)."""
-    occ = np.zeros(len(pts_world), dtype=bool)
-    for box in scene.boxes:
-        rel = pts_world - box.center_at(t)[None, :]
-        c, s = math.cos(-box.yaw), math.sin(-box.yaw)
-        lx = c * rel[:, 0] - s * rel[:, 1]
-        ly = s * rel[:, 0] + c * rel[:, 1]
-        occ |= (
-            (np.abs(lx) <= box.half_extents[0])
-            & (np.abs(ly) <= box.half_extents[1])
-            & (np.abs(rel[:, 2]) <= box.half_extents[2])
-        )
-    return occ
+def march_voxels(p0: np.ndarray, p1: np.ndarray, grid: EvalGrid) -> np.ndarray:
+    """Flat (z-major) indices of the voxels crossed by each segment
+    p0[i] -> p1[i], with repeats: ``traverse_voxels`` run on all segments in
+    lockstep. Every segment gets the same float64 operations in the same
+    order, so each one crosses exactly the voxels ``traverse_voxels`` lists
+    for it. Endpoints must be finite."""
+    nz, ny, nx = grid.shape
+    lo = np.array([grid.x[0], grid.y[0], grid.z[0]])
+    g0 = (np.asarray(p0, dtype=np.float64).reshape(-1, 3) - lo) / grid.step
+    g1 = (np.asarray(p1, dtype=np.float64).reshape(-1, 3) - lo) / grid.step
+    n = np.array([nx, ny, nz])
+    d = g1 - g0
+    t_lo, t_hi, live = np.zeros(len(d)), np.ones(len(d)), np.ones(len(d), dtype=bool)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for k in range(3):
+            flat = np.abs(d[:, k]) < 1e-300
+            live &= ~flat | ((g0[:, k] >= 0.0) & (g0[:, k] <= n[k]))
+            ta = (0.0 - g0[:, k]) / d[:, k]
+            tb = (n[k] - g0[:, k]) / d[:, k]
+            ta, tb = np.where(ta > tb, tb, ta), np.where(ta > tb, ta, tb)
+            t_lo = np.where(~flat & (ta > t_lo), ta, t_lo)  # max(t_lo, ta)
+            t_hi = np.where(~flat & (tb < t_hi), tb, t_hi)  # min(t_hi, tb)
+        live &= t_lo < t_hi
+        g0, d, t_lo, t_hi = g0[live], d[live], t_lo[live], t_hi[live]
+        a = g0 + t_lo[:, None] * d
+        v = np.clip(np.floor(a), 0, n - 1).astype(np.int64)
+        step = np.sign(d).astype(np.int64)
+        t_max = np.where(step > 0, t_lo[:, None] + ((v + 1) - a) / d, math.inf)
+        t_max = np.where(step < 0, t_lo[:, None] + (v - a) / d, t_max)
+        t_delta = np.where(step > 0, 1.0 / d, np.where(step < 0, -1.0 / d, math.inf))
+    out = []
+    rows = np.arange(len(v))
+    while len(v):
+        out.append((v[:, 2] * ny + v[:, 1]) * nx + v[:, 0])
+        k = np.argmin(t_max, axis=1)  # the first minimum, as min(range(3), key=...)
+        go = t_max[rows, k] < t_hi
+        v[rows, k] += step[rows, k]
+        vk = v[rows, k]
+        go &= (vk >= 0) & (vk < n[k])
+        t_max[rows, k] += t_delta[rows, k]
+        if not go.all():
+            v, t_max, t_delta, step, t_hi = v[go], t_max[go], t_delta[go], step[go], t_hi[go]
+            rows = rows[: len(v)]
+    return np.concatenate(out) if out else np.zeros(0, dtype=np.int64)
 
 
 def label_by_raytrace(
-    eval_scans: list, grid: EvalGrid, scene: Scene | None = None, to_world: Pose | None = None
+    eval_scans: list, grid: EvalGrid, scene: Scene | None = None, to_world: Pose | None = None, t0: float = 0.0
 ) -> np.ndarray:
     """Free / occupied / unknown labels for every probe at every grid time.
 
@@ -152,14 +182,17 @@ def label_by_raytrace(
     when a hit point falls inside it or (when ``scene`` is given) the probe
     center sits inside a ground-truth box at that time; occupied wins
     conflicts. Probe times with no scan within the matching window stay
-    unknown. Scans must be in the grid's frame; ``to_world`` maps probe
-    centers back to the scene frame for the box test.
+    unknown. Scans must be in the grid's frame and clock; ``to_world`` maps
+    probe centers back to the scene frame, and ``t0 + t`` is grid time t on
+    the scene's clock, for the box test.
 
     Returns int8 labels of shape (len(times), nz, ny, nx).
     """
     nz, ny, nx = grid.shape
     labels = np.full((len(grid.times), nz, ny, nx), LABEL_UNKNOWN, dtype=np.int8)
-    centers = grid.centers()
+    if scene is not None:
+        centers = grid.centers()
+        world = centers if to_world is None else to_world.apply(centers)
     lo = np.array([grid.x[0], grid.y[0], grid.z[0]])
     for ti, t in enumerate(grid.times):
         best, best_dt = None, math.inf
@@ -169,13 +202,11 @@ def label_by_raytrace(
                 best, best_dt = scan, dt
         if best is None or best_dt > SCAN_MATCH_WINDOW:
             continue
+        hits = best.hit_indices
+        hit_pts = best.endpoints()[hits]
         free = np.zeros((nz, ny, nx), dtype=bool)
+        free.flat[march_voxels(best.origins[hits], hit_pts, grid)] = True
         occupied = np.zeros((nz, ny, nx), dtype=bool)
-        ends = best.endpoints()
-        for i in best.hit_indices:
-            for iz, iy, ix in traverse_voxels(best.origins[i], ends[i], grid):
-                free[iz, iy, ix] = True
-        hit_pts = ends[best.hit_indices]
         idx = np.floor((hit_pts - lo) / grid.step).astype(np.int64)
         keep = (
             (idx[:, 0] >= 0) & (idx[:, 0] < nx)
@@ -184,10 +215,8 @@ def label_by_raytrace(
         )
         idx = idx[keep]
         occupied[idx[:, 2], idx[:, 1], idx[:, 0]] = True
-        if scene is not None:
-            world = centers if to_world is None else to_world.apply(centers)
-            inside = _boxes_contain(scene, world, t).reshape(nz, ny, nx)
-            occupied |= inside
+        if scene is not None:  # annotated boxes, not terrain, are the protocol's occupancy evidence
+            occupied |= boxes_contain(scene, world, t0 + t).reshape(nz, ny, nx)
         slab = labels[ti]
         slab[free] = LABEL_FREE
         slab[occupied] = LABEL_OCCUPIED  # occupied wins conflicts
@@ -276,26 +305,28 @@ def soft_iou(scores, labels) -> float:
 # harnesses
 
 
-PAST_OFFSETS = (-1.0, -0.5, 0.0)  # the suite's default past-scan times relative to t0
+PAST_OFFSETS = (-1.0, -0.5, 0.0)  # the suite's default past-scan times
 
 
-def _past_enc_input(scene: Scene, t0: float, past_offsets) -> EncoderInput:
+def _past_enc_input(scene: Scene, past_times) -> EncoderInput:
+    """The encoder input ``assemble_sample`` builds at rotation 0: the scans
+    at ``past_times`` in the ego frame at t0 = max(past_times), timed from t0."""
+    t0 = max(past_times)
     ref = inverse(ego_pose_at(scene, t0))
     point_sets, rel_times = [], []
-    for dt in past_offsets:
-        scan = cast_lidar_scan(scene, lidar_pose_at(scene, t0 + dt), scene.rig.lidar_pattern, t0 + dt)
-        rel = scan.transformed(ref)
+    for t in past_times:
+        rel = cast_lidar_scan(scene, lidar_pose_at(scene, t), scene.rig.lidar_pattern, t).transformed(ref)
         point_sets.append(rel.endpoints()[rel.hit_indices])
-        rel_times.append(dt)
+        rel_times.append(float(t - t0))
     return EncoderInput(point_sets, rel_times)
 
 
-def scene_grid_for(fp: FieldParams, scene: Scene, t0: float = 0.0, past_offsets=PAST_OFFSETS) -> np.ndarray:
-    """The field's BEV grid for a scene: encoded from the scans at
-    ``t0 + past_offsets`` in amortized mode (the suite's offsets, as in
+def scene_grid_for(fp: FieldParams, scene: Scene, past_times=PAST_OFFSETS) -> np.ndarray:
+    """The field's BEV grid for a scene: encoded from the scans at the scene
+    times ``past_times`` in amortized mode (the suite's past scans, as in
     training), the learned grid itself in fit-per-scene mode."""
     if fp.mode == MODE_AMORTIZED:
-        return encode(fp, _past_enc_input(scene, t0, past_offsets))
+        return encode(fp, _past_enc_input(scene, past_times))
     return fp.params["grid.z"]
 
 
@@ -323,8 +354,9 @@ def eval_4d_occupancy(
     from lidar ray tracing (paper protocol, unknowns excluded) and from the
     exact simulator oracle (all probes). ``z_grids`` holds each scene's
     ``scene_grid_for`` grid (computed here when omitted); ``timings`` adds up
-    the seconds of "score", "labels" and "metrics". Returns the metric bundle
-    with per-time breakdown and probe label counts.
+    the seconds of "score", "raytrace" (ray-traced labels), "oracle" (exact
+    labels) and "metrics". Returns the metric bundle with per-time breakdown
+    and probe label counts.
     """
     from .scene import occupancy_oracle
 
@@ -334,25 +366,25 @@ def eval_4d_occupancy(
     centers = grid.centers()
     layer = grid.shape[1] * grid.shape[2]
     if z_grids is None:
-        z_grids = [scene_grid_for(fp, scene, t0) for scene in scenes]
+        z_grids = [scene_grid_for(fp, scene, [t0 + dt for dt in PAST_OFFSETS]) for scene in scenes]
     for scene, z_grid in zip(scenes, z_grids):
         ref = inverse(ego_pose_at(scene, t0))
         to_world = ego_pose_at(scene, t0)
         ray_labels = None
         if raytrace:
-            with _timed(timings, "labels"):
+            with _timed(timings, "raytrace"):
                 eval_scans = []
                 for t in grid.times:
                     scan = cast_lidar_scan(
                         scene, lidar_pose_at(scene, t0 + t), scene.rig.lidar_pattern, t0 + t
                     )
                     eval_scans.append(scan.transformed(ref).time_shifted(-t0))
-                ray_labels = label_by_raytrace(eval_scans, grid, scene=scene, to_world=to_world)
+                ray_labels = label_by_raytrace(eval_scans, grid, scene=scene, to_world=to_world, t0=t0)
         world = to_world.apply(centers)
         for ti, t in enumerate(grid.times):
             with _timed(timings, "score"):
                 scores = sigmoid(lattice_head(fp, z_grid, "occ", centers[:layer, :2], centers[::layer, 2], t)[:, 0])
-            with _timed(timings, "labels"):
+            with _timed(timings, "oracle"):
                 exact = occupancy_oracle(scene, world, t0 + t).astype(np.int8)
             all_scores.append(scores)
             all_exact.append(exact)
@@ -423,13 +455,13 @@ def eval_ego_path(
     yg, xg = np.meshgrid(ys, xs, indexing="ij")
     all_scores, all_labels, rasters = [], [], []
     if z_grids is None:
-        z_grids = [scene_grid_for(fp, scene, t0) for scene in scenes]
+        z_grids = [scene_grid_for(fp, scene, [t0 + dt for dt in PAST_OFFSETS]) for scene in scenes]
     for scene, z_grid in zip(scenes, z_grids):
         ref = inverse(ego_pose_at(scene, t0))
         verts = ref.apply(ego_path_vertices(scene, t0, t0 + sampler.t_max))
         z_probe = float(np.clip(verts[:, 2].mean(), cfg.z_range[0], cfg.z_range[1]))
         probes = np.stack([xg.ravel(), yg.ravel(), np.full(xg.size, z_probe)], axis=1)
-        with _timed(timings, "labels"):
+        with _timed(timings, "oracle"):
             labels = (ego_tube_distance(verts, probes) <= sampler.w_ego).astype(np.int8)
         with _timed(timings, "score"):
             scores = sigmoid(lattice_head(fp, z_grid, "ego", probes[:, :2], [z_probe], sampler.t_max / 2.0)[:, 0])

@@ -243,6 +243,43 @@ class Scene:
             raise ValueError(f"time outside simulated horizon [{lo}, {hi}]")
 
 
+def boxes_contain(scene: Scene, points: np.ndarray, times) -> np.ndarray:
+    """Inside any advected box, as a bool per row of the (N, 3) ``points``
+    at ``times`` (a scalar or (N,)); boxes are closed sets.
+
+    Each box runs its elementwise in-box test only on the points in an x-y
+    square about its center's path over the finite times, of half-width
+    ``norm(half_extents)`` plus a relative 1e-6 margin. The square holds
+    every point that test can accept, round-off included (a non-finite
+    point or time fails it), so the result is that of testing every point.
+    """
+    pts = np.asarray(points, dtype=np.float64)
+    ts = np.broadcast_to(np.asarray(times, dtype=np.float64), (len(pts),))
+    t_span = np.asarray(times, dtype=np.float64)
+    t_span = t_span[np.isfinite(t_span)]
+    occ = np.zeros(len(pts), dtype=bool)
+    if not len(pts) or not len(t_span):
+        return occ
+    x, y = pts[:, 0].copy(), pts[:, 1].copy()
+    for box in scene.boxes:
+        path = box.center[None, :] + np.array([t_span.min(), t_span.max()])[:, None] * box.velocity[None, :]
+        r = float(np.linalg.norm(box.half_extents))
+        r += 1e-6 * (1.0 + r + float(np.abs(path[:, :2]).max()))
+        (x0, y0), (x1, y1) = path[:, :2].min(axis=0) - r, path[:, :2].max(axis=0) + r
+        near = np.flatnonzero((x >= x0) & (x <= x1))
+        near = near[(y[near] >= y0) & (y[near] <= y1)]
+        rel = pts[near] - (box.center[None, :] + ts[near, None] * box.velocity[None, :])
+        c, s = math.cos(-box.yaw), math.sin(-box.yaw)
+        lx = c * rel[:, 0] - s * rel[:, 1]
+        ly = s * rel[:, 0] + c * rel[:, 1]
+        occ[near] |= (
+            (np.abs(lx) <= box.half_extents[0])
+            & (np.abs(ly) <= box.half_extents[1])
+            & (np.abs(rel[:, 2]) <= box.half_extents[2])
+        )
+    return occ
+
+
 def occupancy_oracle(scene: Scene, points: np.ndarray, times) -> np.ndarray:
     """Exact occupancy: inside any advected box, or at/below the ground plane.
 
@@ -250,20 +287,8 @@ def occupancy_oracle(scene: Scene, points: np.ndarray, times) -> np.ndarray:
     array (or scalar for a single point). Solids are closed sets.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    ts = np.broadcast_to(np.asarray(times, dtype=np.float64), (len(pts),))
-    scene.check_time(ts)
-    occ = pts[:, 2] <= scene.ground_z
-    for box in scene.boxes:
-        rel = pts - (box.center[None, :] + ts[:, None] * box.velocity[None, :])
-        c, s = math.cos(-box.yaw), math.sin(-box.yaw)
-        lx = c * rel[:, 0] - s * rel[:, 1]
-        ly = s * rel[:, 0] + c * rel[:, 1]
-        inside = (
-            (np.abs(lx) <= box.half_extents[0])
-            & (np.abs(ly) <= box.half_extents[1])
-            & (np.abs(rel[:, 2]) <= box.half_extents[2])
-        )
-        occ |= inside
+    scene.check_time(times)
+    occ = (pts[:, 2] <= scene.ground_z) | boxes_contain(scene, pts, times)
     if np.asarray(points).ndim == 1:
         return bool(occ[0])
     return occ

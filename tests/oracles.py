@@ -327,3 +327,56 @@ def feature_queries_scalar(scan, images, pca, cfg, scan_stream=0):
             times.append(scan.times[ray])
             targets.append(project(pca, img.features[v[j], u[j]]))
     return _scalar_set(q, q.TAG_FEATURE, positions, times, 0, targets, pca.d)
+
+
+# ---------------------------------------------------------------------------
+# Scalar labelling: one traverse_voxels call per ray, one floor per hit point
+# and every probe tested against every box, as eval labelled before its march
+# and box tests became array code.
+
+
+def boxes_contain_scalar(scene, points, times):
+    """Inside any advected box (closed sets), every point against every box."""
+    pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
+    ts = np.broadcast_to(np.asarray(times, dtype=np.float64), (len(pts),))
+    occ = np.zeros(len(pts), dtype=bool)
+    for box in scene.boxes:
+        rel = pts - (box.center[None, :] + ts[:, None] * box.velocity[None, :])
+        c, s = math.cos(-box.yaw), math.sin(-box.yaw)
+        lx = c * rel[:, 0] - s * rel[:, 1]
+        ly = s * rel[:, 0] + c * rel[:, 1]
+        occ |= (
+            (np.abs(lx) <= box.half_extents[0])
+            & (np.abs(ly) <= box.half_extents[1])
+            & (np.abs(rel[:, 2]) <= box.half_extents[2])
+        )
+    return occ
+
+
+def label_by_raytrace_scalar(eval_scans, grid, scene=None, to_world=None, t0=0.0):
+    """Reference for ``label_by_raytrace``, with the same arguments."""
+    from occ4d import evaluation as ev
+
+    nz, ny, nx = grid.shape
+    lo = (grid.x[0], grid.y[0], grid.z[0])
+    labels = np.full((len(grid.times), nz, ny, nx), ev.LABEL_UNKNOWN, dtype=np.int8)
+    for ti, t in enumerate(grid.times):
+        dts = [abs(float(scan.times[0]) - t) for scan in eval_scans]
+        if not dts or min(dts) > ev.SCAN_MATCH_WINDOW:
+            continue
+        scan = eval_scans[dts.index(min(dts))]
+        free = np.zeros((nz, ny, nx), dtype=bool)
+        occupied = np.zeros((nz, ny, nx), dtype=bool)
+        for i in np.nonzero(~scan.miss)[0]:
+            end = scan.origins[i] + scan.ranges[i] * scan.dirs[i]
+            for v in ev.traverse_voxels(scan.origins[i], end, grid):
+                free[v] = True
+            ix, iy, iz = (math.floor((end[k] - lo[k]) / grid.step) for k in range(3))
+            if 0 <= ix < nx and 0 <= iy < ny and 0 <= iz < nz:
+                occupied[iz, iy, ix] = True
+        if scene is not None:
+            world = grid.centers() if to_world is None else to_world.apply(grid.centers())
+            occupied |= boxes_contain_scalar(scene, world, t0 + t).reshape(nz, ny, nx)
+        labels[ti][free] = ev.LABEL_FREE
+        labels[ti][occupied] = ev.LABEL_OCCUPIED
+    return labels

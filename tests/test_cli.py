@@ -270,16 +270,19 @@ class TestDeterminism:
 
 
 class TestEvalEncoderInput:
-    def test_eval_encodes_the_training_past_scans_once_per_scene(self, tmp_path, monkeypatch):
-        # non-default past offsets: eval must encode the same scans, at the
-        # same relative times, as the sample genqueries wrote (at theta = 0)
+    @staticmethod
+    def run(tmp_path, monkeypatch, past_offsets):
+        """simulate, genqueries and train one scene with ``past_offsets``, then
+        eval; returns the EncoderInputs eval encoded, the one genqueries wrote
+        and the scene times eval's oracle labelled."""
         import occ4d.evaluation as evaluation
+        import occ4d.scene as scene
         from occ4d.queries import load_encoder_input
 
         cfg_path = tmp_path / "config.json"
         doc = json.loads(json.dumps(SMOKE_OVERRIDES))
-        doc["suite"].update({"n_scenes": 1, "n_future": 2, "past_offsets": [-0.6, 0.0]})
-        doc["field"]["k_past"] = 2
+        doc["suite"].update({"n_scenes": 1, "n_future": 2, "past_offsets": past_offsets})
+        doc["field"]["k_past"] = len(past_offsets)
         doc["train"].update({"total_steps": 3, "warmup_steps": 1})
         doc["augment"] = {"rotation_enabled": False}
         cfg_path.write_text(json.dumps(doc))
@@ -288,22 +291,43 @@ class TestEvalEncoderInput:
         assert main(["genqueries", *args, "--dataset", str(tmp_path / "data"), "--out", str(tmp_path / "q")]) == 0
         assert main(["train", *args, "--queries", str(tmp_path / "q"), "--out", str(tmp_path / "run")]) == 0
 
-        seen = []
-        real_encode = evaluation.encode
+        seen, oracle_times = [], []
+        real_encode, real_oracle = evaluation.encode, scene.occupancy_oracle
 
         def recording_encode(fp, enc):
             seen.append(enc)
             return real_encode(fp, enc)
 
+        def recording_oracle(sc, points, times):
+            oracle_times.append(times)
+            return real_oracle(sc, points, times)
+
         monkeypatch.setattr(evaluation, "encode", recording_encode)
+        monkeypatch.setattr(scene, "occupancy_oracle", recording_oracle)
         code = main(
             ["eval", *args, "--checkpoint", str(tmp_path / "run" / "checkpoint.bin"),
              "--dataset", str(tmp_path / "data"), "--out", str(tmp_path / "report.json")]
         )
         assert code == 0
+        return seen, load_encoder_input(tmp_path / "q" / "sample000.enc.bin"), oracle_times
+
+    def test_eval_encodes_the_training_past_scans_once_per_scene(self, tmp_path, monkeypatch):
+        # non-default past offsets: eval must encode the same scans, at the
+        # same relative times, as the sample genqueries wrote (at theta = 0)
+        seen, written, _ = self.run(tmp_path, monkeypatch, [-0.6, 0.0])
         assert len(seen) == 1
-        written = load_encoder_input(tmp_path / "q" / "sample000.enc.bin")
         assert seen[0].rel_times == written.rel_times == [-0.6, 0.0]
         assert len(seen[0].point_sets) == len(written.point_sets)
         for got, want in zip(seen[0].point_sets, written.point_sets):
             np.testing.assert_array_equal(got, want)
+
+    def test_eval_now_is_the_latest_past_scan(self, tmp_path, monkeypatch):
+        # past offsets ending before 0: as in training's samples, eval's t0
+        # is the latest past scan, -0.5, and probe time t is scene time t0 + t
+        seen, written, oracle_times = self.run(tmp_path, monkeypatch, [-1.0, -0.5])
+        assert len(seen) == 1
+        assert seen[0].rel_times == written.rel_times == [-0.5, 0.0]
+        assert len(seen[0].point_sets) == len(written.point_sets) == 2
+        for got, want in zip(seen[0].point_sets, written.point_sets):
+            np.testing.assert_array_equal(got, want)
+        assert oracle_times == [-0.5 + t for t in SMOKE_OVERRIDES["eval"]["times"]]

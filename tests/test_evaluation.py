@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from occ4d.evaluation import (
     EvalGrid,
@@ -12,6 +14,7 @@ from occ4d.evaluation import (
     eval_4d_occupancy,
     eval_ego_path,
     label_by_raytrace,
+    march_voxels,
     traverse_voxels,
     write_pgm,
     write_report_json,
@@ -31,7 +34,7 @@ from occ4d.scene import (
     random_scene,
 )
 
-from oracles import segment_voxel_overlap
+from oracles import label_by_raytrace_scalar, segment_voxel_overlap
 
 
 SMALL_GRID = EvalGrid(x=(-4.0, 4.0), y=(-4.0, 4.0), z=(0.0, 2.0), step=0.5, times=(0.6,))
@@ -63,6 +66,122 @@ class TestTraverseVoxels:
     def test_axis_aligned_inside(self):
         vox = traverse_voxels(np.array([-3.9, 0.3, 0.3]), np.array([3.9, 0.3, 0.3]), SMALL_GRID)
         assert len(vox) == SMALL_GRID.shape[2]
+
+
+# the march's grids: one starting on the ground plane with binary-exact faces,
+# one whose faces (multiples of 0.2 from -0.4) round
+MARCH_GRIDS = (SMALL_GRID, EvalGrid(x=(-3.2, 3.0), y=(-1.6, 2.4), z=(-0.4, 1.2), step=0.2))
+
+
+@st.composite
+def segment_batches(draw):
+    """A grid and up to 12 segments on it: free, axis-parallel or zero-length,
+    with coordinates anywhere within 2 m of the grid or exactly on a voxel
+    face (on the grid's bounds, the ground plane z = 0 included, or beyond)."""
+    grid = draw(st.sampled_from(MARCH_GRIDS))
+    lo = (grid.x[0], grid.y[0], grid.z[0])
+    hi = (grid.x[1], grid.y[1], grid.z[1])
+    n = grid.shape[::-1]
+
+    def coord(k):
+        return draw(
+            st.one_of(
+                st.floats(lo[k] - 2.0, hi[k] + 2.0),
+                st.integers(-3, n[k] + 3).map(lambda i: lo[k] + i * grid.step),
+            )
+        )
+
+    segments = []
+    for _ in range(draw(st.integers(1, 12))):
+        p0 = [coord(k) for k in range(3)]
+        kind = draw(st.sampled_from(("free", "axis", "zero")))
+        if kind == "free":
+            p1 = [coord(k) for k in range(3)]
+        else:
+            p1 = list(p0)
+            if kind == "axis":
+                k = draw(st.integers(0, 2))
+                p1[k] = coord(k)
+        segments.append((p0, p1))
+    return grid, np.array(segments, dtype=np.float64).reshape(-1, 2, 3)
+
+
+class TestMarchVoxels:
+    @settings(max_examples=200, deadline=None)
+    @given(segment_batches())
+    @example((SMALL_GRID, np.array([[[10.0, 10.0, 1.0], [12.0, 10.0, 1.0]]])))  # entirely outside
+    @example((SMALL_GRID, np.array([[[-6.0, 0.3, 0.3], [6.0, 0.3, 0.3]]])))  # starts outside, crosses
+    @example((SMALL_GRID, np.array([[[0.3, 0.3, 1.8], [2.1, -1.7, 0.0]]])))  # ground hit on z = 0
+    @example((SMALL_GRID, np.array([[[0.5, 0.5, 0.0], [0.5, 0.5, 0.0]]])))  # zero length on a corner
+    def test_batch_crosses_the_voxels_of_traverse_voxels(self, case):
+        # every segment of the batch marches in lockstep; the multiset of
+        # emitted voxels is the union of the scalar lists, segment by segment
+        grid, segs = case
+        want = [
+            np.ravel_multi_index((iz, iy, ix), grid.shape)
+            for p0, p1 in segs
+            for iz, iy, ix in traverse_voxels(p0, p1, grid)
+        ]
+        got = march_voxels(segs[:, 0], segs[:, 1], grid)
+        assert got.dtype == np.int64
+        np.testing.assert_array_equal(np.sort(got), np.sort(np.array(want, dtype=np.int64)))
+        for p0, p1 in segs:
+            assert set(march_voxels(p0, p1, grid).tolist()) == {
+                np.ravel_multi_index(v, grid.shape) for v in traverse_voxels(p0, p1, grid)
+            }
+
+    def test_empty_batch(self):
+        assert march_voxels(np.zeros((0, 3)), np.zeros((0, 3)), SMALL_GRID).size == 0
+
+
+class TestArrayLabelling:
+    @staticmethod
+    def scans(scene, t0, times):
+        ref = inverse(ego_pose_at(scene, t0))
+        return [
+            cast_lidar_scan(scene, lidar_pose_at(scene, t0 + t), scene.rig.lidar_pattern, t0 + t)
+            .transformed(ref)
+            .time_shifted(-t0)
+            for t in times
+        ]
+
+    @pytest.mark.parametrize(
+        "grid, t0, scan_times",
+        [
+            (EvalGrid(x=(-8.0, 8.0), y=(-8.0, 8.0), z=(0.0, 2.4), step=0.4, times=(0.6,)), 0.0, (0.6,)),
+            # time 2.9 is 0.5 s from its nearest scan, outside the window: unknown
+            (
+                EvalGrid(x=(-12.0, 12.0), y=(-10.0, 10.0), z=(-0.4, 2.8), step=0.4, times=(0.6, 1.2, 2.0, 2.9)),
+                0.0,
+                (0.6, 1.3, 2.0, 2.4),
+            ),
+            (EvalGrid(x=(-6.0, 10.0), y=(-6.0, 6.0), z=(-0.4, 2.0), step=0.2, times=(0.6, 1.8)), -0.5, (0.6, 1.8)),
+        ],
+    )
+    def test_label_by_raytrace_equals_scalar_labeller(self, grid, t0, scan_times):
+        scene = random_scene(seed=30)
+        scans = self.scans(scene, t0, scan_times)
+        to_world = ego_pose_at(scene, t0)
+        got = label_by_raytrace(scans, grid, scene=scene, to_world=to_world, t0=t0)
+        assert np.array_equal(got, label_by_raytrace_scalar(scans, grid, scene=scene, to_world=to_world, t0=t0))
+        assert np.array_equal(label_by_raytrace(scans, grid), label_by_raytrace_scalar(scans, grid))
+        assert np.count_nonzero(got == LABEL_FREE) > 1000
+        assert np.count_nonzero(got == LABEL_OCCUPIED) > 100
+        if 2.9 in grid.times:
+            assert np.all(got[-1] == LABEL_UNKNOWN)
+
+    def test_box_test_at_scene_time(self):
+        # grid time t is scene time t0 + t: the box, moving at 2 m/s, covers
+        # voxel 10's center at 0.5 s and voxel 12's at 1.0 s
+        scene = tiny_scene([Box([0.25, 0.25, 1.0], [0.5, 0.5, 1.0], [2.0, 0.0, 0.0])])
+        grid = EvalGrid(x=(-4.0, 4.0), y=(-4.0, 4.0), z=(0.0, 2.0), step=0.5, times=(0.5,))
+        sky = ScanPattern(az_count=1, el_count=1, el_extent=(1.0, 1.2))
+        scan = cast_lidar_scan(scene, Pose(np.eye(3), np.array([0.0, 0.0, 5.0])), sky, 0.5)
+        for t0, inside, outside in ((0.0, 10, 12), (0.5, 12, 10)):
+            labels = label_by_raytrace([scan], grid, scene=scene, t0=t0)
+            assert np.array_equal(labels, label_by_raytrace_scalar([scan], grid, scene=scene, t0=t0))
+            assert labels[0, 2, 8, inside] == LABEL_OCCUPIED
+            assert labels[0, 2, 8, outside] == LABEL_UNKNOWN
 
 
 def tiny_scene(boxes=()):

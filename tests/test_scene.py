@@ -32,8 +32,9 @@ from occ4d.scene import (
     save_scene_json,
     scene_from_dict,
 )
+from occ4d.scene import boxes_contain
 
-from oracles import nearest_hit_scalar
+from oracles import boxes_contain_scalar, nearest_hit_scalar
 
 
 def simple_scene(boxes=(), ground_z=0.0):
@@ -89,6 +90,80 @@ class TestOccupancyOracle:
         sc = simple_scene()
         with pytest.raises(ValueError):
             occupancy_oracle(sc, np.array([0.0, 0, 1]), 99.0)
+
+
+def box_lattice_points(box, t):
+    """World points at local offsets {-h, 0, +h} per axis (center, face
+    centers, edges and corners) of ``box`` at time t, and the next floats
+    outward and inward of each."""
+    local = np.stack(np.meshgrid(*[[-h, 0.0, h] for h in box.half_extents], indexing="ij"), -1).reshape(-1, 3)
+    c, s = math.cos(box.yaw), math.sin(box.yaw)
+    world = box.center_at(t) + np.stack(
+        [c * local[:, 0] - s * local[:, 1], s * local[:, 0] + c * local[:, 1], local[:, 2]], axis=1
+    )
+    return np.concatenate([world, np.nextafter(world, np.inf), np.nextafter(world, -np.inf)])
+
+
+class TestBoxesContain:
+    """The culled box test equals every point against every box."""
+
+    def test_scene_points_scalar_and_per_point_times(self):
+        for seed in (1000, 1001, 1002):
+            scene = random_scene(seed=seed)
+            rng = np.random.default_rng(seed)
+            lattice = np.stack(np.meshgrid(*[np.arange(-16.0, 16.0, 0.4)] * 2 + [np.arange(-0.4, 2.8, 0.4)]), -1)
+            pts = np.concatenate(
+                [lattice.reshape(-1, 3), rng.uniform([-30, -30, -1], [30, 30, 4], (5000, 3))]
+                + [box_lattice_points(box, t) for box in scene.boxes for t in (0.0, 0.6)]
+            )
+            for t in (0.0, 0.6, rng.uniform(-1.5, 3.5, len(pts))):
+                want = boxes_contain_scalar(scene, pts, t)
+                assert np.array_equal(boxes_contain(scene, pts, t), want)
+                assert np.array_equal(occupancy_oracle(scene, pts, t), (pts[:, 2] <= scene.ground_z) | want)
+                assert want.sum() > 100
+
+    def test_closed_faces_and_next_floats(self):
+        boxes = [
+            Box([5.0, 0.5, 1.0], [1.0, 0.5, 0.75], [2.0, -1.0, 0.0]),
+            Box([-4.0, 3.0, 0.5], [0.5, 2.0, 0.5], [0.0, 0.0, 0.0], yaw=0.7),
+        ]
+        sc = simple_scene(boxes)
+        pts = np.concatenate([box_lattice_points(box, 1.0) for box in boxes])
+        got = boxes_contain(sc, pts, 1.0)
+        assert np.array_equal(got, boxes_contain_scalar(sc, pts, 1.0))
+        # the unyawed box's lattice points lie on its faces exactly (closed
+        # sets); the next floats beyond its (+h, +h, +h) and (-h, -h, -h)
+        # corners lie outside
+        assert got[:27].all()
+        assert not got[27 + 26] and not got[54]
+        times = np.repeat([1.0, 0.0], [81, 81])
+        assert np.array_equal(boxes_contain(sc, pts, times), boxes_contain_scalar(sc, pts, times))
+
+    def test_corner_on_the_x_axis(self):
+        # a corner sits norm(hx, hy) along x from the center and hz is tiny,
+        # so norm(half_extents) is that distance: in this box the in-box
+        # arithmetic accepts points 1 and 2 ulps beyond it, which only the
+        # cull's margin keeps
+        hx, hy, yaw = 0.24477684266600153, 2.322262806597999, 1.6758130109069835
+        box = Box([0.5103489304831221, 17.164168831880247, 0.5], [hx, hy, 1e-12], [0.0, 0.0, 0.0], yaw=yaw)
+        sc = simple_scene([box])
+        pts = []
+        for end in box.center[0] - math.hypot(hx, hy), box.center[0] + math.hypot(hx, hy):
+            xs = end + np.arange(-60, 61) * np.spacing(abs(end))
+            pts.append(np.stack([xs, np.full_like(xs, box.center[1]), np.full_like(xs, 0.5)], axis=1))
+        pts = np.concatenate(pts + [box_lattice_points(box, 0.6)])
+        got = boxes_contain(sc, pts, 0.6)
+        assert np.array_equal(got, boxes_contain_scalar(sc, pts, 0.6))
+        assert got.any()
+
+    def test_non_finite_points_and_times(self):
+        sc = simple_scene([Box([0.0, 0.0, 1.0], [1.0, 1.0, 1.0], [1.0, 0.0, 0.0])])
+        pts = np.array([[0.0, 0.0, 1.0], [np.nan, 0.0, 1.0], [np.inf, 0.0, 1.0], [0.5, -np.inf, 1.0], [0.5, 0.0, 1.0]])
+        with np.errstate(invalid="ignore"):
+            for times in (0.0, np.nan, np.array([0.0, 0.0, 0.0, np.nan, np.inf]), np.array([np.nan, 0.0, 0.0, 0.0, 0.5])):
+                assert np.array_equal(boxes_contain(sc, pts, times), boxes_contain_scalar(sc, pts, times))
+            assert boxes_contain(sc, pts, np.array([np.nan, 0.0, 0.0, 0.0, 0.5])).tolist() == [False] * 4 + [True]
+        assert boxes_contain(sc, np.zeros((0, 3)), 0.0).shape == (0,)
 
 
 class TestCastLidar:
