@@ -49,9 +49,10 @@ from .scene import (
     save_scan,
     save_scene_json,
 )
-from .training import TrainSample, load_checkpoint, save_checkpoint, train, write_loss_csv
+from .training import TrainSample, load_checkpoint, lr_schedule, save_checkpoint, train, write_loss_csv
 
 _PCA_SUBSET_STREAM = 0xF17
+_PROGRESS_LINES = 10  # train reports progress after every tenth of its steps
 
 
 def _scan_name(scene_idx: int, t: float) -> str:
@@ -198,6 +199,28 @@ def _load_samples(queries_dir: Path, limit: int | None = None):
     return samples
 
 
+def _train_progress(tcfg, start_step: int):
+    """``train``'s on_step hook: a stdout line with step, lr, loss terms,
+    steps/s and ETA after every tenth of the steps left to run."""
+    total = tcfg.total_steps
+    every = max(1, math.ceil((total - start_step) / _PROGRESS_LINES))
+    t0 = time.perf_counter()
+
+    def on_step(step, terms):
+        done = step - start_step
+        if done % every and step != total:
+            return
+        rate = done / max(time.perf_counter() - t0, 1e-9)
+        print(
+            f"train: step {step}/{total} lr {lr_schedule(step, tcfg):.3e} loss {terms.total:.4f} "
+            f"(occ {terms.occ:.4f} feat {terms.feat:.4f} ego {terms.ego:.4f}) "
+            f"{rate:.1f} steps/s, eta {(total - step) / rate:.1f} s",
+            flush=True,
+        )
+
+    return on_step
+
+
 def cmd_train(cfg: dict, queries_dir, out_dir, resume=None, force: bool = False) -> int:
     queries = Path(queries_dir)
     if not (queries / "manifest.json").exists():
@@ -214,18 +237,13 @@ def cmd_train(cfg: dict, queries_dir, out_dir, resume=None, force: bool = False)
         init, state, start_step, ckpt_meta = load_checkpoint(resume)
         if ckpt_meta.get("config_digest") not in (None, digest):
             raise ValueError("resume checkpoint was produced by a different config")
-    result = train(samples, field_cfg, tcfg, init=init, adam_state=state, start_step=start_step)
+    progress = _train_progress(tcfg, start_step)
+    result = train(samples, field_cfg, tcfg, init=init, adam_state=state, start_step=start_step, on_step=progress)
     with staged_output(out_dir, force) as tmp:
         save_checkpoint(
             tmp / "checkpoint.bin",
             result.params,
             result.adam_state,
-            step=result.last_step,
-            meta={"config_digest": digest, "best_loss": result.best_loss},
-        )
-        save_checkpoint(
-            tmp / "checkpoint_best.bin",
-            result.best_params,
             step=result.last_step,
             meta={"config_digest": digest, "best_loss": result.best_loss},
         )

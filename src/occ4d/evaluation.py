@@ -107,13 +107,14 @@ def traverse_voxels(p0: np.ndarray, p1: np.ndarray, grid: EvalGrid):
     step = [0 if d[k] == 0 else (1 if d[k] > 0 else -1) for k in range(3)]
     t_max = [math.inf] * 3
     t_delta = [math.inf] * 3
-    for k in range(3):
-        if step[k] > 0:
-            t_max[k] = t_lo + ((v[k] + 1) - a[k]) / d[k]
-            t_delta[k] = 1.0 / d[k]
-        elif step[k] < 0:
-            t_max[k] = t_lo + (v[k] - a[k]) / d[k]
-            t_delta[k] = -1.0 / d[k]
+    with np.errstate(over="ignore"):  # a subnormal d[k] gives +-inf steps, as in march_voxels
+        for k in range(3):
+            if step[k] > 0:
+                t_max[k] = t_lo + ((v[k] + 1) - a[k]) / d[k]
+                t_delta[k] = 1.0 / d[k]
+            elif step[k] < 0:
+                t_max[k] = t_lo + (v[k] - a[k]) / d[k]
+                t_delta[k] = -1.0 / d[k]
     out = []
     while True:
         out.append((v[2], v[1], v[0]))

@@ -301,13 +301,19 @@ def interp_grid(z_grid: np.ndarray, x: np.ndarray, y: np.ndarray, cfg: FieldConf
 
 
 def interp_backward(cache, dfeat: np.ndarray, grid_shape) -> np.ndarray:
-    i0, j0, (w00, w01, w10, w11) = cache
-    dz = np.zeros(grid_shape)
-    np.add.at(dz, (j0, i0), w00[:, None] * dfeat)
-    np.add.at(dz, (j0, i0 + 1), w01[:, None] * dfeat)
-    np.add.at(dz, (j0 + 1, i0), w10[:, None] * dfeat)
-    np.add.at(dz, (j0 + 1, i0 + 1), w11[:, None] * dfeat)
-    return dz
+    """Gradient of interp_grid's output w.r.t. the grid.
+
+    One bincount over corner-major flat indices (corner, query, channel)
+    adds into each grid entry in the order of one unbuffered scatter-add
+    per corner, (j0, i0), (j0, i0+1), (j0+1, i0), (j0+1, i0+1), starting
+    from 0.0; so no entry is -0.0."""
+    i0, j0, weights = cache
+    h, w, c = grid_shape
+    cell = j0 * w + i0
+    corners = np.concatenate([cell, cell + 1, cell + w, cell + w + 1])
+    flat = (corners[:, None] * c + np.arange(c)).ravel()
+    vals = np.concatenate([wk[:, None] * dfeat for wk in weights]).ravel()
+    return np.bincount(flat, weights=vals, minlength=h * w * c).reshape(grid_shape)
 
 
 def head_forward(fp: FieldParams, name: str, x: np.ndarray, want_cache=False):
@@ -549,7 +555,7 @@ def loss_and_grads(
     co, cf, ce = _term_weights(batch, weights, per_term_average)
     lam = dict(zip(HEAD_NAMES, weights))
 
-    grads = {k: np.zeros_like(v) for k, v in fp.params.items()}
+    grads = {}
     dx_total = np.zeros_like(x)
     occ_term = feat_term = ego_term = 0.0
 
@@ -559,8 +565,7 @@ def loss_and_grads(
         occ_term = float(np.mean(_bce_from_logits(logits, batch.occ_labels)))
         dlogits = (co * (sigmoid(logits) - batch.occ_labels))[:, None]
         hg, dxh = head_backward(fp, "occ", cache, dlogits)
-        for k, v in hg.items():
-            grads[k] += v
+        grads.update(hg)
         dx_total[batch.occ_rows] += dxh
     if len(batch.feat_rows):
         out, cache = head_forward(fp, "feat", x[batch.feat_rows], want_cache=True)
@@ -568,8 +573,7 @@ def loss_and_grads(
         feat_term = float(np.mean(np.abs(resid)))
         dout = cf / cfg.d_feat * np.sign(resid)
         hg, dxh = head_backward(fp, "feat", cache, dout)
-        for k, v in hg.items():
-            grads[k] += v
+        grads.update(hg)
         dx_total[batch.feat_rows] += dxh
     if len(batch.ego_rows):
         out, cache = head_forward(fp, "ego", x[batch.ego_rows], want_cache=True)
@@ -577,8 +581,7 @@ def loss_and_grads(
         ego_term = float(np.mean(_bce_from_logits(logits, batch.ego_labels)))
         dlogits = (ce * (sigmoid(logits) - batch.ego_labels))[:, None]
         hg, dxh = head_backward(fp, "ego", cache, dlogits)
-        for k, v in hg.items():
-            grads[k] += v
+        grads.update(hg)
         dx_total[batch.ego_rows] += dxh
 
     if per_term_average:
@@ -591,9 +594,12 @@ def loss_and_grads(
         )
 
     dz = interp_backward(interp_cache, dx_total[:, : cfg.channels], z_grid.shape)
+    if fp.mode == MODE_AMORTIZED and not freeze_encoder:
+        grads.update(encode_backward(fp, enc_cache, dz))
+    for v in grads.values():
+        v += 0.0  # -0.0 -> +0.0, the gradient a sum from 0.0 gives; nothing else moves
     if fp.mode == MODE_FIT_PER_SCENE:
-        grads["grid.z"] += dz
-    elif not freeze_encoder:
-        for k, v in encode_backward(fp, enc_cache, dz).items():
-            grads[k] += v
+        grads["grid.z"] = dz  # summed from 0.0 already
+    # a head with no rows in the batch, or a frozen encoder, gets zeros
+    grads = {k: grads[k] if k in grads else np.zeros_like(v) for k, v in fp.params.items()}
     return LossTerms(float(total), occ_term, feat_term, ego_term), grads

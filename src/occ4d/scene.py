@@ -239,8 +239,9 @@ class Scene:
     def check_time(self, t) -> None:
         lo, hi = self.horizon
         t = np.asarray(t, dtype=np.float64)
-        if np.any(t < lo - 1e-9) or np.any(t > hi + 1e-9):
-            raise ValueError(f"time outside simulated horizon [{lo}, {hi}]")
+        # written as "all inside" so that NaN, which compares False, fails it
+        if not (np.all(t >= lo - 1e-9) and np.all(t <= hi + 1e-9)):
+            raise ValueError(f"time outside simulated horizon [{lo}, {hi}] or NaN")
 
 
 def boxes_contain(scene: Scene, points: np.ndarray, times) -> np.ndarray:

@@ -98,16 +98,31 @@ class AdamState:
 
 
 def adam_step(params: dict, grads: dict, state: AdamState, step_index: int, lr: float) -> None:
-    """Standard bias-corrected Adam update, in place. step_index is 1-based."""
+    """Standard bias-corrected Adam update of ``params`` and of the moment
+    arrays in ``state``, all in place. step_index is 1-based.
+
+    Per tensor, two scratch buffers take the textbook expressions
+    m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g^2 and
+    lr m_hat / (sqrt(v_hat) + eps) through the same float64 operations, so
+    the result has the same bits as evaluating them out of place."""
     bc1 = 1.0 - ADAM_BETA1 ** step_index
     bc2 = 1.0 - ADAM_BETA2 ** step_index
     for k, p in params.items():
-        g = grads[k]
-        state.m[k] = ADAM_BETA1 * state.m[k] + (1.0 - ADAM_BETA1) * g
-        state.v[k] = ADAM_BETA2 * state.v[k] + (1.0 - ADAM_BETA2) * (g * g)
-        m_hat = state.m[k] / bc1
-        v_hat = state.v[k] / bc2
-        p -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+        g, m, v = grads[k], state.m[k], state.v[k]
+        a = np.multiply(g, 1.0 - ADAM_BETA1)
+        m *= ADAM_BETA1
+        m += a
+        b = np.multiply(g, g)
+        b *= 1.0 - ADAM_BETA2
+        v *= ADAM_BETA2
+        v += b
+        m_hat = np.divide(m, bc1, out=a)
+        denom = np.divide(v, bc2, out=b)
+        np.sqrt(denom, out=denom)
+        denom += ADAM_EPS
+        m_hat *= lr
+        m_hat /= denom
+        p -= m_hat
 
 
 @dataclass
@@ -119,8 +134,7 @@ class TrainSample:
 @dataclass
 class TrainResult:
     params: FieldParams
-    best_params: FieldParams
-    best_loss: float
+    best_loss: float         # lowest single-minibatch loss seen
     history: list            # rows (step, lr, total, occ, dino, ego)
     adam_state: "AdamState"
     last_step: int
@@ -185,7 +199,6 @@ def train(
 
     history = []
     best_loss = math.inf
-    best_params = fp.copy()
     last = cfg.total_steps if stop_step is None else min(stop_step, cfg.total_steps)
     for step in range(start_step + 1, last + 1):
         sel = int(_step_gen(cfg.seed, _STREAM_SAMPLE_SEL, step).integers(0, len(samples)))
@@ -203,12 +216,10 @@ def train(
         lr = lr_schedule(step, cfg)
         adam_step(fp.params, grads, state, step, lr)
         history.append((step, lr, terms.total, terms.occ, terms.feat, terms.ego))
-        if terms.total < best_loss:
-            best_loss = terms.total
-            best_params = fp.copy()
+        best_loss = min(best_loss, terms.total)
         if on_step is not None:
             on_step(step, terms)
-    return TrainResult(fp, best_params, best_loss, history, state, last)
+    return TrainResult(fp, best_loss, history, state, last)
 
 
 # ---------------------------------------------------------------------------

@@ -380,3 +380,32 @@ def label_by_raytrace_scalar(eval_scans, grid, scene=None, to_world=None, t0=0.0
         labels[ti][free] = ev.LABEL_FREE
         labels[ti][occupied] = ev.LABEL_OCCUPIED
     return labels
+
+
+# ---------------------------------------------------------------------------
+# train step: the out-of-place expressions the package's in-place Adam and
+# single-bincount grid scatter must match bit for bit
+
+
+def adam_step_out_of_place(params, grads, m, v, step_index, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    """Bias-corrected Adam (Kingma & Ba, 2015) on dicts of arrays; every
+    parameter and moment is rebound to a newly computed array."""
+    bc1 = 1.0 - beta1 ** step_index
+    bc2 = 1.0 - beta2 ** step_index
+    for k in params:
+        g = grads[k]
+        m[k] = beta1 * m[k] + (1.0 - beta1) * g
+        v[k] = beta2 * v[k] + (1.0 - beta2) * (g * g)
+        params[k] = params[k] - lr * (m[k] / bc1) / (np.sqrt(v[k] / bc2) + eps)
+
+
+def interp_backward_add_at(cache, dfeat, grid_shape):
+    """Bilinear scatter of ``dfeat`` into a zero grid: one unbuffered
+    np.add.at per corner, (j0, i0), (j0, i0+1), (j0+1, i0), (j0+1, i0+1)."""
+    i0, j0, (w00, w01, w10, w11) = cache
+    dz = np.zeros(grid_shape)
+    np.add.at(dz, (j0, i0), w00[:, None] * dfeat)
+    np.add.at(dz, (j0, i0 + 1), w01[:, None] * dfeat)
+    np.add.at(dz, (j0 + 1, i0), w10[:, None] * dfeat)
+    np.add.at(dz, (j0 + 1, i0 + 1), w11[:, None] * dfeat)
+    return dz

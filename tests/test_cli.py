@@ -140,10 +140,22 @@ class TestPipeline:
         root, _ = pipeline
         run = root / "run"
         assert (run / "checkpoint.bin").exists()
-        assert (run / "checkpoint_best.bin").exists()
         lines = (run / "loss.csv").read_text().strip().splitlines()
         assert lines[0] == "step,lr,total,occ,dino,ego"
         assert len(lines) == 61
+
+    def test_train_prints_progress(self, pipeline, tmp_path, capsys):
+        root, cfg_path = pipeline
+        args = ["--config", str(cfg_path), "--queries", str(root / "queries"), "--out", str(tmp_path / "run")]
+        assert main(["train", *args]) == 0
+        lines = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("train: step ")]
+        # 60 steps: a line after every 6th
+        assert [int(ln.split()[2].split("/")[0]) for ln in lines] == list(range(6, 61, 6))
+        for part in ("/60 lr ", "loss", "occ", "feat", "ego", "steps/s", "eta"):
+            assert part in lines[0], lines[0]
+        # progress goes to stdout only: the run's files keep their bytes
+        for name in ("checkpoint.bin", "loss.csv"):
+            assert (tmp_path / "run" / name).read_bytes() == (root / "run" / name).read_bytes()
 
     def test_report_schema(self, pipeline):
         root, cfg_path = pipeline

@@ -67,6 +67,17 @@ class TestTraverseVoxels:
         vox = traverse_voxels(np.array([-3.9, 0.3, 0.3]), np.array([3.9, 0.3, 0.3]), SMALL_GRID)
         assert len(vox) == SMALL_GRID.shape[2]
 
+    @pytest.mark.filterwarnings("error")
+    def test_subnormal_direction_no_overflow_warning(self):
+        # z moves by one subnormal step: flat for clipping, but the march
+        # steps in z by 1 / d = inf, which must not warn
+        p0, p1 = np.array([-3.9, 0.3, 0.0]), np.array([3.9, 0.3, 5e-324])
+        vox = traverse_voxels(p0, p1, SMALL_GRID)
+        assert len(vox) == SMALL_GRID.shape[2]
+        assert sorted(march_voxels(p0, p1, SMALL_GRID).tolist()) == sorted(
+            np.ravel_multi_index(v, SMALL_GRID.shape) for v in vox
+        )
+
 
 # the march's grids: one starting on the ground plane with binary-exact faces,
 # one whose faces (multiples of 0.2 from -0.4) round

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from occ4d import field
 from occ4d.field import (
     Batch,
     FieldConfig,
@@ -15,6 +16,7 @@ from occ4d.field import (
     head_forward,
     head_input,
     init_params,
+    interp_backward,
     interp_grid,
     lattice_head,
     loss,
@@ -28,6 +30,8 @@ from occ4d.field import (
 from occ4d.field import _leaky
 from occ4d.evaluation import EvalGrid
 from occ4d.queries import EncoderInput, QuerySet
+
+from oracles import interp_backward_add_at
 
 SMALL = FieldConfig(
     x_range=(-4.0, 4.0),
@@ -349,6 +353,45 @@ class TestGradients:
         qs = random_queryset(rng, SMALL)
         _, grads = loss_and_grads(fp, Batch.from_queryset(qs), weights=(0.0, 0.0, 0.0))
         assert all(np.all(g == 0.0) for g in grads.values())
+        assert not any(np.signbit(g).any() for g in grads.values())
+
+    def test_negative_zero_gradient_reads_plus_zero(self, monkeypatch):
+        # a gradient is a sum from +0.0, so a -0.0 from a head's or the
+        # encoder's backward pass reads +0.0 (numpy's own sums and GEMMs
+        # give +0.0 already; this pins the behaviour for any that do not)
+        def negated_zeros(fn):
+            def wrapped(*args):
+                out = fn(*args)
+                grads = out[0] if isinstance(out, tuple) else out
+                for g in grads.values():
+                    g[g == 0.0] = -0.0
+                return out
+
+            return wrapped
+
+        monkeypatch.setattr(field, "head_backward", negated_zeros(field.head_backward))
+        monkeypatch.setattr(field, "encode_backward", negated_zeros(field.encode_backward))
+        rng = np.random.default_rng(20)
+        fp = init_params(SMALL, seed=21, mode=MODE_AMORTIZED)
+        batch = Batch.from_queryset(random_queryset(rng, SMALL))
+        _, grads = loss_and_grads(fp, batch, enc_input=random_enc_input(rng, SMALL), weights=(0.0, 0.0, 0.0))
+        for k, g in grads.items():
+            assert np.array_equal(g.view(np.uint64), np.zeros_like(g).view(np.uint64)), k
+
+    def test_every_parameter_has_a_gradient(self):
+        # a frozen encoder and a head with no rows in the batch get all-zero
+        # entries, in parameter order
+        rng = np.random.default_rng(18)
+        fp = init_params(SMALL, seed=19, mode=MODE_AMORTIZED)
+        batch = Batch.from_queryset(random_queryset(rng, SMALL, n_ego=0))
+        _, grads = loss_and_grads(fp, batch, enc_input=random_enc_input(rng, SMALL), freeze_encoder=True)
+        assert list(grads) == list(fp.params)
+        for k, g in grads.items():
+            assert g.shape == fp.params[k].shape and g.dtype == np.float64
+            if k.startswith(("enc.", "head.ego.")):
+                assert np.array_equal(g.view(np.uint64), np.zeros_like(g).view(np.uint64)), k
+            else:
+                assert np.any(g != 0.0), k
 
     def test_global_average_mode_gradcheck(self):
         rng = np.random.default_rng(16)
@@ -469,3 +512,34 @@ def test_lattice_head_chunks_across_layers(chunk):
     centers = grid.centers()
     got = lattice_head(fp, z_grid, "feat", centers[:35, :2], centers[::35, 2], 0.6, chunk=chunk)
     assert np.array_equal(got, chunked_query_head(fp, z_grid, "feat", centers, 0.6, chunk=chunk))
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [SMALL, FieldConfig(x_range=(-4.0, 4.0), y_range=(-2.0, 3.0), cell=0.5, channels=5)],
+    ids=["square", "non-square"],
+)
+def test_interp_backward_same_bits_as_add_at(cfg):
+    # positions at the region edges, on cell centers (integer grid
+    # coordinates), on cell faces and in the clamped outer half-cell ring,
+    # drawn with repeats so that many queries add into the same entries
+    rng = np.random.default_rng(6)
+    h, w, c = cfg.grid_h, cfg.grid_w, cfg.channels
+
+    def axis(lo, cells):
+        special = lo + cfg.cell * np.concatenate(
+            [[0.0, cells, 0.25, cells - 0.25], np.arange(cells) + 0.5, np.arange(cells + 1)]
+        )
+        return np.concatenate([special, rng.uniform(lo, lo + cells * cfg.cell, 40)])
+
+    xs, ys = axis(cfg.x_range[0], w), axis(cfg.y_range[0], h)
+    for _ in range(50):
+        n = int(rng.integers(1, 300))
+        x, y = rng.choice(xs, n), rng.choice(ys, n)
+        _, cache = interp_grid(np.zeros((h, w, c)), x, y, cfg, want_cache=True)
+        dfeat = rng.normal(size=(n, c))
+        dfeat[rng.uniform(size=dfeat.shape) < 0.2] = -0.0
+        dfeat[rng.uniform(size=dfeat.shape) < 0.1] = 0.0
+        got = interp_backward(cache, dfeat, (h, w, c))
+        want = interp_backward_add_at(cache, dfeat, (h, w, c))
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))

@@ -91,6 +91,15 @@ class TestOccupancyOracle:
         with pytest.raises(ValueError):
             occupancy_oracle(sc, np.array([0.0, 0, 1]), 99.0)
 
+    def test_nan_time_raises(self):
+        # NaN compares False against both horizon ends; it must still be refused
+        sc = random_scene(seed=1000)
+        centre = sc.boxes[0].center_at(1.0)
+        assert occupancy_oracle(sc, centre, 1.0)
+        for t in (np.nan, np.array([1.0, np.nan])):
+            with pytest.raises(ValueError, match="horizon"):
+                occupancy_oracle(sc, np.stack([centre, centre]), t)
+
 
 def box_lattice_points(box, t):
     """World points at local offsets {-h, 0, +h} per axis (center, face

@@ -18,6 +18,7 @@ from occ4d.training import (
     write_loss_csv,
 )
 
+from oracles import adam_step_out_of_place
 from test_field import SMALL, random_enc_input, random_queryset
 
 
@@ -76,6 +77,48 @@ class TestAdam:
             g = 2.0 * (params["w"] - 2.0)
             adam_step(params, {"w": g}, state, step, lr=0.01)
         assert abs(g[0]) < 1e-8
+
+    def test_moments_updated_in_place(self):
+        params = {"w": np.ones(4), "b": np.zeros(2)}
+        state = AdamState.zeros(params)
+        m, v = dict(state.m), dict(state.v)
+        adam_step(params, {"w": np.full(4, 2.0), "b": np.ones(2)}, state, step_index=1, lr=0.1)
+        for k in params:
+            assert state.m[k] is m[k] and state.v[k] is v[k]
+            assert np.all(m[k] != 0.0) and np.all(v[k] != 0.0)
+
+    @pytest.mark.parametrize("start", ["zeros", "checkpoint"])
+    def test_same_bits_as_out_of_place_update(self, start, tmp_path):
+        # 50 steps of sparse gradients whose zeros include -0.0, from fresh
+        # moments or from moments (with -0.0 entries) reloaded from disk
+        rng = np.random.default_rng(22)
+        fp = init_params(SMALL, seed=23, mode=MODE_FIT_PER_SCENE)
+        fp.params["grid.z"][:] = rng.normal(size=fp.params["grid.z"].shape)
+        state = AdamState.zeros(fp.params)
+        if start == "checkpoint":
+            for k, p in fp.params.items():
+                state.m[k][:] = rng.normal(size=p.shape) * (rng.uniform(size=p.shape) < 0.5)
+                state.v[k][:] = state.m[k] ** 2
+                state.v[k][rng.uniform(size=p.shape) < 0.1] = -0.0
+            path = tmp_path / "ck.bin"
+            save_checkpoint(path, fp, state, step=7)
+            fp, state, _, _ = load_checkpoint(path)
+        params = {k: p.copy() for k, p in fp.params.items()}
+        m = {k: a.copy() for k, a in state.m.items()}
+        v = {k: a.copy() for k, a in state.v.items()}
+        cfg = TrainConfig(warmup_steps=5, total_steps=50)
+        for step in range(1, 51):
+            grads = {}
+            for k, p in params.items():
+                g = rng.normal(size=p.shape) * (rng.uniform(size=p.shape) < 0.2)
+                g[rng.uniform(size=p.shape) < 0.05] = -0.0
+                grads[k] = g
+            lr = lr_schedule(step, cfg)
+            adam_step(fp.params, grads, state, step, lr)
+            adam_step_out_of_place(params, grads, m, v, step, lr)
+        for k in params:
+            for got, want in ((fp.params[k], params[k]), (state.m[k], m[k]), (state.v[k], v[k])):
+                assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), k
 
 
 class TestTrain:
