@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import ctypes
 import json
 import math
 import sys
@@ -55,6 +56,33 @@ _PCA_SUBSET_STREAM = 0xF17
 _PROGRESS_LINES = 10  # train reports progress after every tenth of its steps
 
 
+def _blas_thread_calls():
+    """(get, set) of numpy's bundled OpenBLAS thread count, or None where
+    that library or its symbols are missing."""
+    for path in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas*")):
+        try:
+            lib = ctypes.CDLL(str(path))
+            get, set_ = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        set_.argtypes, set_.restype = [ctypes.c_int], None
+        return get, set_
+    return None
+
+
+def _one_blas_thread():
+    """--workers processes run side by side, so each runs BLAS on one thread
+    rather than oversubscribing the cores; without the symbols, a no-op."""
+    calls = _blas_thread_calls()
+    if calls is not None:
+        calls[1](1)
+
+
+def _pool(workers: int):
+    return concurrent.futures.ProcessPoolExecutor(max_workers=workers, initializer=_one_blas_thread)
+
+
 def _scan_name(scene_idx: int, t: float) -> str:
     return f"scene{scene_idx:03d}_t{round(t * 1000):+06d}.bin"
 
@@ -98,7 +126,7 @@ def cmd_simulate(cfg: dict, out_dir, workers: int = 1, force: bool = False) -> i
             (tmp / sub).mkdir()
         jobs = [(cfg, str(tmp), i) for i in range(n)]
         if workers > 1 and n > 1:
-            with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+            with _pool(workers) as pool:
                 list(pool.map(_simulate_scene, jobs))
         else:
             for job in jobs:
@@ -166,7 +194,7 @@ def cmd_genqueries(cfg: dict, dataset_dir, out_dir, workers: int = 1, force: boo
         save_pca(pca, tmp / "pca.bin")
         jobs = [(cfg, str(dataset), str(tmp), i) for i in indices]
         if workers > 1 and len(jobs) > 1:
-            with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+            with _pool(workers) as pool:
                 metas = list(pool.map(_genqueries_sample, jobs))
         else:
             metas = [_genqueries_sample(job) for job in jobs]

@@ -44,8 +44,11 @@ class EvalGrid:
     times: tuple = PAPER_EVAL_TIMES
 
     def __post_init__(self):
-        if self.step <= 0:
-            raise ValueError("step must be positive")
+        box = f"x={self.x}, y={self.y}, z={self.z}, step={self.step}"
+        if not all(map(math.isfinite, (*self.x, *self.y, *self.z, self.step))) or self.step <= 0:
+            raise ValueError(f"lattice bounds and step must be finite, the step positive: {box}")
+        if min(self.shape) < 1:
+            raise ValueError(f"lattice {box} has (z, y, x) cells {self.shape}; each axis needs at least one")
         if any(t < 0 for t in self.times):
             raise ValueError("probe times must be >= 0")
 

@@ -316,19 +316,28 @@ def interp_backward(cache, dfeat: np.ndarray, grid_shape) -> np.ndarray:
     return np.bincount(flat, weights=vals, minlength=h * w * c).reshape(grid_shape)
 
 
-def head_forward(fp: FieldParams, name: str, x: np.ndarray, want_cache=False):
+def _head_hidden(fp: FieldParams, name: str, x: np.ndarray, want_cache=False, out=None):
+    """The head's two leaky hidden layers: h2, or (pre1, h1, pre2, h2) with
+    ``want_cache``. Without a cache they run in place, the same bits from
+    fewer, reused buffers, and h2 goes to ``out`` if given."""
     p = fp.params
     slope = fp.config.leaky_slope
-    # in place where nothing is cached: the same bits from fewer, reused buffers
     pre1 = x @ p[f"head.{name}.w1"]
     pre1 += p[f"head.{name}.b1"]
     h1 = _leaky(pre1, slope, out=None if want_cache else pre1)
-    pre2 = h1 @ p[f"head.{name}.w2"]
+    pre2 = np.matmul(h1, p[f"head.{name}.w2"], out=out)
     pre2 += p[f"head.{name}.b2"]
     h2 = _leaky(pre2, slope, out=None if want_cache else pre2)
+    return (pre1, h1, pre2, h2) if want_cache else h2
+
+
+def head_forward(fp: FieldParams, name: str, x: np.ndarray, want_cache=False):
+    p = fp.params
+    hidden = _head_hidden(fp, name, x, want_cache=want_cache)
+    h2 = hidden[-1] if want_cache else hidden
     out = h2 @ p[f"head.{name}.w3"] + p[f"head.{name}.b3"]
     if want_cache:
-        return out, (x, pre1, h1, pre2, h2)
+        return out, (x, *hidden)
     return out
 
 
@@ -378,20 +387,34 @@ def query_head(fp: FieldParams, z_grid: np.ndarray, name: str, positions: np.nda
     return head_forward(fp, name, x)
 
 
+# Rows per hidden-layer tile in lattice_head, sized so a tile's input and
+# hidden activations stay in L2. It must stay a power of two >= 16: a row's
+# hidden-layer bits do not depend on its place in the GEMM as long as tiles
+# start on multiples of the BLAS kernel's row unroll.
+_TILE = 2048
+
+
 def lattice_head(fp: FieldParams, z_grid: np.ndarray, name: str, xy: np.ndarray, zs, t: float, chunk: int = 65536) -> np.ndarray:
     """One head on the lattice of (x, y) columns ``xy`` and heights ``zs`` at
     time ``t``, z-major (row k * len(xy) + i is column i at height zs[k]).
     Interpolates each column and encodes each height once, then runs the
     same ``chunk``-row blocks as ``query_head`` on ``chunk``-probe blocks:
-    bit-identical, as BLAS rounds a row by its place in the block."""
+    bit-identical, as BLAS rounds the last layer's rows by their place in
+    the block. The hidden layers run on ``_TILE``-row tiles of a block,
+    whose bits do not depend on the tiling."""
     cfg = fp.config
+    p = fp.params
     feat = interp_grid(z_grid, xy[:, 0], xy[:, 1], cfg)
     ft = fourier_zt(np.asarray(zs, dtype=np.float64), np.full(len(zs), float(t)), cfg)
     out = np.empty((len(zs) * len(xy), cfg.head_out(name)))
+    h2 = np.empty((min(chunk, len(out)), cfg.head_hidden))
     for lo in range(0, len(out), chunk):
-        rows = np.arange(lo, min(lo + chunk, len(out)))
-        x = np.concatenate([feat[rows % len(xy)], ft[rows // len(xy)]], axis=1)
-        out[lo : lo + len(rows)] = head_forward(fp, name, x)
+        n = min(chunk, len(out) - lo)
+        for a in range(0, n, _TILE):
+            rows = np.arange(lo + a, lo + min(a + _TILE, n))
+            x = np.concatenate([feat[rows % len(xy)], ft[rows // len(xy)]], axis=1)
+            _head_hidden(fp, name, x, out=h2[a : a + len(rows)])
+        out[lo : lo + n] = h2[:n] @ p[f"head.{name}.w3"] + p[f"head.{name}.b3"]
     return out
 
 

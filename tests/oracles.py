@@ -409,3 +409,18 @@ def interp_backward_add_at(cache, dfeat, grid_shape):
     np.add.at(dz, (j0 + 1, i0), w10[:, None] * dfeat)
     np.add.at(dz, (j0 + 1, i0 + 1), w11[:, None] * dfeat)
     return dz
+
+
+# ---------------------------------------------------------------------------
+# dense scoring: one head on one whole block of rows, the reference the
+# tiled lattice scoring must match bit for bit
+
+
+def head_block(params, name, x, slope):
+    """A perceptron head on every row of ``x`` at once: two leaky hidden
+    layers written as np.where, then the linear output layer."""
+    h = x
+    for k in (1, 2):
+        pre = h @ params[f"head.{name}.w{k}"] + params[f"head.{name}.b{k}"]
+        h = np.where(pre > 0, pre, slope * pre)
+    return h @ params[f"head.{name}.w3"] + params[f"head.{name}.b3"]

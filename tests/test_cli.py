@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from occ4d import cli
 from occ4d.cli import main
 from occ4d.config import config_digest, load_config, read_manifest
 
@@ -279,6 +280,28 @@ class TestDeterminism:
             )
             manifests.append(read_manifest(base / "data")["files"])
         assert manifests[0] == manifests[1]
+
+
+    def test_genqueries_workers_do_not_change_outputs(self, tmp_path):
+        cfg_path = write_smoke_config(tmp_path)
+        args = ["--config", str(cfg_path)]
+        assert main(["simulate", *args, "--out", str(tmp_path / "data")]) == 0
+        manifests = []
+        for workers in ("1", "2"):
+            out = tmp_path / f"queries_w{workers}"
+            assert main(["genqueries", *args, "--dataset", str(tmp_path / "data"), "--workers", workers, "--out", str(out)]) == 0
+            manifests.append(read_manifest(out)["files"])
+        assert manifests[0] == manifests[1]
+
+    def test_pool_workers_run_one_blas_thread(self):
+        if cli._blas_thread_calls() is None:
+            pytest.skip("numpy's bundled OpenBLAS thread-count symbols are not available")
+        with cli._pool(2) as pool:
+            assert list(pool.map(_blas_threads, range(2))) == [1, 1]
+
+
+def _blas_threads(_):
+    return cli._blas_thread_calls()[0]()
 
 
 class TestEvalEncoderInput:

@@ -290,6 +290,19 @@ class TestEvalGridCenters:
         grid = EvalGrid(step=step)
         assert np.array_equal(grid.centers(), self.unsnapped(grid))
 
+    def test_reversed_axis_rejected(self):
+        with pytest.raises(ValueError, match=r"cells \(16, 160, -10\); each axis needs at least one"):
+            EvalGrid(x=(1.0, -1.0))
+
+    def test_axis_thinner_than_a_cell_rejected(self):
+        with pytest.raises(ValueError, match=r"cells \(0, 160, 160\); each axis needs at least one"):
+            EvalGrid(z=(0.0, 0.05))
+
+    @pytest.mark.parametrize("bad", [{"step": math.nan}, {"step": math.inf}, {"y": (-1.0, math.nan)}])
+    def test_nonfinite_step_or_bound_rejected(self, bad):
+        with pytest.raises(ValueError, match="must be finite"):
+            EvalGrid(**bad)
+
 
 class TestLabeledProbe:
     def test_rejects_nonfinite_score(self):

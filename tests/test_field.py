@@ -31,7 +31,7 @@ from occ4d.field import _leaky
 from occ4d.evaluation import EvalGrid
 from occ4d.queries import EncoderInput, QuerySet
 
-from oracles import interp_backward_add_at
+from oracles import head_block, interp_backward_add_at
 
 SMALL = FieldConfig(
     x_range=(-4.0, 4.0),
@@ -463,13 +463,30 @@ def test_leaky_same_bits_as_where(slope):
 
 
 def chunked_query_head(fp, z_grid, name, positions, t, chunk=65536):
-    """Scores as dense eval computed them probe by probe: query_head on
-    ``chunk``-probe blocks of the z-major lattice."""
+    """Scores as dense eval computed them probe by probe: the whole head on
+    each ``chunk``-probe block of the z-major lattice at once."""
     out = np.empty((len(positions), fp.config.head_out(name)))
     for lo in range(0, len(positions), chunk):
         block = positions[lo : lo + chunk]
-        out[lo : lo + len(block)] = query_head(fp, z_grid, name, block, np.full(len(block), t))
+        x = head_input(z_grid, block, np.full(len(block), t), fp.config)
+        out[lo : lo + len(block)] = head_block(fp.params, name, x, fp.config.leaky_slope)
     return out
+
+
+@pytest.mark.parametrize("mode", [MODE_FIT_PER_SCENE, MODE_AMORTIZED])
+def test_query_head_and_query_field_equal_head_block(mode):
+    fp, z_grid = field_and_grid(mode, seed=6)
+    rng = np.random.default_rng(6)
+    positions = rng.uniform([-17.0, -17.0, -0.4], [17.0, 17.0, 3.0], size=(3001, 3))
+    times = rng.uniform(0.0, 3.0, size=3001)
+    x = head_input(z_grid, positions, times, fp.config)
+    want = {name: head_block(fp.params, name, x, fp.config.leaky_slope) for name in ("occ", "feat", "ego")}
+    for name in want:
+        assert np.array_equal(query_head(fp, z_grid, name, positions, times), want[name])
+    occ, feat, ego = query_field(fp, z_grid, positions, times)
+    assert np.array_equal(occ, want["occ"][:, 0])
+    assert np.array_equal(feat, want["feat"])
+    assert np.array_equal(ego, want["ego"][:, 0])
 
 
 def field_and_grid(mode, seed=3):
@@ -488,6 +505,7 @@ LATTICES = {
     "7x5x3": EvalGrid(x=(-1.4, 0.0), y=(-1.0, 0.0), z=(0.0, 0.6), step=0.2),
     "single-layer": EvalGrid(x=(-3.0, 5.0), y=(-1.0, 1.4), z=(0.0, 0.2), step=0.2),
     "non-square": EvalGrid(x=(-6.0, 4.0), y=(-2.0, 1.2), z=(-0.4, 0.4), step=0.4),
+    "61x47x5": EvalGrid(x=(-6.2, 6.0), y=(-4.6, 4.8), z=(-0.4, 0.6), step=0.2),
 }
 
 
@@ -512,6 +530,22 @@ def test_lattice_head_chunks_across_layers(chunk):
     centers = grid.centers()
     got = lattice_head(fp, z_grid, "feat", centers[:35, :2], centers[::35, 2], 0.6, chunk=chunk)
     assert np.array_equal(got, chunked_query_head(fp, z_grid, "feat", centers, 0.6, chunk=chunk))
+
+
+@pytest.mark.parametrize("mode", [MODE_FIT_PER_SCENE, MODE_AMORTIZED])
+@pytest.mark.parametrize("chunk", [65536, 5001])
+def test_lattice_head_tiles_match_whole_blocks(mode, chunk):
+    """Blocks span several hidden-layer tiles and the lattice ends in a
+    partial tile whose length is no multiple of 8; a chunk of 5001 also
+    ends every block in an odd partial tile."""
+    grid = LATTICES["61x47x5"]
+    assert grid.shape == (5, 47, 61)
+    fp, z_grid = field_and_grid(mode, seed=5)
+    centers = grid.centers()
+    assert len(centers) > field._TILE and len(centers) % chunk % field._TILE % 8
+    for name in ("occ", "ego", "feat"):
+        got = lattice_head(fp, z_grid, name, centers[: 47 * 61, :2], centers[:: 47 * 61, 2], 2.4, chunk=chunk)
+        assert np.array_equal(got, chunked_query_head(fp, z_grid, name, centers, 2.4, chunk=chunk))
 
 
 @pytest.mark.parametrize(
