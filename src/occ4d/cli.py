@@ -79,6 +79,15 @@ def _one_blas_thread():
         calls[1](1)
 
 
+def _blas_threads(pooled: bool = False):
+    """The BLAS thread count a stage's array work ran on, for its manifest:
+    1 in a --workers pool, else this process's; None without the symbols."""
+    calls = _blas_thread_calls()
+    if calls is None:
+        return None
+    return 1 if pooled else calls[0]()
+
+
 def _pool(workers: int):
     return concurrent.futures.ProcessPoolExecutor(max_workers=workers, initializer=_one_blas_thread)
 
@@ -125,38 +134,38 @@ def cmd_simulate(cfg: dict, out_dir, workers: int = 1, force: bool = False) -> i
         for sub in ("scenes", "scans", "images"):
             (tmp / sub).mkdir()
         jobs = [(cfg, str(tmp), i) for i in range(n)]
-        if workers > 1 and n > 1:
+        pooled = workers > 1 and n > 1
+        if pooled:
             with _pool(workers) as pool:
                 list(pool.map(_simulate_scene, jobs))
         else:
             for job in jobs:
                 _simulate_scene(job)
-        write_manifest(tmp, "simulate", digest, {"n_scenes": n})
+        write_manifest(tmp, "simulate", digest, {"n_scenes": n, "blas_threads": _blas_threads(pooled)})
     print(f"simulate: {n} scenes -> {out_dir}")
     return 0
 
 
 def _load_dataset_scene(dataset: Path, cfg: dict, idx: int):
     scene = load_scene_json(dataset / "scenes" / f"scene{idx:03d}.json")
-    past_t, future_t, image_t = _scene_times(cfg)
+    past_t, future_t, _ = _scene_times(cfg)
     past = [load_scan(dataset / "scans" / _scan_name(idx, t)) for t in past_t]
     future = [load_scan(dataset / "scans" / _scan_name(idx, t)) for t in future_t]
-    images = [load_feature_image(dataset / "images" / _scan_name(idx, t)) for t in image_t]
-    return scene, past, future, images
+    return scene, past, future
+
+
+def _load_dataset_images(dataset: Path, cfg: dict, idx: int):
+    _, _, image_t = _scene_times(cfg)
+    return [load_feature_image(dataset / "images" / _scan_name(idx, t)) for t in image_t]
 
 
 def _dataset_scene_indices(dataset: Path):
     return sorted(int(p.stem[5:8]) for p in (dataset / "scenes").glob("scene*.json"))
 
 
-def _fit_dataset_pca(cfg: dict, dataset: Path, indices):
-    pool = []
-    for idx in indices:
-        _, _, image_t = _scene_times(cfg)
-        for t in image_t:
-            img = load_feature_image(dataset / "images" / _scan_name(idx, t))
-            pool.append(img.features.reshape(-1, img.d_raw))
-    vectors = np.concatenate(pool)
+def _fit_dataset_pca(cfg: dict, images):
+    """PCA of the feature vectors of every image of every scene, in order."""
+    vectors = np.concatenate([img.features.reshape(-1, img.d_raw) for scene in images for img in scene])
     subset = cfg["pca"]["fit_subset"]
     if len(vectors) > subset:
         gen = per_ray_rng(cfg["seed"], 0, _PCA_SUBSET_STREAM)
@@ -166,9 +175,9 @@ def _fit_dataset_pca(cfg: dict, dataset: Path, indices):
 
 
 def _genqueries_sample(args):
-    cfg, dataset, out, idx = args
+    cfg, dataset, out, idx, images = args
     dataset, out = Path(dataset), Path(out)
-    scene, past, future, images = _load_dataset_scene(dataset, cfg, idx)
+    scene, past, future = _load_dataset_scene(dataset, cfg, idx)
     pca = load_pca(out / "pca.bin")
     sampler = sampler_from(cfg, seed=cfg["seed"] + idx)
     aug = augment_from(cfg)
@@ -190,10 +199,11 @@ def cmd_genqueries(cfg: dict, dataset_dir, out_dir, workers: int = 1, force: boo
     digest = config_digest(cfg)
     indices = _dataset_scene_indices(dataset)
     with staged_output(out_dir, force) as tmp:
-        pca = _fit_dataset_pca(cfg, dataset, indices)
-        save_pca(pca, tmp / "pca.bin")
-        jobs = [(cfg, str(dataset), str(tmp), i) for i in indices]
-        if workers > 1 and len(jobs) > 1:
+        images = [_load_dataset_images(dataset, cfg, i) for i in indices]
+        save_pca(_fit_dataset_pca(cfg, images), tmp / "pca.bin")
+        jobs = [(cfg, str(dataset), str(tmp), i, imgs) for i, imgs in zip(indices, images)]
+        pooled = workers > 1 and len(jobs) > 1
+        if pooled:
             with _pool(workers) as pool:
                 metas = list(pool.map(_genqueries_sample, jobs))
         else:
@@ -205,7 +215,8 @@ def cmd_genqueries(cfg: dict, dataset_dir, out_dir, workers: int = 1, force: boo
         exhausted = sorted({k for m in metas for k in m["exhausted"]})
         write_manifest(
             tmp, "genqueries", digest,
-            {"n_samples": len(indices), "emitted": emitted, "requested": requested, "exhausted": exhausted},
+            {"n_samples": len(indices), "emitted": emitted, "requested": requested, "exhausted": exhausted,
+             "blas_threads": _blas_threads(pooled)},
         )
     counts = ", ".join(f"{k} {n}/{requested[k]}" if k in requested else f"{k} {n}" for k, n in emitted.items())
     print(f"genqueries: emitted/requested {counts}; short of quota: {', '.join(exhausted) or 'none'}")
@@ -276,7 +287,7 @@ def cmd_train(cfg: dict, queries_dir, out_dir, resume=None, force: bool = False)
             meta={"config_digest": digest, "best_loss": result.best_loss},
         )
         write_loss_csv(result.history, tmp / "loss.csv")
-        write_manifest(tmp, "train", digest, {"steps": result.last_step})
+        write_manifest(tmp, "train", digest, {"steps": result.last_step, "blas_threads": _blas_threads()})
     final = result.history[-1][2] if result.history else math.nan
     print(f"train: {result.last_step} steps, final loss {final:.4f}, best {result.best_loss:.4f} -> {out_dir}")
     return 0

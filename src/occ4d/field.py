@@ -46,8 +46,19 @@ class FieldConfig:
     leaky_slope: float = 0.1
 
     def __post_init__(self):
+        geometry = f"x_range={self.x_range}, y_range={self.y_range}, z_range={self.z_range}, cell={self.cell}"
+        if not all(map(math.isfinite, (*self.x_range, *self.y_range, *self.z_range, self.cell, self.t_max))):
+            raise ValueError(f"field ranges, cell and t_max must be finite: {geometry}, t_max={self.t_max}")
         if self.cell <= 0 or self.channels < 1 or self.head_hidden < 1:
             raise ValueError("invalid field config")
+        if min(self.grid_w, self.grid_h) < 1:
+            raise ValueError(
+                f"field {geometry} has a {self.grid_w} x {self.grid_h} grid; x and y each need at least one cell"
+            )
+        if not self.z_range[0] < self.z_range[1]:
+            raise ValueError(f"field z_range={self.z_range} must run from low to high")
+        if self.t_max <= 0:
+            raise ValueError(f"field t_max must be positive, got {self.t_max}")
         if not 0.0 <= self.leaky_slope <= 1.0:
             raise ValueError("leaky_slope must be in [0, 1]")
 
@@ -163,33 +174,80 @@ def pillar_histogram(enc: EncoderInput, cfg: FieldConfig) -> np.ndarray:
     return out
 
 
-def _conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """3x3 same-padded convolution, (H,W,Cin) x (3,3,Cin,Cout) -> (H,W,Cout)."""
-    h, wd, cin = x.shape
-    xp = np.zeros((h + 2, wd + 2, cin))
+# output rows per block of _shifted_matmuls: a block and its tap product
+# stay in L2 at the default 72x72x32 grid
+_CONV_ROWS = 8
+
+
+# the conv's scratch arrays, kept across calls by name: a fresh array of a
+# megabyte or more costs a page fault per 4 KiB page on every call
+_scratch = {}
+
+
+def _scratch_array(name: str, shape: tuple) -> np.ndarray:
+    """A zero-filled array on first use; later calls get it back as they
+    left it."""
+    buf = _scratch.get(name)
+    if buf is None or buf.shape != shape:
+        buf = _scratch[name] = np.zeros(shape)
+    return buf
+
+
+def _pad(x: np.ndarray) -> np.ndarray:
+    """x inside a one-cell ring of zeros, (H,W,C) -> (H+2,W+2,C)."""
+    xp = np.zeros((x.shape[0] + 2, x.shape[1] + 2, x.shape[2]))
     xp[1:-1, 1:-1] = x
-    out = np.broadcast_to(b, (h, wd, w.shape[3])).copy()
-    for dy in range(3):
-        for dx in range(3):
-            out += xp[dy : dy + h, dx : dx + wd] @ w[dy, dx]
+    return xp
+
+
+def _shifted_matmuls(xp: np.ndarray, taps, out: np.ndarray) -> np.ndarray:
+    """out += xp[i:i+H, j:j+W] @ m for each (i, j, m) of taps, in order.
+
+    Runs _CONV_ROWS rows of out at a time. Each product is the same batch
+    of per-row GEMMs as ``xp[i:i+H, j:j+W] @ m``, so the bits do not depend
+    on the blocking."""
+    h, wd = out.shape[:2]
+    products = _scratch_array("products", (min(h, _CONV_ROWS), wd, out.shape[2]))
+    for r in range(0, h, _CONV_ROWS):
+        acc = out[r : r + _CONV_ROWS]
+        product = products[: len(acc)]
+        for i, j, m in taps:
+            np.matmul(xp[r + i : r + i + len(acc), j : j + wd], m, out=product)
+            acc += product
     return out
 
 
-def _conv2d_backward(x: np.ndarray, w: np.ndarray, dout: np.ndarray):
-    h, wd, cin = x.shape
-    cout = w.shape[3]
-    xp = np.zeros((h + 2, wd + 2, cin))
-    xp[1:-1, 1:-1] = x
-    dw = np.zeros_like(w)
-    dxp = np.zeros_like(xp)
+def _conv2d(xp: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """3x3 same-padded convolution of the zero-padded input,
+    (H+2,W+2,Cin) x (3,3,Cin,Cout) -> (H,W,Cout)."""
+    out = np.broadcast_to(b, (xp.shape[0] - 2, xp.shape[1] - 2, w.shape[3])).copy()
+    return _shifted_matmuls(xp, [(dy, dx, w[dy, dx]) for dy in range(3) for dx in range(3)], out)
+
+
+def _conv2d_backward(xp: np.ndarray, w: np.ndarray, dout: np.ndarray):
+    """Gradients (dw, db, dx) of ``_conv2d(xp, w, b)`` given dout (H,W,Cout).
+
+    dw takes each tap's (H*W, Cin) patch as a row range of one contiguous
+    copy per column shift. dx gathers from the padded dout, adding the taps
+    in (dy, dx) order into zeros; a tap outside dout adds a GEMM's +0.0, so
+    every element gets the same sum as scattering each tap into dx would.
+    The tap weights stay transposed views: BLAS rounds a contiguous copy
+    differently at some shapes."""
+    h, wd = dout.shape[:2]
+    cin, cout = w.shape[2], w.shape[3]
     flat_dout = dout.reshape(-1, cout)
-    for dy in range(3):
-        for dx in range(3):
-            patch = xp[dy : dy + h, dx : dx + wd].reshape(-1, cin)
-            dw[dy, dx] = patch.T @ flat_dout
-            dxp[dy : dy + h, dx : dx + wd] += dout @ w[dy, dx].T
+    dw = np.empty_like(w)
+    cols = _scratch_array("cols", (h + 2, wd, cin))
+    for dx in range(3):
+        np.copyto(cols, xp[:, dx : dx + wd])
+        for dy in range(3):
+            dw[dy, dx] = cols[dy : dy + h].reshape(-1, cin).T @ flat_dout
     db = flat_dout.sum(axis=0)
-    return dw, db, dxp[1:-1, 1:-1]
+    taps = [(2 - dy, 2 - dx, w[dy, dx].T) for dy in range(3) for dx in range(3)]
+    doutp = _scratch_array("doutp", (h + 2, wd + 2, cout))  # only the interior is ever written
+    doutp[1:-1, 1:-1] = dout
+    dxs = _shifted_matmuls(doutp, taps, np.zeros((h, wd, cin)))
+    return dw, db, dxs
 
 
 def _leaky(x: np.ndarray, slope: float, out=None) -> np.ndarray:
@@ -208,12 +266,13 @@ def encode(fp: FieldParams, enc_input: EncoderInput, want_cache: bool = False):
     cfg = fp.config
     p = fp.params
     hist = pillar_histogram(enc_input, cfg)
-    x0 = hist @ p["enc.embed.w"] + p["enc.embed.b"]
-    pre1 = _conv2d(x0, p["enc.conv1.w"], p["enc.conv1.b"])
-    h1 = _leaky(pre1, cfg.leaky_slope)
-    z = _conv2d(h1, p["enc.conv2.w"], p["enc.conv2.b"])
+    xp0 = _pad(hist @ p["enc.embed.w"] + p["enc.embed.b"])
+    pre1 = _conv2d(xp0, p["enc.conv1.w"], p["enc.conv1.b"])
+    hp1 = np.zeros_like(xp0)
+    _leaky(pre1, cfg.leaky_slope, out=hp1[1:-1, 1:-1])
+    z = _conv2d(hp1, p["enc.conv2.w"], p["enc.conv2.b"])
     if want_cache:
-        return z, {"hist": hist, "x0": x0, "pre1": pre1, "h1": h1}
+        return z, {"hist": hist, "xp0": xp0, "pre1": pre1, "hp1": hp1}
     return z
 
 
@@ -221,11 +280,11 @@ def encode_backward(fp: FieldParams, cache: dict, dz: np.ndarray) -> dict:
     cfg = fp.config
     p = fp.params
     grads = {}
-    dw2, db2, dh1 = _conv2d_backward(cache["h1"], p["enc.conv2.w"], dz)
+    dw2, db2, dh1 = _conv2d_backward(cache["hp1"], p["enc.conv2.w"], dz)
     grads["enc.conv2.w"] = dw2
     grads["enc.conv2.b"] = db2
     dpre1 = dh1 * _leaky_grad(cache["pre1"], cfg.leaky_slope)
-    dw1, db1, dx0 = _conv2d_backward(cache["x0"], p["enc.conv1.w"], dpre1)
+    dw1, db1, dx0 = _conv2d_backward(cache["xp0"], p["enc.conv1.w"], dpre1)
     grads["enc.conv1.w"] = dw1
     grads["enc.conv1.b"] = db1
     hist_flat = cache["hist"].reshape(-1, cfg.hist_channels)

@@ -424,3 +424,56 @@ def head_block(params, name, x, slope):
         pre = h @ params[f"head.{name}.w{k}"] + params[f"head.{name}.b{k}"]
         h = np.where(pre > 0, pre, slope * pre)
     return h @ params[f"head.{name}.w3"] + params[f"head.{name}.b3"]
+
+
+# ---------------------------------------------------------------------------
+# encoder conv in scatter form: pad the input inside the conv, copy each
+# tap's patch, and scatter each tap's dx product into a padded gradient
+
+
+def conv2d_scatter(x, w, b):
+    """3x3 same-padded convolution, (H,W,Cin) x (3,3,Cin,Cout) -> (H,W,Cout)."""
+    h, wd, cin = x.shape
+    xp = np.zeros((h + 2, wd + 2, cin))
+    xp[1:-1, 1:-1] = x
+    out = np.broadcast_to(b, (h, wd, w.shape[3])).copy()
+    for dy in range(3):
+        for dx in range(3):
+            out += xp[dy : dy + h, dx : dx + wd] @ w[dy, dx]
+    return out
+
+
+def conv2d_backward_scatter(x, w, dout):
+    """(dw, db, dx) of conv2d_scatter(x, w, b) given dout."""
+    h, wd, cin = x.shape
+    cout = w.shape[3]
+    xp = np.zeros((h + 2, wd + 2, cin))
+    xp[1:-1, 1:-1] = x
+    dw = np.zeros_like(w)
+    dxp = np.zeros_like(xp)
+    flat_dout = dout.reshape(-1, cout)
+    for dy in range(3):
+        for dx in range(3):
+            patch = xp[dy : dy + h, dx : dx + wd].reshape(-1, cin)
+            dw[dy, dx] = patch.T @ flat_dout
+            dxp[dy : dy + h, dx : dx + wd] += dout @ w[dy, dx].T
+    db = flat_dout.sum(axis=0)
+    return dw, db, dxp[1:-1, 1:-1]
+
+
+def encoder_scatter(params, hist, dz, slope):
+    """The encoder's output Z for pillar histogram ``hist`` and the
+    gradients of its parameters given dZ, through the scatter-form conv."""
+    x0 = hist @ params["enc.embed.w"] + params["enc.embed.b"]
+    pre1 = conv2d_scatter(x0, params["enc.conv1.w"], params["enc.conv1.b"])
+    h1 = np.where(pre1 > 0, pre1, slope * pre1)
+    z = conv2d_scatter(h1, params["enc.conv2.w"], params["enc.conv2.b"])
+    grads = {}
+    grads["enc.conv2.w"], grads["enc.conv2.b"], dh1 = conv2d_backward_scatter(h1, params["enc.conv2.w"], dz)
+    dpre1 = dh1 * np.where(pre1 > 0, 1.0, slope)
+    grads["enc.conv1.w"], grads["enc.conv1.b"], dx0 = conv2d_backward_scatter(x0, params["enc.conv1.w"], dpre1)
+    hist_flat = hist.reshape(-1, hist.shape[2])
+    dx0_flat = dx0.reshape(-1, dx0.shape[2])
+    grads["enc.embed.w"] = hist_flat.T @ dx0_flat
+    grads["enc.embed.b"] = dx0_flat.sum(axis=0)
+    return z, grads

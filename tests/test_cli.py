@@ -113,6 +113,24 @@ class TestPipeline:
         assert man["exhausted"] == sorted({k for m in metas for k in m["exhausted"]})
         assert not any(f["path"] == "manifest.json" for f in man["files"])
 
+    def test_manifests_record_blas_threads_outside_files(self, pipeline):
+        root, _ = pipeline
+        calls = cli._blas_thread_calls()
+        for stage in ("data", "queries", "run"):
+            man = read_manifest(root / stage)
+            assert man["blas_threads"] == (None if calls is None else calls[0]())
+            assert all(set(entry) == {"path", "bytes", "sha256"} for entry in man["files"])
+
+    def test_genqueries_reads_each_feature_image_once(self, pipeline, tmp_path, monkeypatch):
+        root, cfg_path = pipeline
+        real, paths = cli.load_feature_image, []
+        monkeypatch.setattr(cli, "load_feature_image", lambda path: paths.append(path) or real(path))
+        args = ["--config", str(cfg_path), "--dataset", str(root / "data"), "--out", str(tmp_path / "q")]
+        assert main(["genqueries", *args]) == 0
+        suite = load_config(cfg_path)["suite"]
+        assert len(paths) == len(set(paths)) == suite["n_scenes"] * len(suite["image_times"])
+        assert read_manifest(tmp_path / "q")["files"] == read_manifest(root / "queries")["files"]
+
     def test_train_on_truncated_sample_fails_cleanly(self, pipeline, tmp_path, capsys):
         root, cfg_path = pipeline
         queries = tmp_path / "queries"
@@ -292,6 +310,25 @@ class TestDeterminism:
             assert main(["genqueries", *args, "--dataset", str(tmp_path / "data"), "--workers", workers, "--out", str(out)]) == 0
             manifests.append(read_manifest(out)["files"])
         assert manifests[0] == manifests[1]
+
+    def test_blas_threads_do_not_change_files(self, tmp_path):
+        calls = cli._blas_thread_calls()
+        if calls is None:
+            pytest.skip("numpy's bundled OpenBLAS thread-count symbols are not available")
+        cfg_path = write_smoke_config(tmp_path)
+        args = ["--config", str(cfg_path)]
+        assert main(["simulate", *args, "--out", str(tmp_path / "data")]) == 0
+        before, manifests = calls[0](), []
+        try:
+            for threads in (1, 2):
+                calls[1](threads)
+                out = tmp_path / f"queries_t{threads}"
+                assert main(["genqueries", *args, "--dataset", str(tmp_path / "data"), "--out", str(out)]) == 0
+                manifests.append(read_manifest(out))
+        finally:
+            calls[1](before)
+        assert [m["blas_threads"] for m in manifests] == [1, 2]
+        assert manifests[0]["files"] == manifests[1]["files"]
 
     def test_pool_workers_run_one_blas_thread(self):
         if cli._blas_thread_calls() is None:

@@ -12,6 +12,7 @@ from occ4d.field import (
     MODE_FIT_PER_SCENE,
     OutOfRegionError,
     encode,
+    encode_backward,
     fourier_zt,
     head_forward,
     head_input,
@@ -27,11 +28,11 @@ from occ4d.field import (
     query_input_grads,
     sigmoid,
 )
-from occ4d.field import _leaky
+from occ4d.field import _conv2d, _conv2d_backward, _leaky, _pad
 from occ4d.evaluation import EvalGrid
 from occ4d.queries import EncoderInput, QuerySet
 
-from oracles import head_block, interp_backward_add_at
+from oracles import conv2d_backward_scatter, conv2d_scatter, encoder_scatter, head_block, interp_backward_add_at
 
 SMALL = FieldConfig(
     x_range=(-4.0, 4.0),
@@ -135,6 +136,85 @@ class TestEncoder:
         enc = EncoderInput([np.array([[99.0, 0.0, 1.0]]), np.zeros((0, 3))], [-0.5, 0.0])
         hist = pillar_histogram(enc, SMALL)
         assert hist.sum() == 0.0
+
+
+def same_bits(a, b):
+    """Equal shapes and equal uint64 views: equal values, signs of zero
+    (np.signbit) included."""
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+@pytest.mark.parametrize("h, w, cin, cout", [(72, 72, 32, 32), (9, 7, 16, 32), (9, 7, 5, 3), (7, 9, 3, 5), (5, 1, 4, 4), (1, 1, 2, 3)])
+@pytest.mark.parametrize("zero_rows", [0.0, 0.6])
+def test_conv_same_bits_as_scatter_form(h, w, cin, cout, zero_rows):
+    # zero_rows zeroes whole cells of dout, as the sparse dZ that conv2's
+    # backward gets from the interpolation; some entries are -0.0
+    rng = np.random.default_rng(h * 100 + w)
+    x = rng.normal(size=(h, w, cin))
+    x[rng.uniform(size=x.shape) < 0.1] = -0.0
+    wt, b = rng.normal(size=(3, 3, cin, cout)), rng.normal(size=cout)
+    dout = rng.normal(size=(h, w, cout))
+    dout[rng.uniform(size=(h, w)) < zero_rows] = 0.0
+    dout[rng.uniform(size=dout.shape) < 0.1] = -0.0
+    assert same_bits(_conv2d(_pad(x), wt, b), conv2d_scatter(x, wt, b))
+    for _ in range(2):  # the second call reuses the conv's scratch arrays
+        got = _conv2d_backward(_pad(x), wt, dout)
+        for g, want in zip(got, conv2d_backward_scatter(x, wt, dout)):
+            assert same_bits(g, want)
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [SMALL, FieldConfig(x_range=(-4.0, 4.0), y_range=(-2.0, 3.5), cell=0.5, channels=5), FieldConfig()],
+    ids=["small", "non-square", "default-72x72x32"],
+)
+def test_encoder_same_bits_as_scatter_form(cfg):
+    rng = np.random.default_rng(8)
+    fp = init_params(cfg, seed=4, mode=MODE_AMORTIZED)
+    for name in ("enc.embed.b", "enc.conv1.b", "enc.conv2.b"):
+        fp.params[name] = rng.normal(size=fp.params[name].shape)
+    enc = random_enc_input(rng, cfg, n=400)
+    z, cache = encode(fp, enc, want_cache=True)
+    dz = rng.normal(size=z.shape)
+    dz[rng.uniform(size=z.shape[:2]) < 0.6] = 0.0
+    want_z, want = encoder_scatter(fp.params, pillar_histogram(enc, cfg), dz, cfg.leaky_slope)
+    assert same_bits(z, want_z)
+    got = encode_backward(fp, cache, dz)
+    assert got.keys() == want.keys()
+    for name in want:
+        assert same_bits(got[name], want[name]), name
+
+
+class TestFieldConfigGeometry:
+    def test_reversed_x_range_rejected(self):
+        with pytest.raises(ValueError, match=r"a -72 x 72 grid; x and y each need at least one cell"):
+            FieldConfig(x_range=(18.0, -18.0))
+
+    def test_range_thinner_than_a_cell_rejected(self):
+        with pytest.raises(ValueError, match=r"a 72 x 0 grid; x and y each need at least one cell"):
+            FieldConfig(y_range=(0.0, 0.2))
+
+    @pytest.mark.parametrize(
+        "bad", [{"cell": math.nan}, {"x_range": (-18.0, math.inf)}, {"z_range": (math.nan, 3.0)}, {"t_max": math.inf}]
+    )
+    def test_nonfinite_geometry_rejected(self, bad):
+        with pytest.raises(ValueError, match="must be finite"):
+            FieldConfig(**bad)
+
+    @pytest.mark.parametrize("z_range", [(3.0, -0.4), (1.0, 1.0)])
+    def test_reversed_z_range_rejected(self, z_range):
+        with pytest.raises(ValueError, match="must run from low to high"):
+            FieldConfig(z_range=z_range)
+
+    @pytest.mark.parametrize("t_max", [0.0, -3.0])
+    def test_nonpositive_t_max_rejected(self, t_max):
+        with pytest.raises(ValueError, match="t_max must be positive"):
+            FieldConfig(t_max=t_max)
+
+    def test_one_cell_grid_accepted(self):
+        cfg = FieldConfig(x_range=(0.0, 0.5), y_range=(-0.5, 0.0))
+        assert (cfg.grid_w, cfg.grid_h) == (1, 1)
 
 
 class TestQuery:
