@@ -21,12 +21,18 @@ encoder-input  points0, points1, ... <f8 (n_i, 3); rel_times <f8 (k,)
 checkpoint     one <f8 member per parameter, then ``adam.m.<name>`` and
                ``adam.v.<name>`` moments; meta mode, step, field_config, meta
 =============  ==========================================================
+
+``to_json`` and ``from_json`` map a dataclass to and from a JSON object, for
+the checkpoint's field config, the run config's sections and the scene
+file's sensors; this module imports nothing else from occ4d, so each of
+those modules can use them.
 """
 
 from __future__ import annotations
 
 import json
 import zipfile
+from dataclasses import asdict
 
 import numpy as np
 
@@ -61,3 +67,15 @@ def load(path, kind: str):
         found = f"{meta.get('kind')} format {meta.get('version')}"
         raise ValueError(f"{path}: not an occ4d {kind} file (format {VERSION}); it holds {found}")
     return meta, arrays
+
+
+def to_json(obj) -> dict:
+    """A dataclass instance as a JSON object: nested dataclasses become
+    objects and tuples become lists."""
+    return json.loads(json.dumps(asdict(obj)))
+
+
+def from_json(cls, doc: dict, **extra):
+    """A ``cls`` with the fields of the JSON object ``doc``, JSON lists as
+    tuples, and the fields in ``extra``; absent fields keep their defaults."""
+    return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in doc.items()}, **extra)

@@ -224,13 +224,11 @@ def cmd_genqueries(cfg: dict, dataset_dir, out_dir, workers: int = 1, force: boo
     return 0
 
 
-def _load_samples(queries_dir: Path, limit: int | None = None):
+def _load_samples(queries_dir: Path):
     samples = []
-    paths = sorted(queries_dir.glob("sample*.bin"))
-    paths = [p for p in paths if not p.name.endswith(".enc.bin")]
-    if limit is not None:
-        paths = paths[:limit]
-    for p in paths:
+    for p in sorted(queries_dir.glob("sample*.bin")):
+        if p.name.endswith(".enc.bin"):
+            continue
         qs = load_queryset(p)
         enc_path = p.parent / (p.stem + ".enc.bin")
         enc = load_encoder_input(enc_path) if enc_path.exists() else None

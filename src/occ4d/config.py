@@ -7,19 +7,32 @@ not match its own config unless forced.
 
 from __future__ import annotations
 
+import contextlib
 import copy
 import hashlib
 import json
+import math
 import os
+import shutil
+from dataclasses import fields
 from pathlib import Path
 
+from .artifact import from_json, to_json
 from .evaluation import PAST_OFFSETS, EvalGrid
 from .field import FieldConfig
 from .geom import AugmentConfig
 from .queries import Roi4, SamplerConfig
 from .training import TrainConfig
 
-import math
+
+def _section(cls, *leave_out: str) -> dict:
+    """The defaults of dataclass ``cls`` as a config section, without the
+    fields named in ``leave_out`` (set from other sections)."""
+    doc = to_json(cls())
+    for name in leave_out:
+        del doc[name]
+    return doc
+
 
 DEFAULT_CONFIG = {
     "seed": 0,
@@ -39,20 +52,8 @@ DEFAULT_CONFIG = {
         "image_times": [0.0, 0.6, 1.2, 1.8, 2.4, 3.0],
     },
     "pca": {"d": 16, "fit_subset": 50000},
-    "sampler": {
-        "delta": 0.1,
-        "n_occ_pos": 9000,
-        "n_occ_neg": 9000,
-        "n_feat": 1000,
-        "n_ego_pos": 100,
-        "n_ego_neg": 100,
-        "w_ego": 1.0,
-        "jitter_tau": 1.0,
-        "missing_ray_min_run": 5,
-        "missing_ray_samples_per_ray": 2,
-        "depth_tol": 0.2,
-        "roi": {"x": [-14.0, 14.0], "y": [-14.0, 14.0], "z": [-0.4, 3.0], "t_max": 3.0},
-    },
+    "sampler": _section(SamplerConfig, "seed"),
+    # in degrees, where AugmentConfig holds radians: see augment_from
     "augment": {
         "theta_min_deg": -20.0,
         "theta_max_deg": 20.0,
@@ -60,42 +61,9 @@ DEFAULT_CONFIG = {
         "jitter_enabled": False,
         "jitter_tau": 1.0,
     },
-    "field": {
-        "x_range": [-18.0, 18.0],
-        "y_range": [-18.0, 18.0],
-        "cell": 0.5,
-        "channels": 32,
-        "z_range": [-0.4, 3.0],
-        "t_max": 3.0,
-        "n_freqs": 4,
-        "head_hidden": 64,
-        "k_past": 3,
-        "leaky_slope": 0.1,
-    },
-    "train": {
-        "lambda_occ": 1.0,
-        "lambda_dino": 0.5,
-        "lambda_ego": 0.1,
-        "lr_max": 4e-4,
-        "warmup_steps": 100,
-        "total_steps": 2000,
-        "batch_occ": 512,
-        "batch_feat": 128,
-        "batch_ego": 64,
-        "mode": "amortized",
-        "freeze_encoder": False,
-        "per_term_average": True,
-    },
-    "eval": {
-        "x": [-16.0, 16.0],
-        "y": [-16.0, 16.0],
-        "z": [-0.4, 2.8],
-        "step": 0.2,
-        "times": [0.6, 1.2, 1.8, 2.4, 3.0],
-        "raytrace": True,
-        "ego_bev_step": 0.5,
-        "thresholds": {},
-    },
+    "field": _section(FieldConfig, "d_feat"),
+    "train": _section(TrainConfig, "seed"),
+    "eval": {**_section(EvalGrid), "raytrace": True, "ego_bev_step": 0.5, "thresholds": {}},
     "scaling": {"sample_counts": [1, 4, 16, 64], "seeds": [0], "total_steps": 800, "warmup_steps": 50},
 }
 
@@ -137,15 +105,9 @@ def config_digest(cfg: dict) -> str:
     return hashlib.sha256(canonical_json(cfg).encode()).hexdigest()
 
 
-def _tuples(section: dict) -> dict:
-    """A config section as dataclass keyword arguments: JSON lists become tuples."""
-    return {k: tuple(v) if isinstance(v, list) else v for k, v in section.items()}
-
-
 def sampler_from(cfg: dict, seed: int | None = None) -> SamplerConfig:
-    s = _tuples(cfg["sampler"])
-    s["roi"] = Roi4(**_tuples(cfg["sampler"]["roi"]))
-    return SamplerConfig(**s, seed=cfg["seed"] if seed is None else seed)
+    s = cfg["sampler"]
+    return from_json(SamplerConfig, {**s, "roi": from_json(Roi4, s["roi"])}, seed=cfg["seed"] if seed is None else seed)
 
 
 def augment_from(cfg: dict) -> AugmentConfig:
@@ -160,18 +122,15 @@ def augment_from(cfg: dict) -> AugmentConfig:
 
 
 def field_from(cfg: dict) -> FieldConfig:
-    return FieldConfig(**_tuples(cfg["field"]), d_feat=cfg["pca"]["d"])
+    return from_json(FieldConfig, cfg["field"], d_feat=cfg["pca"]["d"])
 
 
 def train_from(cfg: dict, seed: int | None = None, **overrides) -> TrainConfig:
-    return TrainConfig(**{**cfg["train"], **overrides}, seed=cfg["seed"] if seed is None else seed)
+    return from_json(TrainConfig, {**cfg["train"], **overrides}, seed=cfg["seed"] if seed is None else seed)
 
 
 def evalgrid_from(cfg: dict) -> EvalGrid:
-    e = cfg["eval"]
-    return EvalGrid(
-        x=tuple(e["x"]), y=tuple(e["y"]), z=tuple(e["z"]), step=e["step"], times=tuple(e["times"])
-    )
+    return from_json(EvalGrid, {f.name: cfg["eval"][f.name] for f in fields(EvalGrid)})
 
 
 # ---------------------------------------------------------------------------
@@ -213,10 +172,6 @@ def write_manifest(out_dir, stage: str, digest: str, extra: dict | None = None) 
 def read_manifest(out_dir) -> dict:
     with open(Path(out_dir) / "manifest.json") as f:
         return json.load(f)
-
-
-import contextlib
-import shutil
 
 
 @contextlib.contextmanager

@@ -67,21 +67,6 @@ class EvalGrid:
         return np.stack([xg.ravel(), yg.ravel(), zg.ravel()], axis=1)
 
 
-@dataclass
-class LabeledProbe:
-    """One evaluation probe: 4D query, {occupied, free, unknown} label, and
-    the model score in [0, 1]."""
-
-    position: np.ndarray
-    time: float
-    label: int
-    score: float
-
-    def __post_init__(self):
-        if not math.isfinite(self.score):
-            raise ValueError("probe score must be finite")
-
-
 def traverse_voxels(p0: np.ndarray, p1: np.ndarray, grid: EvalGrid):
     """Voxel indices (iz, iy, ix) crossed by the segment p0 -> p1, via the
     incremental grid-stepping march: the per-ray reference of march_voxels."""

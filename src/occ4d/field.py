@@ -312,20 +312,6 @@ def fourier_zt(z: np.ndarray, t: np.ndarray, cfg: FieldConfig) -> np.ndarray:
     return np.stack(cols, axis=-1)
 
 
-def fourier_zt_grads(z: np.ndarray, t: np.ndarray, cfg: FieldConfig):
-    """(d features / dz, d features / dt), same column order as fourier_zt."""
-    sz = cfg.z_range[1] - cfg.z_range[0]
-    uz = (np.asarray(z, dtype=np.float64) - cfg.z_range[0]) / sz
-    ut = np.asarray(t, dtype=np.float64) / cfg.t_max
-    dz_cols, dt_cols = [], []
-    zero = np.zeros_like(uz)
-    for k in range(cfg.n_freqs):
-        w = 2.0 * math.pi * (2.0 ** k)
-        dz_cols += [w / sz * np.cos(w * uz), -w / sz * np.sin(w * uz), zero, zero]
-        dt_cols += [zero, zero, w / cfg.t_max * np.cos(w * ut), -w / cfg.t_max * np.sin(w * ut)]
-    return np.stack(dz_cols, axis=-1), np.stack(dt_cols, axis=-1)
-
-
 def _interp_setup(z_grid: np.ndarray, x: np.ndarray, y: np.ndarray, cfg: FieldConfig):
     if np.any(x < cfg.x_range[0]) or np.any(x > cfg.x_range[1]) or np.any(y < cfg.y_range[0]) or np.any(y > cfg.y_range[1]):
         raise OutOfRegionError("query position outside the field's x-y region")
@@ -431,15 +417,6 @@ def head_input(z_grid: np.ndarray, positions: np.ndarray, times: np.ndarray, cfg
     return x
 
 
-def query_field(fp: FieldParams, z_grid: np.ndarray, positions: np.ndarray, times: np.ndarray):
-    """(occ_logit, feat, ego_logit) at continuous 4D points."""
-    x = head_input(z_grid, np.atleast_2d(positions), np.asarray(times, dtype=np.float64), fp.config)
-    occ = head_forward(fp, "occ", x)[:, 0]
-    feat = head_forward(fp, "feat", x)
-    ego = head_forward(fp, "ego", x)[:, 0]
-    return occ, feat, ego
-
-
 def query_head(fp: FieldParams, z_grid: np.ndarray, name: str, positions: np.ndarray, times: np.ndarray):
     """One head only; the occupancy fast path for dense evaluation."""
     x = head_input(z_grid, np.atleast_2d(positions), np.asarray(times, dtype=np.float64), fp.config)
@@ -475,26 +452,6 @@ def lattice_head(fp: FieldParams, z_grid: np.ndarray, name: str, xy: np.ndarray,
             _head_hidden(fp, name, x, out=h2[a : a + len(rows)])
         out[lo : lo + n] = h2[:n] @ p[f"head.{name}.w3"] + p[f"head.{name}.b3"]
     return out
-
-
-def query_input_grads(fp: FieldParams, z_grid: np.ndarray, name: str, positions: np.ndarray, times: np.ndarray):
-    """Analytic d(head output)/d(z, t) per query, for gradient checks."""
-    positions = np.atleast_2d(positions)
-    times = np.asarray(times, dtype=np.float64)
-    x, _ = head_input(z_grid, positions, times, fp.config, want_cache=True)
-    out, cache = head_forward(fp, name, x, want_cache=True)
-    n_out = out.shape[1]
-    cfg = fp.config
-    dfz, dft = fourier_zt_grads(positions[:, 2], times, cfg)
-    dz_out = np.zeros((len(positions), n_out))
-    dt_out = np.zeros((len(positions), n_out))
-    for j in range(n_out):
-        dout = np.zeros_like(out)
-        dout[:, j] = 1.0
-        _, dx = head_backward(fp, name, cache, dout)
-        dz_out[:, j] = np.sum(dx[:, cfg.channels :] * dfz, axis=1)
-        dt_out[:, j] = np.sum(dx[:, cfg.channels :] * dft, axis=1)
-    return out, dz_out, dt_out
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,8 @@
 """Principal-component reduction of raw feature vectors.
 
-The eigendecomposition is a cyclic Jacobi sweep over the covariance matrix
-(vectorized row/column rotations), which keeps the fit deterministic and
-dependency-free; tests check it against a dense eigensolver oracle.
+The fit takes the eigendecomposition of the sample covariance from LAPACK's
+symmetric solver (``np.linalg.eigh``) and fixes each component's sign, so it
+is deterministic given the samples and their order.
 """
 
 from __future__ import annotations
@@ -50,45 +50,6 @@ class PcaModel:
         return self.components.shape[1]
 
 
-def jacobi_eigh(a: np.ndarray, tol: float = 1e-13, max_sweeps: int = 60):
-    """Eigendecomposition of a symmetric matrix by cyclic Jacobi rotations.
-
-    Returns (eigenvalues, eigenvectors) with eigenvalues in descending order
-    and eigenvectors as columns.
-    """
-    a = np.array(a, dtype=np.float64)
-    n = a.shape[0]
-    if a.shape != (n, n) or np.abs(a - a.T).max() > 1e-10 * max(1.0, np.abs(a).max()):
-        raise ValueError("jacobi_eigh needs a symmetric square matrix")
-    v = np.eye(n)
-    scale = max(np.abs(a).max(), 1e-300)
-    for _ in range(max_sweeps):
-        off = np.sqrt(np.sum(np.tril(a, -1) ** 2) * 2.0)
-        if off <= tol * scale * n:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= 1e-300:
-                    continue
-                theta = 0.5 * (a[q, q] - a[p, p]) / apq
-                t = np.sign(theta) / (abs(theta) + np.sqrt(1.0 + theta * theta)) if theta != 0 else 1.0
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c
-                rot_p = c * a[:, p] - s * a[:, q]
-                rot_q = s * a[:, p] + c * a[:, q]
-                a[:, p], a[:, q] = rot_p, rot_q
-                rot_p = c * a[p, :] - s * a[q, :]
-                rot_q = s * a[p, :] + c * a[q, :]
-                a[p, :], a[q, :] = rot_p, rot_q
-                rot_p = c * v[:, p] - s * v[:, q]
-                rot_q = s * v[:, p] + c * v[:, q]
-                v[:, p], v[:, q] = rot_p, rot_q
-    eigvals = np.diag(a).copy()
-    order = np.argsort(eigvals)[::-1]
-    return eigvals[order], v[:, order]
-
-
 def fit_pca(samples: np.ndarray, d: int) -> PcaModel:
     """Fit the top-d components of the sample covariance.
 
@@ -106,8 +67,8 @@ def fit_pca(samples: np.ndarray, d: int) -> PcaModel:
     mean = x.mean(axis=0)
     centered = x - mean
     cov = centered.T @ centered / (n - 1)
-    eigvals, eigvecs = jacobi_eigh(cov)
-    eigvals = np.maximum(eigvals, 0.0)
+    eigvals, eigvecs = np.linalg.eigh(cov)
+    eigvals, eigvecs = np.maximum(eigvals[::-1], 0.0), eigvecs[:, ::-1]
     rank = int(np.sum(eigvals > max(eigvals[0], 1e-300) * 1e-12))
     if rank < d:
         raise RankDeficiencyError(rank, d)

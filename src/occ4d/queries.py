@@ -422,20 +422,16 @@ def gen_feature_queries(
     pca: PcaModel,
     cfg: SamplerConfig,
     scan_stream: int = 0,
-    cap: int | None = -1,
 ) -> QuerySet:
     """Feature-regression queries for visible hit points.
 
     Hits are projected into the image closest in time; a per-pixel minimum
     depth buffer over all candidates drops occluded points; survivors get a
     position in the (0, delta) buffer behind the hit and the pixel feature
-    projected to the PCA basis as target. ``cap=-1`` means cfg.n_feat;
-    ``cap=None`` disables subsampling (used by assemble_sample, which
-    subsamples across scans)."""
+    projected to the PCA basis as target. Every survivor is kept:
+    assemble_sample caps the feature queries across scans."""
     if not images:
         raise ValueError("images must be non-empty")
-    if cap is not None and cap < 0:
-        cap = cfg.n_feat
     img = closest_image(images, float(scan.times[0]))
     hits = scan.hit_indices
     endpoints = scan.endpoints()[hits]
@@ -453,14 +449,9 @@ def gen_feature_queries(
     if n == 0:
         return QuerySet.empty(d)
     targets = [project(pca, img.features[v[j], u[j]]) for j in vis[idx]]
-    qs = QuerySet(
+    return QuerySet(
         np.full(n, TAG_FEATURE, np.uint8), scan.times[rays[idx]], pos, np.zeros(n, np.uint8), np.array(targets), d,
     )
-    if cap is not None and qs.n > cap:
-        gen = per_ray_rng(cfg.seed, scan_stream, _stream(_PURPOSE_SUBSAMPLE, 0))
-        keep = np.sort(gen.choice(qs.n, size=cap, replace=False))
-        qs = QuerySet(qs.tags[keep], qs.times[keep], qs.positions[keep], qs.labels[keep], qs.feats[keep], d)
-    return qs
 
 
 def _segments_dist_xy(q: np.ndarray, verts: np.ndarray) -> np.ndarray:
@@ -580,9 +571,6 @@ class EncoderInput:
     point_sets: list          # one (n_i, 3) array per past scan
     rel_times: list           # seconds relative to t0, non-positive
 
-    def total_points(self) -> int:
-        return int(sum(len(p) for p in self.point_sets))
-
 
 @dataclass
 class SampleMeta:
@@ -639,7 +627,7 @@ def assemble_sample(
         parts[TAG_RAY_POS].append(gen_occupancy_positives(scan, cfg, pos_split[si], si))
         parts[TAG_MISSING_RAY].append(gen_missing_ray_negatives(scan, cfg, si))
         if pca is not None and rel_images and cfg.n_feat > 0:
-            parts[TAG_FEATURE].append(gen_feature_queries(scan, rel_images, pca, cfg, si, cap=None))
+            parts[TAG_FEATURE].append(gen_feature_queries(scan, rel_images, pca, cfg, si))
 
     d = pca.d if pca is not None else 0
     feature_all = QuerySet.concat(parts[TAG_FEATURE], d) if parts[TAG_FEATURE] else QuerySet.empty(d)

@@ -10,12 +10,12 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
 from . import artifact
-from .geom import Pose, per_ray_rng, yaw_matrix
+from .geom import Pose, compose, per_ray_rng, yaw_matrix
 
 GROUND_CLASS = 0
 SKY_CLASS = 255
@@ -346,17 +346,11 @@ def cast_rays(scene: Scene, origins: np.ndarray, dirs: np.ndarray, t: float, max
 
 
 def lidar_pose_at(scene: Scene, t: float) -> Pose:
-    ego = ego_pose_at(scene, t)
-    from .geom import compose
-
-    return compose(ego, Pose(np.eye(3), np.asarray(scene.rig.lidar_offset)))
+    return compose(ego_pose_at(scene, t), Pose(np.eye(3), np.asarray(scene.rig.lidar_offset)))
 
 
 def camera_pose_at(scene: Scene, t: float) -> Pose:
-    ego = ego_pose_at(scene, t)
-    from .geom import compose
-
-    return compose(ego, Pose(CAMERA_IN_EGO, np.asarray(scene.rig.camera_offset)))
+    return compose(ego_pose_at(scene, t), Pose(CAMERA_IN_EGO, np.asarray(scene.rig.camera_offset)))
 
 
 def cast_lidar_scan(scene: Scene, sensor_pose: Pose, pattern: ScanPattern, t: float) -> LidarScan:
@@ -531,28 +525,39 @@ def random_scene(seed: int, n_boxes=(3, 6), speed_max=2.5, ego_speed=(2.0, 3.5),
 # ---------------------------------------------------------------------------
 # JSON scene configs
 
+
+def _json_schema(value) -> dict:
+    """The JSON type of a sensor field, from its default: int, float or a
+    fixed-length tuple of numbers."""
+    if isinstance(value, tuple):
+        return {"type": "array", "items": {"type": "number"}, "minItems": len(value), "maxItems": len(value)}
+    return {"type": "integer" if isinstance(value, int) else "number"}
+
+
+_VEC3 = _json_schema((0.0, 0.0, 0.0))
+
+
+def _sensor_schema(cls) -> dict:
+    """A sensor's JSON object: the fields of ``cls`` plus its 3-vector mounting offset."""
+    props = {f.name: _json_schema(f.default) for f in fields(cls)}
+    return {"type": "object", "properties": {**props, "offset": _VEC3}, "additionalProperties": False}
+
+
 SCENE_SCHEMA = {
     "type": "object",
     "required": ["ground_z", "boxes", "ego_track", "bounds"],
     "properties": {
         "ground_z": {"type": "number"},
-        "bounds": {
-            "type": "object",
-            "required": ["lo", "hi"],
-            "properties": {
-                "lo": {"type": "array", "items": {"type": "number"}, "minItems": 3, "maxItems": 3},
-                "hi": {"type": "array", "items": {"type": "number"}, "minItems": 3, "maxItems": 3},
-            },
-        },
+        "bounds": {"type": "object", "required": ["lo", "hi"], "properties": {"lo": _VEC3, "hi": _VEC3}},
         "boxes": {
             "type": "array",
             "items": {
                 "type": "object",
                 "required": ["center", "half_extents", "velocity"],
                 "properties": {
-                    "center": {"type": "array", "items": {"type": "number"}, "minItems": 3, "maxItems": 3},
-                    "half_extents": {"type": "array", "items": {"type": "number"}, "minItems": 3, "maxItems": 3},
-                    "velocity": {"type": "array", "items": {"type": "number"}, "minItems": 3, "maxItems": 3},
+                    "center": _VEC3,
+                    "half_extents": _VEC3,
+                    "velocity": _VEC3,
                     "yaw": {"type": "number"},
                     "class_id": {"type": "integer", "minimum": 1},
                 },
@@ -564,14 +569,13 @@ SCENE_SCHEMA = {
             "items": {
                 "type": "object",
                 "required": ["t", "position", "yaw"],
-                "properties": {
-                    "t": {"type": "number"},
-                    "position": {"type": "array", "items": {"type": "number"}, "minItems": 3, "maxItems": 3},
-                    "yaw": {"type": "number"},
-                },
+                "properties": {"t": {"type": "number"}, "position": _VEC3, "yaw": {"type": "number"}},
             },
         },
-        "sensors": {"type": "object"},
+        "sensors": {
+            "type": "object",
+            "properties": {"lidar": _sensor_schema(ScanPattern), "camera": _sensor_schema(CameraIntrinsics)},
+        },
     },
 }
 
@@ -596,23 +600,8 @@ def scene_to_dict(scene: Scene) -> dict:
             for t, p, y in zip(scene.ego_times, scene.ego_positions, scene.ego_yaws)
         ],
         "sensors": {
-            "lidar": {
-                "az_count": rig.lidar_pattern.az_count,
-                "el_count": rig.lidar_pattern.el_count,
-                "az_extent": list(rig.lidar_pattern.az_extent),
-                "el_extent": list(rig.lidar_pattern.el_extent),
-                "max_range": rig.lidar_pattern.max_range,
-                "offset": list(rig.lidar_offset),
-            },
-            "camera": {
-                "width": rig.camera.width,
-                "height": rig.camera.height,
-                "fx": rig.camera.fx,
-                "fy": rig.camera.fy,
-                "cx": rig.camera.cx,
-                "cy": rig.camera.cy,
-                "offset": list(rig.camera_offset),
-            },
+            "lidar": {**artifact.to_json(rig.lidar_pattern), "offset": list(rig.lidar_offset)},
+            "camera": {**artifact.to_json(rig.camera), "offset": list(rig.camera_offset)},
         },
     }
 
@@ -628,25 +617,11 @@ def scene_from_dict(doc: dict) -> Scene:
     sensors = doc.get("sensors", {})
     lid = sensors.get("lidar", {})
     cam = sensors.get("camera", {})
-    pattern = ScanPattern(
-        az_count=lid.get("az_count", 64),
-        el_count=lid.get("el_count", 24),
-        az_extent=tuple(lid.get("az_extent", (-math.pi, math.pi))),
-        el_extent=tuple(lid.get("el_extent", (-0.35, 0.14))),
-        max_range=lid.get("max_range", 40.0),
-    )
     rig = SensorRig(
-        lidar_pattern=pattern,
-        lidar_offset=tuple(lid.get("offset", (0.0, 0.0, 1.8))),
-        camera=CameraIntrinsics(
-            width=cam.get("width", 48),
-            height=cam.get("height", 32),
-            fx=cam.get("fx", 34.3),
-            fy=cam.get("fy", 34.3),
-            cx=cam.get("cx", 24.0),
-            cy=cam.get("cy", 16.0),
-        ),
-        camera_offset=tuple(cam.get("offset", (0.5, 0.0, 1.2))),
+        lidar_pattern=artifact.from_json(ScanPattern, {k: v for k, v in lid.items() if k != "offset"}),
+        lidar_offset=tuple(lid.get("offset", SensorRig.lidar_offset)),
+        camera=artifact.from_json(CameraIntrinsics, {k: v for k, v in cam.items() if k != "offset"}),
+        camera_offset=tuple(cam.get("offset", SensorRig.camera_offset)),
     )
     track = sorted(doc["ego_track"], key=lambda k: k["t"])
     return Scene(

@@ -148,14 +148,10 @@ def _subset_indices(qs: QuerySet):
     }
 
 
-def _step_gen(seed: int, stream: int, step: int) -> np.random.Generator:
-    return per_ray_rng(seed, step, stream)
-
-
 def draw_batch(sample: TrainSample, subsets: dict, cfg: TrainConfig, step: int) -> Batch:
     """Batch composition for one step: with-replacement draws per query kind,
     from a stream keyed only by (seed, step)."""
-    gen = _step_gen(cfg.seed, _STREAM_BATCH_IDX, step)
+    gen = per_ray_rng(cfg.seed, step, _STREAM_BATCH_IDX)
     picked = []
     for kind, want in (("occ", cfg.batch_occ), ("feat", cfg.batch_feat), ("ego", cfg.batch_ego)):
         pool = subsets[kind]
@@ -201,7 +197,7 @@ def train(
     best_loss = math.inf
     last = cfg.total_steps if stop_step is None else min(stop_step, cfg.total_steps)
     for step in range(start_step + 1, last + 1):
-        sel = int(_step_gen(cfg.seed, _STREAM_SAMPLE_SEL, step).integers(0, len(samples)))
+        sel = int(per_ray_rng(cfg.seed, step, _STREAM_SAMPLE_SEL).integers(0, len(samples)))
         batch = draw_batch(samples[sel], subsets[sel], cfg, step)
         terms, grads = loss_and_grads(
             fp,
@@ -226,12 +222,10 @@ def train(
 # artifacts
 
 
-def write_loss_csv(history, path, append: bool = False) -> None:
-    mode = "a" if append else "w"
-    with open(path, mode, newline="") as f:
+def write_loss_csv(history, path) -> None:
+    with open(path, "w", newline="") as f:
         w = csv.writer(f)
-        if not append:
-            w.writerow(["step", "lr", "total", "occ", "dino", "ego"])
+        w.writerow(["step", "lr", "total", "occ", "dino", "ego"])
         for row in history:
             w.writerow([row[0]] + [repr(float(v)) for v in row[1:]])
 
@@ -250,7 +244,7 @@ def save_checkpoint(path, fp: FieldParams, state: AdamState | None = None, step:
 def load_checkpoint(path):
     """Returns (FieldParams, AdamState | None, step, meta dict)."""
     doc, tensors = artifact.load(path, "checkpoint")
-    cfg = FieldConfig(**{k: tuple(v) if isinstance(v, list) else v for k, v in doc["field_config"].items()})
+    cfg = artifact.from_json(FieldConfig, doc["field_config"])
     params = {k: v for k, v in tensors.items() if not k.startswith("adam.")}
     fp = FieldParams(cfg, doc["mode"], params)
     state = None

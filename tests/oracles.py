@@ -303,7 +303,7 @@ def missing_ray_negatives_scalar(scan, cfg, scan_stream=0):
 
 
 def feature_queries_scalar(scan, images, pca, cfg, scan_stream=0):
-    """Uncapped feature queries (``cap=None``)."""
+    """Feature queries of one scan, one scalar draw loop per visible hit."""
     from occ4d import queries as q
     from occ4d.geom import per_ray_rng
     from occ4d.pca import project

@@ -320,7 +320,7 @@ def test_criterion_6_min_depth_filtering():
         np.testing.assert_array_equal(mine, oracle)
 
         # the emitted query set is exactly the visible set, roi-filtered
-        qs = gen_feature_queries(scan, [img], pca, cfg, cap=None)
+        qs = gen_feature_queries(scan, [img], pca, cfg)
         vis_pts = pts[mine]
         in_roi = cfg.roi.contains_xyz(vis_pts)
         assert qs.n == int(in_roi.sum())

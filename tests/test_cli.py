@@ -155,6 +155,19 @@ class TestPipeline:
         err = capsys.readouterr().err
         assert err.startswith("occ4d genqueries:") and "truncated" in err and str(scan) in err
 
+    def test_genqueries_on_mistyped_sensor_field_fails_cleanly(self, pipeline, tmp_path, capsys):
+        root, cfg_path = pipeline
+        data = tmp_path / "data"
+        shutil.copytree(root / "data", data)
+        scene_path = sorted((data / "scenes").iterdir())[0]
+        doc = json.loads(scene_path.read_text())
+        doc["sensors"]["lidar"]["az_count"] = "64"
+        scene_path.write_text(json.dumps(doc))
+        code = main(["genqueries", "--config", str(cfg_path), "--dataset", str(data), "--out", str(tmp_path / "queries")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("occ4d genqueries:") and "sensors/lidar/az_count" in err
+
     def test_train_outputs(self, pipeline):
         root, _ = pipeline
         run = root / "run"

@@ -45,6 +45,11 @@ class TestConfig:
         assert canonical_json(a) == canonical_json(b)
         assert config_digest(a) == config_digest(b)
 
+    def test_default_digest_pinned(self):
+        # every manifest and sample meta embeds this digest: the defaults'
+        # values and key set must not move
+        assert config_digest(load_config()) == "9de717c1a333c3a0c180b9eabf7014fb655b320531b7ba83439f1e33a814c17f"
+
     def test_digest_changes_with_content(self):
         cfg = load_config()
         other = load_config(overrides={"seed": 1})

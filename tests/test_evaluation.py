@@ -10,7 +10,6 @@ from occ4d.evaluation import (
     LABEL_FREE,
     LABEL_OCCUPIED,
     LABEL_UNKNOWN,
-    LabeledProbe,
     eval_4d_occupancy,
     eval_ego_path,
     label_by_raytrace,
@@ -302,12 +301,6 @@ class TestEvalGridCenters:
     def test_nonfinite_step_or_bound_rejected(self, bad):
         with pytest.raises(ValueError, match="must be finite"):
             EvalGrid(**bad)
-
-
-class TestLabeledProbe:
-    def test_rejects_nonfinite_score(self):
-        with pytest.raises(ValueError):
-            LabeledProbe(np.zeros(3), 0.0, LABEL_FREE, math.nan)
 
 
 class TestHarness:

@@ -14,7 +14,6 @@ from occ4d.field import (
     encode,
     encode_backward,
     fourier_zt,
-    head_forward,
     head_input,
     init_params,
     interp_backward,
@@ -23,9 +22,7 @@ from occ4d.field import (
     loss,
     loss_and_grads,
     pillar_histogram,
-    query_field,
     query_head,
-    query_input_grads,
     sigmoid,
 )
 from occ4d.field import _conv2d, _conv2d_backward, _leaky, _pad
@@ -240,7 +237,7 @@ class TestQuery:
             axis=1,
         )
         ts = rng.uniform(0, 3, 1000)
-        o1, f1, e1 = query_field(fp, fp.params["grid.z"], pts, ts)
+        base = {name: query_head(fp, fp.params["grid.z"], name, pts, ts) for name in ("occ", "feat", "ego")}
         for dim in range(4):
             bumped = pts.copy()
             tb = ts.copy()
@@ -248,35 +245,13 @@ class TestQuery:
                 bumped[:, dim] += 1e-9
             else:
                 tb = ts + 1e-9
-            o2, f2, e2 = query_field(fp, fp.params["grid.z"], bumped, tb)
-            assert np.abs(o2 - o1).max() < 1e-6
-            assert np.abs(f2 - f1).max() < 1e-6
-            assert np.abs(e2 - e1).max() < 1e-6
+            for name, out in base.items():
+                assert np.abs(query_head(fp, fp.params["grid.z"], name, bumped, tb) - out).max() < 1e-6
 
     def test_out_of_region_raises(self):
         fp = init_params(SMALL, seed=5, mode=MODE_FIT_PER_SCENE)
         with pytest.raises(OutOfRegionError):
-            query_field(fp, fp.params["grid.z"], np.array([[99.0, 0.0, 1.0]]), np.array([0.0]))
-
-    def test_input_gradients_match_finite_differences(self):
-        rng = np.random.default_rng(6)
-        fp = init_params(SMALL, seed=7, mode=MODE_FIT_PER_SCENE)
-        fp.params["grid.z"][:] = rng.normal(size=fp.params["grid.z"].shape)
-        z_grid = fp.params["grid.z"]
-        pts = np.stack([rng.uniform(-3, 3, 20), rng.uniform(-3, 3, 20), rng.uniform(-0.5, 2.5, 20)], axis=1)
-        ts = rng.uniform(0.2, 2.8, 20)
-        h = 1e-5
-        for name in ("occ", "feat", "ego"):
-            out, dz, dt = query_input_grads(fp, z_grid, name, pts, ts)
-            up = pts.copy()
-            up[:, 2] += h
-            dn = pts.copy()
-            dn[:, 2] -= h
-            fd_z = (head_forward(fp, name, head_input(z_grid, up, ts, SMALL)) - head_forward(fp, name, head_input(z_grid, dn, ts, SMALL))) / (2 * h)
-            fd_t = (head_forward(fp, name, head_input(z_grid, pts, ts + h, SMALL)) - head_forward(fp, name, head_input(z_grid, pts, ts - h, SMALL))) / (2 * h)
-            scale = np.abs(fd_z).max() + 1.0
-            assert np.abs(fd_z - dz).max() / scale < 1e-5
-            assert np.abs(fd_t - dt).max() / (np.abs(fd_t).max() + 1.0) < 1e-5
+            query_head(fp, fp.params["grid.z"], "occ", np.array([[99.0, 0.0, 1.0]]), np.array([0.0]))
 
 
 class TestLoss:
@@ -297,7 +272,7 @@ class TestLoss:
         fp = init_params(SMALL, seed=8, mode=MODE_FIT_PER_SCENE)
         pos = np.array([[0.3, -0.2, 1.0]])
         t = np.array([0.7])
-        _, feat, _ = query_field(fp, fp.params["grid.z"], pos, t)
+        feat = query_head(fp, fp.params["grid.z"], "feat", pos, t)
         qs = QuerySet(
             tags=np.array([3], np.uint8),
             times=t,
@@ -563,10 +538,6 @@ def test_query_head_and_query_field_equal_head_block(mode):
     want = {name: head_block(fp.params, name, x, fp.config.leaky_slope) for name in ("occ", "feat", "ego")}
     for name in want:
         assert np.array_equal(query_head(fp, z_grid, name, positions, times), want[name])
-    occ, feat, ego = query_field(fp, z_grid, positions, times)
-    assert np.array_equal(occ, want["occ"][:, 0])
-    assert np.array_equal(feat, want["feat"])
-    assert np.array_equal(ego, want["ego"][:, 0])
 
 
 def field_and_grid(mode, seed=3):

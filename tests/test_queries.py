@@ -332,12 +332,11 @@ class TestFeatureQueries:
             np.testing.assert_array_equal(mine, oracle)
 
     def test_subsample_cap(self, pca16):
-        scene = random_scene(seed=13)
-        scan = cast_lidar_scan(scene, lidar_pose_at(scene, 0.0), scene.rig.lidar_pattern, 0.0)
-        img = render_feature_image(scene, camera_pose_at(scene, 0.0), scene.rig.camera, 0.0, 16)
-        cfg = SamplerConfig(seed=1, n_feat=37)
-        qs = gen_feature_queries(scan, [img], pca16, cfg)
-        assert qs.n == 37
+        # assemble_sample caps the feature queries of all scans at n_feat
+        scene, past, future, images = scene_sample_inputs(13)
+        cfg = SamplerConfig(seed=1, n_occ_neg=60, n_occ_pos=60, n_feat=37, n_ego_pos=5, n_ego_neg=5)
+        _, qs, _ = assemble_sample(past, future, images, scene, cfg, AugmentConfig(rotation_enabled=False), pca=pca16)
+        assert qs.counts()["feature"] == 37
         assert qs.feats.shape == (37, 8)
 
     def test_empty_image_list_errors(self, pca16):
@@ -371,7 +370,7 @@ class TestArrayReplayMatchesScalarOracle:
             assert_same_queries(gen_occupancy_positives(scan, cfg, 1500, 1), occupancy_positives_scalar(scan, cfg, 1500, 1))
             assert_same_queries(gen_missing_ray_negatives(scan, cfg, 4), missing_ray_negatives_scalar(scan, cfg, 4))
             assert_same_queries(
-                gen_feature_queries(scan, [img], pca16, cfg, 3, cap=None), feature_queries_scalar(scan, [img], pca16, cfg, 3)
+                gen_feature_queries(scan, [img], pca16, cfg, 3), feature_queries_scalar(scan, [img], pca16, cfg, 3)
             )
 
     def test_small_draw_groups(self, pca16, monkeypatch):
@@ -384,7 +383,7 @@ class TestArrayReplayMatchesScalarOracle:
         assert_same_queries(gen_occupancy_negatives(scan, cfg, 3000), occupancy_negatives_scalar(scan, cfg, 3000))
         assert_same_queries(gen_missing_ray_negatives(scan, cfg), missing_ray_negatives_scalar(scan, cfg))
         cfg = SamplerConfig(seed=4)
-        qs = gen_feature_queries(scan, [img], pca16, cfg, cap=None)
+        qs = gen_feature_queries(scan, [img], pca16, cfg)
         assert_same_queries(qs, feature_queries_scalar(scan, [img], pca16, cfg))
         assert qs.n > 50
 
@@ -445,7 +444,7 @@ class TestArrayReplayMatchesScalarOracle:
         # three visible hits; the roi ends at x = 7, so the hit at x = 9 never emits
         scan = synthetic_scan([(0, 0, 2)] * 3, [(5, 0.4, 0.5), (9, -0.5, 0.6), (6, 0.0, 0.1)])
         cfg = SamplerConfig(seed=0, roi=Roi4(x=(-14.0, 7.0)))
-        qs = gen_feature_queries(scan, [img], pca, cfg, cap=None)
+        qs = gen_feature_queries(scan, [img], pca, cfg)
         assert_same_queries(qs, feature_queries_scalar(scan, [img], pca, cfg))
         assert qs.n == 2
 
@@ -453,7 +452,7 @@ class TestArrayReplayMatchesScalarOracle:
         img = front_camera_image()
         pca = fit_pca(np.random.default_rng(1).normal(size=(100, 8)), 4)
         scan = synthetic_scan([(0, 0, 2)], [(-5, 0.0, 0.5)])
-        qs = gen_feature_queries(scan, [img], pca, SamplerConfig(seed=0), cap=None)
+        qs = gen_feature_queries(scan, [img], pca, SamplerConfig(seed=0))
         assert_same_queries(qs, feature_queries_scalar(scan, [img], pca, SamplerConfig(seed=0)))
         assert qs.n == 0
 
@@ -537,7 +536,7 @@ class TestAssembleSample:
         boundaries = np.nonzero(np.diff(qs.tags.astype(int)) != 0)[0]
         assert np.all(np.diff(qs.tags.astype(int))[boundaries] > 0)
         assert len(enc.point_sets) == 3
-        assert enc.total_points() > 1000
+        assert sum(len(p) for p in enc.point_sets) > 1000
 
     def test_rotation_equivariance_forced_theta(self, pca16):
         scene, past, future, images = scene_sample_inputs(19)

@@ -15,6 +15,7 @@ from occ4d.scene import (
     PERTURB_BOUND,
     ScanPattern,
     Scene,
+    SensorRig,
     SKY_CLASS,
     camera_pose_at,
     cast_lidar_scan,
@@ -31,6 +32,7 @@ from occ4d.scene import (
     save_scan,
     save_scene_json,
     scene_from_dict,
+    scene_to_dict,
 )
 from occ4d.scene import boxes_contain
 
@@ -380,6 +382,42 @@ class TestSceneIO:
                     "bounds": {"lo": [-9, -9, -9], "hi": [9, 9, 9]},
                 }
             )
+
+    @pytest.mark.parametrize(
+        "sensor, key, value, message",
+        [
+            ("lidar", "az_count", "64", "is not of type 'integer'"),
+            ("lidar", "max_range", None, "is not of type 'number'"),
+            ("lidar", "offset", [0, 0], "is too short"),
+            ("lidar", "el_extent", [-0.3, 0.1, 0.2], "is too long"),
+            ("camera", "width", 48.5, "is not of type 'integer'"),
+            ("camera", "offset", [0.5, 0.0, "1.2"], "is not of type 'number'"),
+        ],
+    )
+    def test_schema_rejects_mistyped_sensor_field(self, sensor, key, value, message):
+        doc = scene_to_dict(random_scene(seed=3))
+        doc["sensors"][sensor][key] = value
+        with pytest.raises(ValueError, match=f"invalid scene config at sensors/{sensor}/{key}") as e:
+            scene_from_dict(doc)
+        assert message in str(e.value)
+
+    def test_schema_rejects_unknown_sensor_field(self):
+        doc = scene_to_dict(random_scene(seed=3))
+        doc["sensors"]["lidar"]["az_cuont"] = 32
+        with pytest.raises(ValueError, match="invalid scene config at sensors/lidar: .*'az_cuont' was unexpected"):
+            scene_from_dict(doc)
+
+    def test_partial_sensors_take_dataclass_defaults(self):
+        doc = scene_to_dict(random_scene(seed=4))
+        doc["sensors"] = {"lidar": {"az_count": 32, "offset": [0.0, 0.0, 2.0]}, "camera": {"fx": 30.0}}
+        rig = scene_from_dict(doc).rig
+        assert rig.lidar_pattern == ScanPattern(az_count=32)
+        assert rig.lidar_offset == (0.0, 0.0, 2.0)
+        assert rig.camera == CameraIntrinsics(fx=30.0)
+        assert rig.camera_offset == SensorRig().camera_offset
+        full = scene_to_dict(scene_from_dict(doc))
+        assert full["sensors"]["lidar"]["el_count"] == ScanPattern().el_count
+        assert scene_to_dict(scene_from_dict(full)) == full
 
     def test_scan_round_trip(self, tmp_path):
         sc = random_scene(seed=2)
