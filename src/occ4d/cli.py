@@ -300,11 +300,20 @@ def _check_thresholds(report: dict, thresholds: dict) -> list:
     return failures
 
 
-def _scene_grids(fp, scenes, cfg: dict) -> tuple:
-    """Eval's t0, the latest past scan's time as in training's samples, and
-    each scene's BEV grid, encoded once per eval from the suite's past scans."""
+def _dataset_scenes(dataset) -> list:
+    dataset = Path(dataset)
+    return [load_scene_json(dataset / "scenes" / f"scene{i:03d}.json") for i in _dataset_scene_indices(dataset)]
+
+
+def _evaluate(fp, scenes, cfg: dict, raytrace: bool, timings=None) -> tuple:
+    """The occupancy report and the ego-path result of ``fp`` on ``scenes``.
+    Eval's t0 is the latest past scan's time, as in training's samples, and
+    each scene's BEV grid is encoded once from the suite's past scans."""
     past = cfg["suite"]["past_offsets"]
-    return max(past), [scene_grid_for(fp, scene, past) for scene in scenes]
+    t0, z_grids = max(past), [scene_grid_for(fp, scene, past) for scene in scenes]
+    report = eval_4d_occupancy(fp, scenes, evalgrid_from(cfg), t0, z_grids, raytrace, timings)
+    ego = eval_ego_path(fp, scenes, sampler_from(cfg), t0, cfg["eval"]["ego_bev_step"], z_grids, timings)
+    return report, ego
 
 
 def cmd_eval(cfg: dict, checkpoint_path, dataset_dir, out_path, rasters=None, force: bool = False) -> int:
@@ -316,15 +325,11 @@ def cmd_eval(cfg: dict, checkpoint_path, dataset_dir, out_path, rasters=None, fo
         raise ValueError(
             f"checkpoint config digest {ckpt_digest[:12]}... != current {digest[:12]}... (use --force)"
         )
-    dataset = Path(dataset_dir)
-    scenes = [load_scene_json(dataset / "scenes" / f"scene{i:03d}.json") for i in _dataset_scene_indices(dataset)]
+    scenes = _dataset_scenes(dataset_dir)
     if fp.mode == MODE_FIT_PER_SCENE:
         scenes = scenes[:1]
-    grid = evalgrid_from(cfg)
-    t0, z_grids = _scene_grids(fp, scenes, cfg)
     timings = {}
-    report = eval_4d_occupancy(fp, scenes, grid, t0, raytrace=cfg["eval"]["raytrace"], z_grids=z_grids, timings=timings)
-    ego = eval_ego_path(fp, scenes, sampler_from(cfg), t0, cfg["eval"]["ego_bev_step"], z_grids=z_grids, timings=timings)
+    report, ego = _evaluate(fp, scenes, cfg, cfg["eval"]["raytrace"], timings)
     report["ap_ego"] = ego["ap_ego"]
     report["ego_base_rate"] = ego["ego_base_rate"]
     report["config_digest"] = digest
@@ -358,20 +363,13 @@ def cmd_scaling(cfg: dict, queries_dir, eval_dataset_dir, out_dir, force: bool =
     """Train amortized fields on nested sample subsets and evaluate each on
     the held-out suite with the exact oracle (fast path, no ray trace)."""
     digest = config_digest(cfg)
-    queries = Path(queries_dir)
-    eval_dataset = Path(eval_dataset_dir)
     counts = cfg["scaling"]["sample_counts"]
     seeds = cfg["scaling"]["seeds"]
-    all_samples = _load_samples(queries)
+    all_samples = _load_samples(Path(queries_dir))
     if len(all_samples) < max(counts):
         raise ValueError(f"need >= {max(counts)} pretrain samples, found {len(all_samples)}")
-    scenes = [
-        load_scene_json(eval_dataset / "scenes" / f"scene{i:03d}.json")
-        for i in _dataset_scene_indices(eval_dataset)
-    ]
+    scenes = _dataset_scenes(eval_dataset_dir)
     field_cfg = field_from(cfg)
-    grid = evalgrid_from(cfg)
-    sampler = sampler_from(cfg)
     rows = []
     for seed in seeds:
         for count in counts:
@@ -383,9 +381,7 @@ def cmd_scaling(cfg: dict, queries_dir, eval_dataset_dir, out_dir, force: bool =
                 warmup_steps=cfg["scaling"]["warmup_steps"],
             )
             result = train(all_samples[:count], field_cfg, tcfg)
-            t0, z_grids = _scene_grids(result.params, scenes, cfg)
-            report = eval_4d_occupancy(result.params, scenes, grid, t0=t0, raytrace=False, z_grids=z_grids)
-            ego = eval_ego_path(result.params, scenes, sampler, t0=t0, z_grids=z_grids)
+            report, ego = _evaluate(result.params, scenes, cfg, raytrace=False)
             rows.append(
                 {
                     "n_samples": count,

@@ -5,6 +5,12 @@ Voxel traversal is an incremental Amanatides-Woo march, run on all rays of a
 scan in lockstep; tests check it against the per-ray march and that against a
 brute-force per-voxel slab oracle rather than trusting it. Metric routines
 are exact threshold sweeps with ties grouped.
+
+The harnesses score a field from BEV grids that the caller supplies, one per
+scene (``scene_grid_for``), at the caller's t0. The occupancy harness keeps
+its scores and labels in (scene, time, probe) arrays, so the whole-set
+metrics take the scene-major ravel, each per-time row takes a [:, t] slice,
+and a further subset of probes is one more mask.
 """
 
 from __future__ import annotations
@@ -13,13 +19,13 @@ import json
 import math
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .field import FieldParams, MODE_AMORTIZED, encode, lattice_head, sigmoid
 from .geom import Pose, inverse
-from .queries import EncoderInput, SamplerConfig, ego_tube_distance
+from .queries import SamplerConfig, ego_tube_distance, past_encoder_input
 from .scene import Scene, boxes_contain, cast_lidar_scan, ego_path_vertices, ego_pose_at, lidar_pose_at
 
 LABEL_FREE = 0
@@ -297,25 +303,15 @@ def soft_iou(scores, labels) -> float:
 PAST_OFFSETS = (-1.0, -0.5, 0.0)  # the suite's default past-scan times
 
 
-def _past_enc_input(scene: Scene, past_times) -> EncoderInput:
-    """The encoder input ``assemble_sample`` builds at rotation 0: the scans
-    at ``past_times`` in the ego frame at t0 = max(past_times), timed from t0."""
-    t0 = max(past_times)
-    ref = inverse(ego_pose_at(scene, t0))
-    point_sets, rel_times = [], []
-    for t in past_times:
-        rel = cast_lidar_scan(scene, lidar_pose_at(scene, t), scene.rig.lidar_pattern, t).transformed(ref)
-        point_sets.append(rel.endpoints()[rel.hit_indices])
-        rel_times.append(float(t - t0))
-    return EncoderInput(point_sets, rel_times)
-
-
 def scene_grid_for(fp: FieldParams, scene: Scene, past_times=PAST_OFFSETS) -> np.ndarray:
     """The field's BEV grid for a scene: encoded from the scans at the scene
-    times ``past_times`` in amortized mode (the suite's past scans, as in
-    training), the learned grid itself in fit-per-scene mode."""
+    times ``past_times`` in amortized mode, as training's samples encode them
+    at rotation 0 with t0 = max(past_times); the learned grid itself in
+    fit-per-scene mode."""
     if fp.mode == MODE_AMORTIZED:
-        return encode(fp, _past_enc_input(scene, past_times))
+        t0 = max(past_times)
+        scans = [cast_lidar_scan(scene, lidar_pose_at(scene, t), scene.rig.lidar_pattern, t) for t in past_times]
+        return encode(fp, past_encoder_input(scans, inverse(ego_pose_at(scene, t0)), t0, 0.0))
     return fp.params["grid.z"]
 
 
@@ -328,123 +324,100 @@ def _timed(timings, key: str):
         timings[key] = timings.get(key, 0.0) + time.perf_counter() - start
 
 
+def _if_both_classes(scores: np.ndarray, labels: np.ndarray):
+    """``_recall_and_ap`` of the probes, or None unless both classes occur."""
+    return _recall_and_ap(scores, labels) if 0 < labels.sum() < len(labels) else None
+
+
+def _known(scores: np.ndarray, ray: np.ndarray):
+    """The scores and ray labels of the probes whose ray label is known."""
+    known = ray != LABEL_UNKNOWN
+    return scores[known], ray[known]
+
+
+def _label_counts(ray: np.ndarray) -> dict:
+    counts = np.bincount(ray.ravel() + 1, minlength=3)  # unknown (-1), free (0), occupied (1)
+    return {"unknown": int(counts[0]), "free": int(counts[1]), "occupied": int(counts[2])}
+
+
 def eval_4d_occupancy(
-    fp: FieldParams,
-    scenes: list,
-    grid: EvalGrid,
-    t0: float = 0.0,
-    raytrace: bool = True,
-    z_grids=None,
-    timings=None,
+    fp: FieldParams, scenes: list, grid: EvalGrid, t0: float, z_grids: list, raytrace: bool, timings=None
 ) -> dict:
     """Dense occupancy forecasting over the probe lattice.
 
-    Scores every probe at every time with the occupancy head; labels come
-    from lidar ray tracing (paper protocol, unknowns excluded) and from the
-    exact simulator oracle (all probes). ``z_grids`` holds each scene's
-    ``scene_grid_for`` grid (computed here when omitted); ``timings`` adds up
-    the seconds of "score", "raytrace" (ray-traced labels), "oracle" (exact
-    labels) and "metrics". Returns the metric bundle with per-time breakdown
-    and probe label counts.
+    Scores every probe at every time with the occupancy head, from each
+    scene's BEV grid in ``z_grids`` (``scene_grid_for`` with the past scans
+    before t0); probe time t is scene time t0 + t. Labels come from the
+    exact simulator oracle (all probes) and, with ``raytrace``, from lidar
+    ray tracing (the paper's protocol; unknown probes are left out). Scores,
+    exact labels and ray labels are (scene, time, probe) arrays: the whole
+    set is their scene-major ravel and time t's row of the per-time
+    breakdown is the slice [:, t]. ``timings`` adds up the seconds of
+    "score", "raytrace" (ray-traced labels), "oracle" (exact labels) and
+    "metrics". Returns the metric bundle with per-time breakdown and probe
+    label counts.
     """
     from .scene import occupancy_oracle
 
-    all_scores, all_ray_labels, all_exact = [], [], []
-    per_time = {t: {"scores": [], "ray": [], "exact": []} for t in grid.times}
-    counts = {"free": 0, "occupied": 0, "unknown": 0}
     centers = grid.centers()
     layer = grid.shape[1] * grid.shape[2]
-    if z_grids is None:
-        z_grids = [scene_grid_for(fp, scene, [t0 + dt for dt in PAST_OFFSETS]) for scene in scenes]
-    for scene, z_grid in zip(scenes, z_grids):
-        ref = inverse(ego_pose_at(scene, t0))
+    shape = (len(scenes), len(grid.times), len(centers))
+    scores, exact = np.empty(shape), np.empty(shape, dtype=np.int8)
+    ray = np.empty(shape if raytrace else 0, dtype=np.int8)  # without ray tracing, all counts are 0
+    for si, (scene, z_grid) in enumerate(zip(scenes, z_grids)):
         to_world = ego_pose_at(scene, t0)
-        ray_labels = None
         if raytrace:
             with _timed(timings, "raytrace"):
-                eval_scans = []
-                for t in grid.times:
-                    scan = cast_lidar_scan(
-                        scene, lidar_pose_at(scene, t0 + t), scene.rig.lidar_pattern, t0 + t
-                    )
-                    eval_scans.append(scan.transformed(ref).time_shifted(-t0))
-                ray_labels = label_by_raytrace(eval_scans, grid, scene=scene, to_world=to_world, t0=t0)
+                ref = inverse(to_world)
+                eval_scans = [
+                    cast_lidar_scan(scene, lidar_pose_at(scene, t0 + t), scene.rig.lidar_pattern, t0 + t)
+                    .transformed(ref)
+                    .time_shifted(-t0)
+                    for t in grid.times
+                ]
+                labels = label_by_raytrace(eval_scans, grid, scene=scene, to_world=to_world, t0=t0)
+                ray[si] = labels.reshape(len(grid.times), -1)
         world = to_world.apply(centers)
         for ti, t in enumerate(grid.times):
             with _timed(timings, "score"):
-                scores = sigmoid(lattice_head(fp, z_grid, "occ", centers[:layer, :2], centers[::layer, 2], t)[:, 0])
+                scores[si, ti] = sigmoid(lattice_head(fp, z_grid, "occ", centers[:layer, :2], centers[::layer, 2], t)[:, 0])
             with _timed(timings, "oracle"):
-                exact = occupancy_oracle(scene, world, t0 + t).astype(np.int8)
-            all_scores.append(scores)
-            all_exact.append(exact)
-            per_time[t]["scores"].append(scores)
-            per_time[t]["exact"].append(exact)
-            if raytrace:
-                rl = ray_labels[ti].ravel()
-                all_ray_labels.append(rl)
-                per_time[t]["ray"].append(rl)
-                counts["free"] += int(np.sum(rl == LABEL_FREE))
-                counts["occupied"] += int(np.sum(rl == LABEL_OCCUPIED))
-                counts["unknown"] += int(np.sum(rl == LABEL_UNKNOWN))
+                exact[si, ti] = occupancy_oracle(scene, world, t0 + t)
 
     with _timed(timings, "metrics"):
-        scores = np.concatenate(all_scores)
-        exact = np.concatenate(all_exact)
-        report = {"probe_counts": counts, "n_probes": int(len(scores)), "per_time_breakdown": []}
-        r, thr, ap = _recall_and_ap(scores, exact)
-        report["r_at_p70_exact"] = r
-        report["threshold_exact"] = thr
-        report["ap_occ_exact"] = ap
-        report["soft_iou"] = soft_iou(scores, exact)
+        report = {"probe_counts": _label_counts(ray), "n_probes": scores.size, "per_time_breakdown": []}
+        sc, ex = scores.ravel(), exact.ravel()
+        r, thr, ap = _recall_and_ap(sc, ex)
+        report.update(r_at_p70_exact=r, threshold_exact=thr, ap_occ_exact=ap, soft_iou=soft_iou(sc, ex))
         if raytrace:
-            ray = np.concatenate(all_ray_labels)
-            known = ray != LABEL_UNKNOWN
-            if known.any() and 0 < ray[known].sum() < known.sum():
-                r, thr, ap = _recall_and_ap(scores[known], ray[known])
-            else:
-                r, thr, ap = 0.0, math.inf, 0.0
-            report["r_at_p70"] = r
-            report["threshold"] = thr
-            report["ap_occ"] = ap
-        for t in grid.times:
+            r, thr, ap = _if_both_classes(*_known(sc, ray.ravel())) or (0.0, math.inf, 0.0)
+            report.update(r_at_p70=r, threshold=thr, ap_occ=ap)
+        for ti, t in enumerate(grid.times):
             row = {"time": t}
-            sc = np.concatenate(per_time[t]["scores"])
-            ex = np.concatenate(per_time[t]["exact"])
-            if 0 < ex.sum() < len(ex):
-                row["r_at_p70_exact"], _, row["ap_occ_exact"] = _recall_and_ap(sc, ex)
+            sc = scores[:, ti].ravel()
+            exact_metrics = _if_both_classes(sc, exact[:, ti].ravel())
+            if exact_metrics:
+                row["r_at_p70_exact"], _, row["ap_occ_exact"] = exact_metrics
             if raytrace:
-                rl = np.concatenate(per_time[t]["ray"])
-                known = rl != LABEL_UNKNOWN
-                row["probe_counts"] = {
-                    "free": int(np.sum(rl == LABEL_FREE)),
-                    "occupied": int(np.sum(rl == LABEL_OCCUPIED)),
-                    "unknown": int(np.sum(rl == LABEL_UNKNOWN)),
-                }
-                if known.any() and 0 < rl[known].sum() < known.sum():
-                    row["r_at_p70"] = _recall_and_ap(sc[known], rl[known])[0]
+                row["probe_counts"] = _label_counts(ray[:, ti])
+                ray_metrics = _if_both_classes(*_known(sc, ray[:, ti].ravel()))
+                if ray_metrics:
+                    row["r_at_p70"] = ray_metrics[0]
             report["per_time_breakdown"].append(row)
     return report
 
 
 def eval_ego_path(
-    fp: FieldParams,
-    scenes: list,
-    sampler: SamplerConfig,
-    t0: float = 0.0,
-    bev_step: float = 0.5,
-    z_grids=None,
-    timings=None,
+    fp: FieldParams, scenes: list, sampler: SamplerConfig, t0: float, bev_step: float, z_grids: list, timings=None
 ) -> dict:
     """AP of the ego-path head over a BEV probe lattice labeled by the tube
     rule, plus one probability raster per scene for qualitative dumps.
-    ``z_grids`` and ``timings`` as in ``eval_4d_occupancy``."""
+    ``t0``, ``z_grids`` and ``timings`` as in ``eval_4d_occupancy``."""
     cfg = fp.config
     xs = np.arange(cfg.x_range[0] + bev_step / 2, cfg.x_range[1], bev_step)
     ys = np.arange(cfg.y_range[0] + bev_step / 2, cfg.y_range[1], bev_step)
     yg, xg = np.meshgrid(ys, xs, indexing="ij")
     all_scores, all_labels, rasters = [], [], []
-    if z_grids is None:
-        z_grids = [scene_grid_for(fp, scene, [t0 + dt for dt in PAST_OFFSETS]) for scene in scenes]
     for scene, z_grid in zip(scenes, z_grids):
         ref = inverse(ego_pose_at(scene, t0))
         verts = ref.apply(ego_path_vertices(scene, t0, t0 + sampler.t_max))

@@ -17,14 +17,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geom import per_ray_rng
-from .queries import EncoderInput, OCCUPANCY_TAGS, QuerySet, TAG_EGO_NEG, TAG_EGO_POS, TAG_FEATURE
+from .queries import HEAD_TAGS, EncoderInput, QuerySet
 
 _INIT_STREAM = 0x1417
 
 MODE_FIT_PER_SCENE = "fit_per_scene"
 MODE_AMORTIZED = "amortized"
 
-HEAD_NAMES = ("occ", "feat", "ego")
+HEAD_NAMES = tuple(HEAD_TAGS)
 
 
 class OutOfRegionError(ValueError):
@@ -474,35 +474,25 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
 
 @dataclass
 class Batch:
-    """Flat training batch extracted from a QuerySet."""
+    """Flat training batch extracted from a QuerySet: per head, the rows it
+    is trained on and their targets (float labels for occ and ego, feature
+    vectors for feat)."""
 
     positions: np.ndarray
     times: np.ndarray
-    occ_rows: np.ndarray
-    occ_labels: np.ndarray
-    feat_rows: np.ndarray
-    feat_targets: np.ndarray
-    ego_rows: np.ndarray
-    ego_labels: np.ndarray
+    rows: dict
+    targets: dict
 
     @staticmethod
     def from_queryset(qs: QuerySet, record_indices: np.ndarray | None = None) -> "Batch":
         idx = np.arange(qs.n) if record_indices is None else np.asarray(record_indices)
         tags = qs.tags[idx]
-        occ_sel = np.isin(tags, np.array(OCCUPANCY_TAGS, dtype=np.uint8))
-        feat_sel = tags == TAG_FEATURE
-        ego_sel = np.isin(tags, np.array([TAG_EGO_POS, TAG_EGO_NEG], dtype=np.uint8))
-        rows = np.arange(len(idx))
-        return Batch(
-            positions=qs.positions[idx],
-            times=qs.times[idx],
-            occ_rows=rows[occ_sel],
-            occ_labels=qs.labels[idx][occ_sel].astype(np.float64),
-            feat_rows=rows[feat_sel],
-            feat_targets=qs.feature_targets(idx[feat_sel]) if feat_sel.any() else np.zeros((0, qs.d)),
-            ego_rows=rows[ego_sel],
-            ego_labels=qs.labels[idx][ego_sel].astype(np.float64),
-        )
+        rows, targets = {}, {}
+        for name, head_tags in HEAD_TAGS.items():
+            sel = np.logical_or.reduce([tags == tag for tag in head_tags])  # cheaper than np.isin on a batch
+            rows[name] = np.flatnonzero(sel)
+            targets[name] = qs.feature_targets(idx[sel]) if name == "feat" else qs.labels[idx][sel].astype(np.float64)
+        return Batch(qs.positions[idx], qs.times[idx], rows, targets)
 
     @property
     def n(self) -> int:
@@ -517,49 +507,62 @@ class LossTerms:
     ego: float
 
 
-def _term_weights(batch: Batch, weights, per_term_average: bool):
-    lam_occ, lam_feat, lam_ego = weights
+def _as_batch(batch) -> Batch:
+    if isinstance(batch, QuerySet):
+        batch = Batch.from_queryset(batch)
+    if batch.n == 0:
+        raise ValueError("batch must be non-empty")
+    return batch
+
+
+def _term_weights(batch: Batch, weights, per_term_average: bool) -> list:
+    """Each head's weight on the sum of its per-row losses."""
     if per_term_average:
-        co = lam_occ / max(len(batch.occ_rows), 1)
-        cf = lam_feat / max(len(batch.feat_rows), 1)
-        ce = lam_ego / max(len(batch.ego_rows), 1)
+        return [lam / max(len(batch.rows[name]), 1) for name, lam in zip(HEAD_NAMES, weights)]
+    return [1.0 / max(batch.n, 1) * lam for lam in weights]
+
+
+def _head_loss(name: str, out: np.ndarray, target: np.ndarray):
+    """A head's mean loss and its derivative per output element: BCE on the
+    logit for occ and ego, elementwise L1 for feat."""
+    if name == "feat":
+        resid = out - target
+        return float(np.mean(np.abs(resid))), np.sign(resid)
+    logits = out[:, 0]
+    return float(np.mean(_bce_from_logits(logits, target))), (sigmoid(logits) - target)[:, None]
+
+
+def _heads_loss(fp: FieldParams, z_grid: np.ndarray, batch: Batch, weights, per_term_average: bool, grads=None):
+    """The batch's LossTerms, the forward pass that ``loss`` and
+    ``loss_and_grads`` share. Given a ``grads`` dict, each head's backward
+    runs right after its forward, so its activations are freed before the
+    next head runs; its gradients go into ``grads``. Returns (LossTerms,
+    d total / d head input or None, interp cache)."""
+    x, interp_cache = head_input(z_grid, batch.positions, batch.times, fp.config, want_cache=True)
+    dx = None if grads is None else np.zeros_like(x)
+    coeffs = _term_weights(batch, weights, per_term_average)
+    terms = dict.fromkeys(HEAD_NAMES, 0.0)
+    for name, c in zip(HEAD_NAMES, coeffs):
+        rows = batch.rows[name]
+        if len(rows):
+            out, cache = head_forward(fp, name, x[rows], want_cache=True)
+            terms[name], dloss = _head_loss(name, out, batch.targets[name])
+            if grads is not None:  # c weighs each row's mean over its outputs
+                head_grads, dx_rows = head_backward(fp, name, cache, c / out.shape[1] * dloss)
+                grads.update(head_grads)
+                dx[rows] += dx_rows
+    if per_term_average:
+        parts = [lam * terms[name] for name, lam in zip(HEAD_NAMES, weights)]
     else:
-        co = cf = ce = 1.0 / max(batch.n, 1)
-        co *= lam_occ
-        cf *= lam_feat
-        ce *= lam_ego
-    return co, cf, ce
+        parts = [c * terms[name] * len(batch.rows[name]) for name, c in zip(HEAD_NAMES, coeffs)]
+    total = sum(parts[1:], parts[0])  # left to right, from the first part
+    return LossTerms(float(total), **terms), dx, interp_cache
 
 
 def loss(fp: FieldParams, z_grid: np.ndarray, batch, weights=(1.0, 0.5, 0.1), per_term_average=True) -> LossTerms:
     """Weighted sum of per-term means: BCE for occupancy and ego labels,
     elementwise L1 for feature targets. Absent subsets contribute 0."""
-    if isinstance(batch, QuerySet):
-        batch = Batch.from_queryset(batch)
-    if batch.n == 0:
-        raise ValueError("batch must be non-empty")
-    x = head_input(z_grid, batch.positions, batch.times, fp.config)
-    occ_term = feat_term = ego_term = 0.0
-    if len(batch.occ_rows):
-        logits = head_forward(fp, "occ", x[batch.occ_rows])[:, 0]
-        occ_term = float(np.mean(_bce_from_logits(logits, batch.occ_labels)))
-    if len(batch.feat_rows):
-        pred = head_forward(fp, "feat", x[batch.feat_rows])
-        feat_term = float(np.mean(np.abs(pred - batch.feat_targets)))
-    if len(batch.ego_rows):
-        logits = head_forward(fp, "ego", x[batch.ego_rows])[:, 0]
-        ego_term = float(np.mean(_bce_from_logits(logits, batch.ego_labels)))
-    lam_occ, lam_feat, lam_ego = weights
-    if per_term_average:
-        total = lam_occ * occ_term + lam_feat * feat_term + lam_ego * ego_term
-    else:
-        co, cf, ce = _term_weights(batch, weights, False)
-        total = (
-            co * occ_term * len(batch.occ_rows)
-            + cf * feat_term * len(batch.feat_rows)
-            + ce * ego_term * len(batch.ego_rows)
-        )
-    return LossTerms(float(total), occ_term, feat_term, ego_term)
+    return _heads_loss(fp, z_grid, _as_batch(batch), weights, per_term_average)[0]
 
 
 def loss_and_grads(
@@ -577,11 +580,7 @@ def loss_and_grads(
     encoder receives gradients unless frozen); in fit-per-scene mode the
     grid itself is the parameter. Returns (LossTerms, grads dict).
     """
-    if isinstance(batch, QuerySet):
-        batch = Batch.from_queryset(batch)
-    if batch.n == 0:
-        raise ValueError("batch must be non-empty")
-    cfg = fp.config
+    batch = _as_batch(batch)
     enc_cache = None
     if fp.mode == MODE_AMORTIZED:
         if enc_input is None:
@@ -590,49 +589,9 @@ def loss_and_grads(
     elif z_grid is None:
         z_grid = fp.params["grid.z"]
 
-    x, interp_cache = head_input(z_grid, batch.positions, batch.times, cfg, want_cache=True)
-    co, cf, ce = _term_weights(batch, weights, per_term_average)
-    lam = dict(zip(HEAD_NAMES, weights))
-
     grads = {}
-    dx_total = np.zeros_like(x)
-    occ_term = feat_term = ego_term = 0.0
-
-    if len(batch.occ_rows):
-        out, cache = head_forward(fp, "occ", x[batch.occ_rows], want_cache=True)
-        logits = out[:, 0]
-        occ_term = float(np.mean(_bce_from_logits(logits, batch.occ_labels)))
-        dlogits = (co * (sigmoid(logits) - batch.occ_labels))[:, None]
-        hg, dxh = head_backward(fp, "occ", cache, dlogits)
-        grads.update(hg)
-        dx_total[batch.occ_rows] += dxh
-    if len(batch.feat_rows):
-        out, cache = head_forward(fp, "feat", x[batch.feat_rows], want_cache=True)
-        resid = out - batch.feat_targets
-        feat_term = float(np.mean(np.abs(resid)))
-        dout = cf / cfg.d_feat * np.sign(resid)
-        hg, dxh = head_backward(fp, "feat", cache, dout)
-        grads.update(hg)
-        dx_total[batch.feat_rows] += dxh
-    if len(batch.ego_rows):
-        out, cache = head_forward(fp, "ego", x[batch.ego_rows], want_cache=True)
-        logits = out[:, 0]
-        ego_term = float(np.mean(_bce_from_logits(logits, batch.ego_labels)))
-        dlogits = (ce * (sigmoid(logits) - batch.ego_labels))[:, None]
-        hg, dxh = head_backward(fp, "ego", cache, dlogits)
-        grads.update(hg)
-        dx_total[batch.ego_rows] += dxh
-
-    if per_term_average:
-        total = lam["occ"] * occ_term + lam["feat"] * feat_term + lam["ego"] * ego_term
-    else:
-        total = (
-            co * occ_term * len(batch.occ_rows)
-            + cf * feat_term * len(batch.feat_rows)
-            + ce * ego_term * len(batch.ego_rows)
-        )
-
-    dz = interp_backward(interp_cache, dx_total[:, : cfg.channels], z_grid.shape)
+    terms, dx, interp_cache = _heads_loss(fp, z_grid, batch, weights, per_term_average, grads)
+    dz = interp_backward(interp_cache, dx[:, : fp.config.channels], z_grid.shape)
     if fp.mode == MODE_AMORTIZED and not freeze_encoder:
         grads.update(encode_backward(fp, enc_cache, dz))
     for v in grads.values():
@@ -641,4 +600,4 @@ def loss_and_grads(
         grads["grid.z"] = dz  # summed from 0.0 already
     # a head with no rows in the batch, or a frozen encoder, gets zeros
     grads = {k: grads[k] if k in grads else np.zeros_like(v) for k, v in fp.params.items()}
-    return LossTerms(float(total), occ_term, feat_term, ego_term), grads
+    return terms, grads

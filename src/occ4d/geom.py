@@ -8,7 +8,7 @@ iteration order reproduces the single-worker result bit for bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -65,14 +65,6 @@ class Pose:
         det = np.linalg.det(r)
         if abs(det - 1.0) > ORTHO_TOL:
             raise ValueError(f"rotation determinant {det} != +1")
-
-    @staticmethod
-    def identity() -> "Pose":
-        return Pose(np.eye(3), np.zeros(3))
-
-    @staticmethod
-    def from_yaw(theta: float, translation=(0.0, 0.0, 0.0)) -> "Pose":
-        return Pose(yaw_matrix(theta), np.asarray(translation, dtype=np.float64))
 
     def apply(self, points: np.ndarray) -> np.ndarray:
         """Transform points of shape (3,) or (N,3)."""

@@ -45,7 +45,12 @@ TAG_NAMES = {
     TAG_EGO_NEG: "ego_neg",
 }
 
-OCCUPANCY_TAGS = (TAG_RAY_NEG, TAG_RAY_POS, TAG_MISSING_RAY)
+# the query tags each head of the field is trained on
+HEAD_TAGS = {
+    "occ": (TAG_RAY_NEG, TAG_RAY_POS, TAG_MISSING_RAY),
+    "feat": (TAG_FEATURE,),
+    "ego": (TAG_EGO_POS, TAG_EGO_NEG),
+}
 
 _PURPOSE_NEG = 1
 _PURPOSE_POS = 2
@@ -572,6 +577,19 @@ class EncoderInput:
     rel_times: list           # seconds relative to t0, non-positive
 
 
+def past_encoder_input(scans, ref: Pose, t0: float, theta: float) -> EncoderInput:
+    """The encoder input of past scans: each scan's hit points in the frame
+    ``ref``, rotated by ``theta`` about z, timed relative to t0. Training's
+    samples and eval's grids both come from here."""
+    point_sets, rel_times = [], []
+    for s in scans:
+        rel = s.transformed(ref)
+        pts = rel.endpoints()[rel.hit_indices]
+        point_sets.append(rotate_about_z(pts, theta) if theta != 0.0 else pts)
+        rel_times.append(float(rel.times[0] - t0))
+    return EncoderInput(point_sets, rel_times)
+
+
 @dataclass
 class SampleMeta:
     t0: float
@@ -656,16 +674,7 @@ def assemble_sample(
         theta = float(rot_gen.uniform(aug.theta_min, aug.theta_max))
         queries = queries.rotated(theta)
 
-    point_sets, rel_times = [], []
-    for s in past_scans:
-        rel = s.transformed(ref)
-        pts = rel.endpoints()[rel.hit_indices]
-        if theta != 0.0:
-            pts = rotate_about_z(pts, theta)
-        point_sets.append(pts)
-        rel_times.append(float(rel.times[0] - t0))
-    enc = EncoderInput(point_sets, rel_times)
-
+    enc = past_encoder_input(past_scans, ref, t0, theta)
     counts = queries.counts()
     requested = {
         "ray_negative": cfg.n_occ_neg,

@@ -610,7 +610,7 @@ def scene_from_dict(doc: dict) -> Scene:
     import jsonschema
 
     try:
-        jsonschema.validate(doc, SCENE_SCHEMA)
+        jsonschema.validate(doc, SCENE_SCHEMA, cls=jsonschema.Draft4Validator)
     except jsonschema.ValidationError as e:
         path = "/".join(str(p) for p in e.absolute_path) or "<root>"
         raise ValueError(f"invalid scene config at {path}: {e.message}") from None

@@ -15,6 +15,7 @@ import numpy as np
 
 from . import artifact
 from .field import (
+    HEAD_NAMES,
     Batch,
     FieldConfig,
     FieldParams,
@@ -24,7 +25,7 @@ from .field import (
     loss_and_grads,
 )
 from .geom import per_ray_rng
-from .queries import EncoderInput, OCCUPANCY_TAGS, QuerySet, TAG_EGO_NEG, TAG_EGO_POS, TAG_FEATURE
+from .queries import HEAD_TAGS, EncoderInput, QuerySet
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -140,21 +141,13 @@ class TrainResult:
     last_step: int
 
 
-def _subset_indices(qs: QuerySet):
-    return {
-        "occ": qs.indices_for(*OCCUPANCY_TAGS),
-        "feat": qs.indices_for(TAG_FEATURE),
-        "ego": qs.indices_for(TAG_EGO_POS, TAG_EGO_NEG),
-    }
-
-
 def draw_batch(sample: TrainSample, subsets: dict, cfg: TrainConfig, step: int) -> Batch:
     """Batch composition for one step: with-replacement draws per query kind,
     from a stream keyed only by (seed, step)."""
     gen = per_ray_rng(cfg.seed, step, _STREAM_BATCH_IDX)
     picked = []
-    for kind, want in (("occ", cfg.batch_occ), ("feat", cfg.batch_feat), ("ego", cfg.batch_ego)):
-        pool = subsets[kind]
+    for name, want in zip(HEAD_NAMES, (cfg.batch_occ, cfg.batch_feat, cfg.batch_ego)):
+        pool = subsets[name]
         if want > 0 and len(pool) > 0:
             picked.append(pool[gen.integers(0, len(pool), size=want)])
     if not picked:
@@ -191,7 +184,7 @@ def train(
     if fp.mode != cfg.mode:
         raise ValueError(f"parameter mode {fp.mode!r} != train mode {cfg.mode!r}")
     state = adam_state if adam_state is not None else AdamState.zeros(fp.params)
-    subsets = [_subset_indices(s.queries) for s in samples]
+    subsets = [{name: s.queries.indices_for(*tags) for name, tags in HEAD_TAGS.items()} for s in samples]
 
     history = []
     best_loss = math.inf

@@ -15,7 +15,9 @@ import pytest
 
 from occ4d.cli import main
 from occ4d.config import read_manifest
-from occ4d.evaluation import EvalGrid, average_precision, eval_4d_occupancy, recall_at_precision, soft_iou
+from occ4d.evaluation import (
+    EvalGrid, average_precision, eval_4d_occupancy, recall_at_precision, scene_grid_for, soft_iou,
+)
 from occ4d.field import FieldConfig, MODE_AMORTIZED, MODE_FIT_PER_SCENE, init_params, loss, loss_and_grads
 from occ4d.geom import AugmentConfig, rotate_about_z
 from occ4d.pca import fit_pca, project, reconstruct
@@ -234,7 +236,9 @@ def test_criterion_4_training_efficacy():
         )
         result = train([TrainSample(queries=qs)], field_cfg, tcfg)
         terms = loss(result.params, result.params.params["grid.z"], qs, weights=tcfg.weights)
-        report = eval_4d_occupancy(result.params, [scene], EvalGrid(), raytrace=False)
+        report = eval_4d_occupancy(
+            result.params, [scene], EvalGrid(), 0.0, [scene_grid_for(result.params, scene)], raytrace=False
+        )
         results.append((terms.occ, report["r_at_p70_exact"]))
     elapsed = time.time() - t_start
     bce_ok = all(occ < 0.25 * baseline for occ, _ in results)
@@ -371,7 +375,8 @@ def test_criterion_7_scaling_analogue():
                 mode=MODE_AMORTIZED, total_steps=800, warmup_steps=50, lr_max=2e-3, seed=seed
             )
             result = train(samples[:count], SCALING_FIELD, tcfg)
-            rep = eval_4d_occupancy(result.params, held, SCALING_GRID, raytrace=False)
+            z_grids = [scene_grid_for(result.params, s) for s in held]
+            rep = eval_4d_occupancy(result.params, held, SCALING_GRID, 0.0, z_grids, raytrace=False)
             scores.append(rep["r_at_p70_exact"])
         non_decreasing = all(b >= a for a, b in zip(scores, scores[1:]))
         gap_ok = scores[-1] >= scores[0] + 0.05

@@ -10,15 +10,18 @@ from occ4d.evaluation import (
     LABEL_FREE,
     LABEL_OCCUPIED,
     LABEL_UNKNOWN,
+    average_precision,
     eval_4d_occupancy,
     eval_ego_path,
     label_by_raytrace,
     march_voxels,
+    recall_at_precision,
+    scene_grid_for,
     traverse_voxels,
     write_pgm,
     write_report_json,
 )
-from occ4d.field import MODE_FIT_PER_SCENE, init_params
+from occ4d.field import MODE_FIT_PER_SCENE, init_params, query_head, sigmoid
 from occ4d.geom import Pose, inverse
 from occ4d.queries import SamplerConfig
 from occ4d.scene import (
@@ -312,7 +315,7 @@ class TestHarness:
 
         fp = init_params(FieldConfig(**fcfg_kwargs), seed=0, mode=MODE_FIT_PER_SCENE, zero=True)
         grid = EvalGrid(x=(-8, 8), y=(-8, 8), z=(0.0, 2.0), step=1.0, times=(0.6, 1.2))
-        report = eval_4d_occupancy(fp, [scene], grid, raytrace=False)
+        report = eval_4d_occupancy(fp, [scene], grid, 0.0, [scene_grid_for(fp, scene)], raytrace=False)
         # all logits 0 -> all scores exactly 0.5 -> single threshold
         assert report["soft_iou"] > 0
         assert report["r_at_p70_exact"] in (0.0, 1.0)
@@ -329,7 +332,7 @@ class TestHarness:
             mode=MODE_FIT_PER_SCENE,
         )
         grid = EvalGrid(x=(-8, 8), y=(-8, 8), z=(0.0, 2.0), step=0.5, times=(0.6, 1.2))
-        report = eval_4d_occupancy(fp, [scene], grid, raytrace=True)
+        report = eval_4d_occupancy(fp, [scene], grid, 0.0, [scene_grid_for(fp, scene)], raytrace=True)
         for key in ("r_at_p70", "r_at_p70_exact", "ap_occ", "ap_occ_exact", "soft_iou", "probe_counts", "per_time_breakdown"):
             assert key in report
         assert len(report["per_time_breakdown"]) == 2
@@ -365,6 +368,51 @@ class TestHarness:
         known = free.sum() + occ.sum()
         assert (free.sum() + np.sum(centers[occ][:, 2] <= diag)) / known >= 0.99
 
+    def test_multi_scene_per_time_rows_are_slices(self):
+        # two scenes with different grids at two times: each per-time row is
+        # the metric of that time's probes of scene 0 then scene 1, labelled
+        # and scored here one scene at a time
+        from occ4d.field import FieldConfig
+
+        rng = np.random.default_rng(3)
+        cfg = FieldConfig(x_range=(-8.0, 8.0), y_range=(-8.0, 8.0), cell=0.5, channels=4, head_hidden=8, d_feat=3, n_freqs=2)
+        fp = init_params(cfg, seed=2, mode=MODE_FIT_PER_SCENE)
+        scenes = [random_scene(seed=32), random_scene(seed=33)]
+        z_grids = [rng.normal(size=fp.params["grid.z"].shape) for _ in scenes]
+        grid = EvalGrid(x=(-8, 8), y=(-8, 8), z=(0.0, 2.0), step=0.5, times=(0.6, 1.2))
+        t0 = -0.5
+        report = eval_4d_occupancy(fp, scenes, grid, t0, z_grids, raytrace=True)
+
+        centers = grid.centers()
+        per_scene = []
+        for scene, z_grid in zip(scenes, z_grids):
+            to_world = ego_pose_at(scene, t0)
+            scans = [
+                cast_lidar_scan(scene, lidar_pose_at(scene, t0 + t), scene.rig.lidar_pattern, t0 + t)
+                .transformed(inverse(to_world))
+                .time_shifted(-t0)
+                for t in grid.times
+            ]
+            ray = label_by_raytrace(scans, grid, scene=scene, to_world=to_world, t0=t0).reshape(len(grid.times), -1)
+            per_scene.append([
+                (
+                    sigmoid(query_head(fp, z_grid, "occ", centers, np.full(len(centers), t))[:, 0]),
+                    occupancy_oracle(scene, to_world.apply(centers), t0 + t),
+                    ray[ti],
+                )
+                for ti, t in enumerate(grid.times)
+            ])
+        assert len(report["per_time_breakdown"]) == len(grid.times)
+        for ti, row in enumerate(report["per_time_breakdown"]):
+            sc, ex, rl = (np.concatenate(parts) for parts in zip(*(slices[ti] for slices in per_scene)))
+            assert row["r_at_p70_exact"] == recall_at_precision(sc, ex, 0.7)[0]
+            assert row["ap_occ_exact"] == average_precision(sc, ex)
+            known = rl != LABEL_UNKNOWN
+            assert row["r_at_p70"] == recall_at_precision(sc[known], rl[known], 0.7)[0]
+            counts = row["probe_counts"]
+            assert counts == {k: int(np.sum(rl == v)) for k, v in (("free", LABEL_FREE), ("occupied", LABEL_OCCUPIED), ("unknown", LABEL_UNKNOWN))}
+            assert sum(counts.values()) == 2 * len(centers)
+
     def test_ego_eval_untrained_near_base_rate(self):
         from occ4d.field import FieldConfig
 
@@ -375,7 +423,7 @@ class TestHarness:
         for seed in range(10):
             fp = init_params(cfg, seed=seed, mode=MODE_FIT_PER_SCENE)
             fp.params["grid.z"][:] = np.random.default_rng(seed).normal(size=fp.params["grid.z"].shape) * 1e-3
-            out = eval_ego_path(fp, scenes, sampler)
+            out = eval_ego_path(fp, scenes, sampler, 0.0, 0.5, [scene_grid_for(fp, s) for s in scenes])
             aps.append(out["ap_ego"])
             bases.append(out["ego_base_rate"])
         assert abs(np.mean(aps) - np.mean(bases)) < 0.05

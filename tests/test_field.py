@@ -1,4 +1,5 @@
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -467,6 +468,27 @@ class TestGradients:
             flat[j] = old
             fd = (up - dn) / (2 * h)
             assert abs(fd - g[j]) / max(abs(fd), 1e-6) < 1e-4
+
+
+    @pytest.mark.parametrize("mode", [MODE_FIT_PER_SCENE, MODE_AMORTIZED])
+    @pytest.mark.parametrize("per_term", [True, False])
+    @pytest.mark.parametrize("n_ego", [10, 0])
+    def test_loss_agrees_with_loss_and_grads(self, mode, per_term, n_ego):
+        # loss and loss_and_grads share one forward pass: the same LossTerms,
+        # bit for bit, also for a batch with no ego rows
+        rng = np.random.default_rng(13)
+        fp = init_params(SMALL, seed=14, mode=mode)
+        enc = random_enc_input(rng, SMALL) if mode == MODE_AMORTIZED else None
+        if enc is None:
+            fp.params["grid.z"][:] = rng.normal(size=fp.params["grid.z"].shape) * 0.3
+        qs = random_queryset(rng, SMALL, n_ego=n_ego)
+        batch = Batch.from_queryset(qs, rng.integers(0, qs.n, 40))
+        assert (len(batch.rows["ego"]) > 0) == (n_ego > 0)
+        z = fp.params["grid.z"] if enc is None else encode(fp, enc)
+        kw = dict(weights=(1.0, 0.5, 0.1), per_term_average=per_term)
+        want = loss(fp, z, batch, **kw)
+        got = loss_and_grads(fp, batch, enc_input=enc, **kw)[0]
+        assert [v.hex() for v in astuple(got)] == [v.hex() for v in astuple(want)]
 
 
 class TestModeEquivalence:

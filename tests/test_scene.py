@@ -392,6 +392,7 @@ class TestSceneIO:
             ("lidar", "el_extent", [-0.3, 0.1, 0.2], "is too long"),
             ("camera", "width", 48.5, "is not of type 'integer'"),
             ("camera", "offset", [0.5, 0.0, "1.2"], "is not of type 'number'"),
+            ("lidar", "az_count", 64.0, "is not of type 'integer'"),
         ],
     )
     def test_schema_rejects_mistyped_sensor_field(self, sensor, key, value, message):
