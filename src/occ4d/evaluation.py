@@ -8,9 +8,9 @@ are exact threshold sweeps with ties grouped.
 
 The harnesses score a field from BEV grids that the caller supplies, one per
 scene (``scene_grid_for``), at the caller's t0. The occupancy harness keeps
-its scores and labels in (scene, time, probe) arrays, so the whole-set
-metrics take the scene-major ravel, each per-time row takes a [:, t] slice,
-and a further subset of probes is one more mask.
+its scores and labels in (scene, time, probe) arrays and sorts their
+scene-major ravel once, so each per-time row and the known-ray probes are
+masks on that one order.
 """
 
 from __future__ import annotations
@@ -222,42 +222,59 @@ def label_by_raytrace(
 # metrics
 
 
-def _pr_sweep(scores: np.ndarray, labels: np.ndarray):
-    """(thresholds desc, precision, recall) at every distinct score, ties
-    grouped; asserts recall monotonicity along the sweep."""
-    scores = np.asarray(scores, dtype=np.float64)
-    labels = np.asarray(labels)
-    order = np.argsort(-scores, kind="stable")
-    s = scores[order]
-    y = labels[order].astype(np.float64)
-    tp = np.cumsum(y)
-    fp = np.cumsum(1.0 - y)
-    # group ties: keep the last row of each distinct score
-    last = np.nonzero(np.diff(s) != 0.0)[0]
-    idx = np.concatenate([last, [len(s) - 1]])
-    thr = s[idx]
-    tp, fp = tp[idx], fp[idx]
-    n_pos = float(labels.sum())
-    precision = tp / np.maximum(tp + fp, 1.0)
-    recall = tp / n_pos if n_pos > 0 else np.zeros_like(tp)
+def _descending(scores: np.ndarray) -> np.ndarray:
+    """Descending order of float64 ``scores`` by numpy's default (unstable)
+    sort; ValueError on NaN, which has no place in it."""
+    if np.isnan(scores).any():
+        raise ValueError("scores must not be NaN")
+    return np.argsort(-scores)
+
+
+def _sweep(s: np.ndarray, y: np.ndarray):
+    """(thresholds desc, precision, recall) at every distinct score of the
+    descending scores ``s`` with 0/1 labels ``y``, ties grouped; asserts
+    recall monotonicity along the sweep."""
+    tp = np.cumsum(y, dtype=np.int64)
+    idx = np.append(np.nonzero(np.diff(s) != 0.0)[0], len(s) - 1)  # each tie group's last row
+    thr, tp = s[idx], tp[idx]
+    precision = tp / (idx + 1.0)  # tp + fp = idx + 1 rows lie at or above thr
+    recall = tp / float(tp[-1]) if tp[-1] > 0 else np.zeros(len(tp))
     if np.any(np.diff(recall) < -1e-15):
         raise AssertionError("recall must be non-decreasing as the threshold loosens")
     return thr, precision, recall
 
 
-def _recall_and_ap(scores, labels, precision_target: float = 0.7):
+def _pr_sweep(scores, labels):
+    """``_sweep`` after one sort. It keeps only the last row of each group of
+    equal scores, where the counts are exact whatever the order inside the
+    group, so the output does not depend on tie order."""
+    scores = np.asarray(scores, dtype=np.float64)
+    order = _descending(scores)
+    return _sweep(scores[order], np.asarray(labels)[order])
+
+
+def _at_precision(thr, precision, recall, precision_target: float = 0.7):
     """(recall, threshold) as recall_at_precision gives them and AP as
     average_precision gives it, from one sweep."""
-    labels = np.asarray(labels)
-    if labels.sum() == 0 or labels.sum() == len(labels):
-        raise ValueError("labels need at least one positive and one negative")
-    thr, precision, recall = _pr_sweep(scores, labels)
     ap = _step_area(precision, recall)
     ok = precision >= precision_target
     if not ok.any():
         return 0.0, math.inf, ap
     best = recall[ok].max()
     return float(best), float(thr[ok & (recall == best)].min()), ap
+
+
+def _both_classes(labels) -> np.ndarray:
+    """``labels`` as an array; ValueError unless both classes occur."""
+    labels = np.asarray(labels)
+    if labels.sum() == 0 or labels.sum() == len(labels):
+        raise ValueError("labels need at least one positive and one negative")
+    return labels
+
+
+def _recall_and_ap(scores, labels, precision_target: float = 0.7):
+    """``_at_precision`` of scores and labels in any order."""
+    return _at_precision(*_pr_sweep(scores, _both_classes(labels)), precision_target)
 
 
 def recall_at_precision(scores, labels, precision_target: float):
@@ -287,7 +304,7 @@ def soft_iou(scores, labels) -> float:
     """sum(p*y) / (sum(p) + sum(y) - sum(p*y)); 1 when both sides are empty."""
     p = np.asarray(scores, dtype=np.float64)
     y = np.asarray(labels, dtype=np.float64)
-    if np.any(p < 0) or np.any(p > 1):
+    if not np.all((p >= 0) & (p <= 1)):  # NaN fails both comparisons
         raise ValueError("soft_iou expects probabilities in [0, 1]")
     inter = float(np.sum(p * y))
     denom = float(np.sum(p) + np.sum(y) - inter)
@@ -324,15 +341,10 @@ def _timed(timings, key: str):
         timings[key] = timings.get(key, 0.0) + time.perf_counter() - start
 
 
-def _if_both_classes(scores: np.ndarray, labels: np.ndarray):
-    """``_recall_and_ap`` of the probes, or None unless both classes occur."""
-    return _recall_and_ap(scores, labels) if 0 < labels.sum() < len(labels) else None
-
-
-def _known(scores: np.ndarray, ray: np.ndarray):
-    """The scores and ray labels of the probes whose ray label is known."""
-    known = ray != LABEL_UNKNOWN
-    return scores[known], ray[known]
+def _if_both_classes(s: np.ndarray, labels: np.ndarray):
+    """``_at_precision`` of probes in descending score order, or None unless
+    both classes occur."""
+    return _at_precision(*_sweep(s, labels)) if 0 < labels.sum() < len(labels) else None
 
 
 def _label_counts(ray: np.ndarray) -> dict:
@@ -386,21 +398,24 @@ def eval_4d_occupancy(
 
     with _timed(timings, "metrics"):
         report = {"probe_counts": _label_counts(ray), "n_probes": scores.size, "per_time_breakdown": []}
-        sc, ex = scores.ravel(), exact.ravel()
-        r, thr, ap = _recall_and_ap(sc, ex)
-        report.update(r_at_p70_exact=r, threshold_exact=thr, ap_occ_exact=ap, soft_iou=soft_iou(sc, ex))
+        sc = scores.ravel()
+        order = _descending(sc)  # one sort for every sweep: each subset below is a mask on this order
+        s, ex, ti_of = sc[order], exact.ravel()[order], order // len(centers) % len(grid.times)
+        r, thr, ap = _at_precision(*_sweep(s, _both_classes(ex)))
+        report.update(r_at_p70_exact=r, threshold_exact=thr, ap_occ_exact=ap, soft_iou=soft_iou(sc, exact.ravel()))
         if raytrace:
-            r, thr, ap = _if_both_classes(*_known(sc, ray.ravel())) or (0.0, math.inf, 0.0)
+            rl = ray.ravel()[order]
+            known = rl != LABEL_UNKNOWN
+            r, thr, ap = _if_both_classes(s[known], rl[known]) or (0.0, math.inf, 0.0)
             report.update(r_at_p70=r, threshold=thr, ap_occ=ap)
         for ti, t in enumerate(grid.times):
-            row = {"time": t}
-            sc = scores[:, ti].ravel()
-            exact_metrics = _if_both_classes(sc, exact[:, ti].ravel())
+            row, at_t = {"time": t}, ti_of == ti
+            exact_metrics = _if_both_classes(s[at_t], ex[at_t])
             if exact_metrics:
                 row["r_at_p70_exact"], _, row["ap_occ_exact"] = exact_metrics
             if raytrace:
                 row["probe_counts"] = _label_counts(ray[:, ti])
-                ray_metrics = _if_both_classes(*_known(sc, ray[:, ti].ravel()))
+                ray_metrics = _if_both_classes(s[at_t & known], rl[at_t & known])
                 if ray_metrics:
                     row["r_at_p70"] = ray_metrics[0]
             report["per_time_breakdown"].append(row)
@@ -444,8 +459,11 @@ def eval_ego_path(
 
 
 def write_report_json(report: dict, path) -> None:
+    """Strict JSON: a threshold that no score reaches (inf) is written as
+    null, and any other non-finite value raises ValueError."""
+    doc = {k: None if k.startswith("threshold") and v == math.inf else v for k, v in report.items()}
     with open(path, "w") as f:
-        json.dump(report, f, sort_keys=True, indent=1)
+        json.dump(doc, f, sort_keys=True, indent=1, allow_nan=False)
         f.write("\n")
 
 

@@ -423,11 +423,14 @@ def query_head(fp: FieldParams, z_grid: np.ndarray, name: str, positions: np.nda
     return head_forward(fp, name, x)
 
 
-# Rows per hidden-layer tile in lattice_head, sized so a tile's input and
-# hidden activations stay in L2. It must stay a power of two >= 16: a row's
-# hidden-layer bits do not depend on its place in the GEMM as long as tiles
-# start on multiples of the BLAS kernel's row unroll.
-_TILE = 2048
+# Rows per hidden-layer tile in lattice_head. At the default 48 inputs and 64
+# hidden units a row's input, pre1/h1, _leaky's slope * x and h2 take 1,920
+# bytes: 0.47 MiB at 256 rows, inside a 2 MiB L2 per core; 3.75 MiB at 2,048.
+# On a 2-core Xeon (1 BLAS thread, 409,600 probes) lattice_head took a median
+# 443, 361, 364, 386, 391, 416, 440 ms at tiles of 64, 128, ..., 4,096 rows. It
+# must stay a power of two >= 16: a row's hidden-layer bits do not depend on
+# its place in the GEMM if tiles start on multiples of the kernel's row unroll.
+_TILE = 256
 
 
 def lattice_head(fp: FieldParams, z_grid: np.ndarray, name: str, xy: np.ndarray, zs, t: float, chunk: int = 65536) -> np.ndarray:
@@ -444,12 +447,18 @@ def lattice_head(fp: FieldParams, z_grid: np.ndarray, name: str, xy: np.ndarray,
     ft = fourier_zt(np.asarray(zs, dtype=np.float64), np.full(len(zs), float(t)), cfg)
     out = np.empty((len(zs) * len(xy), cfg.head_out(name)))
     h2 = np.empty((min(chunk, len(out)), cfg.head_hidden))
+    x = np.empty((min(_TILE, len(out)), cfg.head_in))
     for lo in range(0, len(out), chunk):
         n = min(chunk, len(out) - lo)
         for a in range(0, n, _TILE):
-            rows = np.arange(lo + a, lo + min(a + _TILE, n))
-            x = np.concatenate([feat[rows % len(xy)], ft[rows // len(xy)]], axis=1)
-            _head_hidden(fp, name, x, out=h2[a : a + len(rows)])
+            m, r = min(_TILE, n - a), 0
+            while r < m:  # the tile's input, one run of columns at one height at a time
+                k, i = divmod(lo + a + r, len(xy))
+                run = min(m - r, len(xy) - i)
+                x[r : r + run, : cfg.channels] = feat[i : i + run]
+                x[r : r + run, cfg.channels :] = ft[k]
+                r += run
+            _head_hidden(fp, name, x[:m], out=h2[a : a + m])
         out[lo : lo + n] = h2[:n] @ p[f"head.{name}.w3"] + p[f"head.{name}.b3"]
     return out
 

@@ -127,6 +127,38 @@ def average_precision_bruteforce(scores, labels):
     return ap
 
 
+def pr_sweep_stable(scores, labels):
+    """(thresholds desc, precision, recall) at every distinct score, ties
+    grouped, from a stable descending sort and float cumulative counts of
+    true and false positives: the sweep as the package computed it before it
+    sorted once with an unstable sort and counted in integers."""
+    scores = np.asarray(scores, dtype=np.float64)
+    labels = np.asarray(labels)
+    order = np.argsort(-scores, kind="stable")
+    s = scores[order]
+    y = labels[order].astype(np.float64)
+    tp = np.cumsum(y)
+    fp = np.cumsum(1.0 - y)
+    idx = np.concatenate([np.nonzero(np.diff(s) != 0.0)[0], [len(s) - 1]])
+    tp, fp = tp[idx], fp[idx]
+    n_pos = float(labels.sum())
+    precision = tp / np.maximum(tp + fp, 1.0)
+    recall = tp / n_pos if n_pos > 0 else np.zeros_like(tp)
+    return s[idx], precision, recall
+
+
+def recall_and_ap_stable(scores, labels, target):
+    """(max recall at precision >= target, loosest such threshold, AP) from
+    ``pr_sweep_stable``, with AP summed in descending-threshold order."""
+    thr, precision, recall = pr_sweep_stable(scores, labels)
+    ap = float(np.cumsum((recall - np.concatenate([[0.0], recall[:-1]])) * precision)[-1])
+    ok = precision >= target
+    if not ok.any():
+        return 0.0, math.inf, ap
+    best = recall[ok].max()
+    return float(best), float(thr[ok & (recall == best)].min()), ap
+
+
 def soft_iou_loop(probs, labels):
     inter = 0.0
     sp = 0.0

@@ -322,6 +322,38 @@ class TestHarness:
         base = 0.7  # precision target; base rate is well below it here
         assert report["r_at_p70_exact"] == 0.0
 
+    def test_report_json_is_strict(self, tmp_path):
+        # the zero field reaches precision 0.7 at no threshold: the report
+        # holds inf there, and the file null; a NaN metric fails to write
+        import json
+
+        from occ4d.field import FieldConfig
+
+        scene = random_scene(seed=31)
+        cfg = FieldConfig(x_range=(-8.0, 8.0), y_range=(-8.0, 8.0), cell=0.5, channels=4, head_hidden=8, d_feat=3, n_freqs=2)
+        fp = init_params(cfg, seed=0, mode=MODE_FIT_PER_SCENE, zero=True)
+        grid = EvalGrid(x=(-8, 8), y=(-8, 8), z=(0.0, 2.0), step=1.0, times=(0.6, 1.2))
+        report = eval_4d_occupancy(fp, [scene], grid, 0.0, [scene_grid_for(fp, scene)], raytrace=True)
+        assert report["threshold_exact"] == math.inf and report["threshold"] == math.inf
+        path = tmp_path / "report.json"
+        write_report_json(report, path)
+        back = json.loads(path.read_text(), parse_constant=lambda c: pytest.fail(f"non-JSON token {c}"))
+        assert back["threshold_exact"] is None and back["threshold"] is None
+        assert back["soft_iou"] == report["soft_iou"]
+        with pytest.raises(ValueError):
+            write_report_json({**report, "ap_ego": math.nan}, path)
+
+    def test_nan_scores_rejected(self):
+        from occ4d.field import FieldConfig
+
+        scene = random_scene(seed=31)
+        cfg = FieldConfig(x_range=(-8.0, 8.0), y_range=(-8.0, 8.0), cell=0.5, channels=4, head_hidden=8, d_feat=3, n_freqs=2)
+        fp = init_params(cfg, seed=0, mode=MODE_FIT_PER_SCENE)
+        fp.params["head.occ.b3"][:] = math.nan
+        grid = EvalGrid(x=(-8, 8), y=(-8, 8), z=(0.0, 2.0), step=1.0, times=(0.6,))
+        with pytest.raises(ValueError, match="NaN"):
+            eval_4d_occupancy(fp, [scene], grid, 0.0, [scene_grid_for(fp, scene)], raytrace=False)
+
     def test_report_shape_and_json(self, tmp_path):
         scene = random_scene(seed=32)
         from occ4d.field import FieldConfig

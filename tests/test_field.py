@@ -607,18 +607,42 @@ def test_lattice_head_chunks_across_layers(chunk):
 
 @pytest.mark.parametrize("mode", [MODE_FIT_PER_SCENE, MODE_AMORTIZED])
 @pytest.mark.parametrize("chunk", [65536, 5001])
-def test_lattice_head_tiles_match_whole_blocks(mode, chunk):
-    """Blocks span several hidden-layer tiles and the lattice ends in a
-    partial tile whose length is no multiple of 8; a chunk of 5001 also
-    ends every block in an odd partial tile."""
+def test_lattice_head_tiles_match_whole_blocks(mode, chunk, monkeypatch):
+    """At each tile size, blocks span several hidden-layer tiles and the
+    lattice ends in a partial tile whose length is no multiple of 8; a chunk
+    of 5001 also ends every block in an odd partial tile."""
     grid = LATTICES["61x47x5"]
     assert grid.shape == (5, 47, 61)
     fp, z_grid = field_and_grid(mode, seed=5)
     centers = grid.centers()
-    assert len(centers) > field._TILE and len(centers) % chunk % field._TILE % 8
-    for name in ("occ", "ego", "feat"):
-        got = lattice_head(fp, z_grid, name, centers[: 47 * 61, :2], centers[:: 47 * 61, 2], 2.4, chunk=chunk)
-        assert np.array_equal(got, chunked_query_head(fp, z_grid, name, centers, 2.4, chunk=chunk))
+    for tile in (16, 256, 512, 2048):
+        monkeypatch.setattr(field, "_TILE", tile)
+        assert len(centers) > field._TILE and len(centers) % chunk % field._TILE % 8
+        for name in ("occ", "ego", "feat"):
+            got = lattice_head(fp, z_grid, name, centers[: 47 * 61, :2], centers[:: 47 * 61, 2], 2.4, chunk=chunk)
+            assert np.array_equal(got, chunked_query_head(fp, z_grid, name, centers, 2.4, chunk=chunk))
+
+
+def test_lattice_head_same_bits_at_one_and_two_blas_threads():
+    from occ4d.cli import _blas_thread_calls
+
+    calls = _blas_thread_calls()
+    if calls is None:
+        pytest.skip("numpy's bundled OpenBLAS thread-count symbols are not available")
+    fp, z_grid = field_and_grid(MODE_FIT_PER_SCENE, seed=7)
+    before, got = calls[0](), []
+    try:
+        for threads in (1, 2):
+            calls[1](threads)
+            got.append([])
+            for lattice in ("default", "61x47x5"):
+                _, ny, nx = LATTICES[lattice].shape
+                centers = LATTICES[lattice].centers()
+                for name in ("occ", "ego", "feat"):
+                    got[-1].append(lattice_head(fp, z_grid, name, centers[: ny * nx, :2], centers[:: ny * nx, 2], 1.2))
+    finally:
+        calls[1](before)
+    assert all(np.array_equal(a, b) for a, b in zip(*got))
 
 
 @pytest.mark.parametrize(

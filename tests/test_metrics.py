@@ -9,6 +9,8 @@ from occ4d.evaluation import _pr_sweep, _recall_and_ap, average_precision, recal
 
 from oracles import (
     average_precision_bruteforce,
+    pr_sweep_stable,
+    recall_and_ap_stable,
     recall_at_precision_bruteforce,
     soft_iou_loop,
 )
@@ -106,6 +108,10 @@ class TestSoftIou:
         with pytest.raises(ValueError):
             soft_iou([1.5], [1])
 
+    def test_rejects_nan(self):
+        with pytest.raises(ValueError):
+            soft_iou([0.2, math.nan], [1, 0])
+
     def test_matches_loop_oracle(self):
         rng = np.random.default_rng(3)
         for _ in range(200):
@@ -160,3 +166,33 @@ def test_average_precision_adds_terms_in_order():
     for t in terms:
         ap += float(t)
     assert average_precision(scores, labels) == ap
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(1, 50),
+    st.lists(st.tuples(st.integers(0, 49), st.booleans()), min_size=2, max_size=300),
+    st.integers(0, 2**31 - 1),
+)
+def test_sweep_does_not_depend_on_tie_order(levels, rows, seed):
+    """Heavily tied scores in a random order: the unstable sort and integer
+    counts give the bits of the stable-sort sweep."""
+    scores = np.array([k % levels for k, _ in rows]) / levels
+    labels = np.array([y for _, y in rows], dtype=np.int8)
+    perm = np.random.default_rng(seed).permutation(len(rows))
+    want = pr_sweep_stable(scores, labels)
+    for s, y in ((scores, labels), (scores[perm], labels[perm])):
+        assert all(np.array_equal(g, w) for g, w in zip(_pr_sweep(s, y), want))
+        if 0 < labels.sum() < len(labels):
+            for target in (0.3, 0.7, 0.99):
+                assert _recall_and_ap(s, y, target) == recall_and_ap_stable(scores, labels, target)
+
+
+def test_nan_scores_rejected():
+    scores, labels = [0.9, math.nan, 0.2, 0.8], [1, 0, 1, 0]
+    with pytest.raises(ValueError, match="NaN"):
+        _recall_and_ap(scores, labels)
+    with pytest.raises(ValueError, match="NaN"):
+        average_precision(scores, labels)
+    with pytest.raises(ValueError, match="NaN"):
+        recall_at_precision(scores, labels, 0.7)
