@@ -83,9 +83,12 @@ def _deep_merge(base: dict, override: dict) -> dict:
 def load_config(path=None, overrides: dict | None = None) -> dict:
     cfg = copy.deepcopy(DEFAULT_CONFIG)
     if path is not None:
+        def reject(constant):
+            raise ValueError(f"{path}: {constant} is not allowed; config numbers must be finite")
+
         with open(path) as f:
             try:
-                user = json.load(f)
+                user = json.load(f, parse_constant=reject)
             except json.JSONDecodeError as e:
                 raise ValueError(f"{path}:{e.lineno}:{e.colno}: invalid JSON: {e.msg}") from None
         try:
@@ -98,7 +101,7 @@ def load_config(path=None, overrides: dict | None = None) -> dict:
 
 
 def canonical_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False)
 
 
 def config_digest(cfg: dict) -> str:

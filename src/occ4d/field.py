@@ -361,29 +361,26 @@ def interp_backward(cache, dfeat: np.ndarray, grid_shape) -> np.ndarray:
     return np.bincount(flat, weights=vals, minlength=h * w * c).reshape(grid_shape)
 
 
-def _head_hidden(fp: FieldParams, name: str, x: np.ndarray, want_cache=False, out=None):
-    """The head's two leaky hidden layers: h2, or (pre1, h1, pre2, h2) with
-    ``want_cache``. Without a cache they run in place, the same bits from
-    fewer, reused buffers, and h2 goes to ``out`` if given."""
+def head_forward(fp: FieldParams, name: str, x: np.ndarray, want_cache=False):
+    """The head on each row of ``x``: out, or (out, (x, pre1, h1, pre2, h2))
+    with ``want_cache``; without a cache the hidden layers run in place. A
+    row's output bits do not depend on its batch: a one-output head ends in
+    a per-row einsum, not BLAS gemv, and a 1-row batch, which numpy would
+    send to gemv, runs as two copies of its row."""
+    if len(x) == 1:
+        res = head_forward(fp, name, np.concatenate([x, x]), want_cache)
+        return (res[0][:1], tuple(a[:1] for a in res[1])) if want_cache else res[:1]
     p = fp.params
     slope = fp.config.leaky_slope
     pre1 = x @ p[f"head.{name}.w1"]
     pre1 += p[f"head.{name}.b1"]
     h1 = _leaky(pre1, slope, out=None if want_cache else pre1)
-    pre2 = np.matmul(h1, p[f"head.{name}.w2"], out=out)
+    pre2 = h1 @ p[f"head.{name}.w2"]
     pre2 += p[f"head.{name}.b2"]
     h2 = _leaky(pre2, slope, out=None if want_cache else pre2)
-    return (pre1, h1, pre2, h2) if want_cache else h2
-
-
-def head_forward(fp: FieldParams, name: str, x: np.ndarray, want_cache=False):
-    p = fp.params
-    hidden = _head_hidden(fp, name, x, want_cache=want_cache)
-    h2 = hidden[-1] if want_cache else hidden
-    out = h2 @ p[f"head.{name}.w3"] + p[f"head.{name}.b3"]
-    if want_cache:
-        return out, (x, *hidden)
-    return out
+    w3 = p[f"head.{name}.w3"]
+    out = (np.einsum("ij,j->i", h2, w3[:, 0])[:, None] if w3.shape[1] == 1 else h2 @ w3) + p[f"head.{name}.b3"]
+    return (out, (x, pre1, h1, pre2, h2)) if want_cache else out
 
 
 def head_backward(fp: FieldParams, name: str, cache, dout: np.ndarray):
@@ -418,48 +415,40 @@ def head_input(z_grid: np.ndarray, positions: np.ndarray, times: np.ndarray, cfg
 
 
 def query_head(fp: FieldParams, z_grid: np.ndarray, name: str, positions: np.ndarray, times: np.ndarray):
-    """One head only; the occupancy fast path for dense evaluation."""
+    """One head at probes with per-probe times; see lattice_head for a lattice."""
     x = head_input(z_grid, np.atleast_2d(positions), np.asarray(times, dtype=np.float64), fp.config)
     return head_forward(fp, name, x)
 
 
-# Rows per hidden-layer tile in lattice_head. At the default 48 inputs and 64
-# hidden units a row's input, pre1/h1, _leaky's slope * x and h2 take 1,920
-# bytes: 0.47 MiB at 256 rows, inside a 2 MiB L2 per core; 3.75 MiB at 2,048.
-# On a 2-core Xeon (1 BLAS thread, 409,600 probes) lattice_head took a median
-# 443, 361, 364, 386, 391, 416, 440 ms at tiles of 64, 128, ..., 4,096 rows. It
-# must stay a power of two >= 16: a row's hidden-layer bits do not depend on
-# its place in the GEMM if tiles start on multiples of the kernel's row unroll.
+# Rows per tile in lattice_head. At the default 48 inputs and 64 hidden units
+# a row's input, pre1/h1, _leaky's slope * x and h2 take 1,920 bytes: 0.47 MiB
+# at 256 rows, inside a 2 MiB L2 per core; 3.75 MiB at 2,048. On a 2-core Xeon
+# (1 BLAS thread, 409,600 probes, middle of three runs' medians of 15)
+# lattice_head took 403, 314, 314, 326, 322, 382, 396 ms at tiles of 64, 128,
+# ..., 4,096 rows. The size changes no score: this module guarantees that
+# head_forward gives a row the same output bits in any batch.
 _TILE = 256
 
 
-def lattice_head(fp: FieldParams, z_grid: np.ndarray, name: str, xy: np.ndarray, zs, t: float, chunk: int = 65536) -> np.ndarray:
+def lattice_head(fp: FieldParams, z_grid: np.ndarray, name: str, xy: np.ndarray, zs, t: float) -> np.ndarray:
     """One head on the lattice of (x, y) columns ``xy`` and heights ``zs`` at
     time ``t``, z-major (row k * len(xy) + i is column i at height zs[k]).
-    Interpolates each column and encodes each height once, then runs the
-    same ``chunk``-row blocks as ``query_head`` on ``chunk``-probe blocks:
-    bit-identical, as BLAS rounds the last layer's rows by their place in
-    the block. The hidden layers run on ``_TILE``-row tiles of a block,
-    whose bits do not depend on the tiling."""
+    Interpolates each column and encodes each height once, then runs
+    ``head_forward`` on ``_TILE``-row tiles: query_head's bits."""
     cfg = fp.config
-    p = fp.params
     feat = interp_grid(z_grid, xy[:, 0], xy[:, 1], cfg)
     ft = fourier_zt(np.asarray(zs, dtype=np.float64), np.full(len(zs), float(t)), cfg)
     out = np.empty((len(zs) * len(xy), cfg.head_out(name)))
-    h2 = np.empty((min(chunk, len(out)), cfg.head_hidden))
     x = np.empty((min(_TILE, len(out)), cfg.head_in))
-    for lo in range(0, len(out), chunk):
-        n = min(chunk, len(out) - lo)
-        for a in range(0, n, _TILE):
-            m, r = min(_TILE, n - a), 0
-            while r < m:  # the tile's input, one run of columns at one height at a time
-                k, i = divmod(lo + a + r, len(xy))
-                run = min(m - r, len(xy) - i)
-                x[r : r + run, : cfg.channels] = feat[i : i + run]
-                x[r : r + run, cfg.channels :] = ft[k]
-                r += run
-            _head_hidden(fp, name, x[:m], out=h2[a : a + m])
-        out[lo : lo + n] = h2[:n] @ p[f"head.{name}.w3"] + p[f"head.{name}.b3"]
+    for a in range(0, len(out), _TILE):
+        m, r = min(_TILE, len(out) - a), 0
+        while r < m:  # the tile's input, one run of columns at one height at a time
+            k, i = divmod(a + r, len(xy))
+            run = min(m - r, len(xy) - i)
+            x[r : r + run, : cfg.channels] = feat[i : i + run]
+            x[r : r + run, cfg.channels :] = ft[k]
+            r += run
+        out[a : a + m] = head_forward(fp, name, x[:m])
     return out
 
 

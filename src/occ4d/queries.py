@@ -139,6 +139,10 @@ class SamplerConfig:
             raise ValueError("jitter_tau must be positive")
         if self.missing_ray_min_run < 1:
             raise ValueError("missing_ray_min_run must be >= 1")
+        if self.missing_ray_samples_per_ray < 0:
+            raise ValueError(f"missing_ray_samples_per_ray must be >= 0, got {self.missing_ray_samples_per_ray}")
+        if not self.depth_tol >= 0.0:  # a negative tolerance hides every point, even the nearest
+            raise ValueError(f"depth_tol must be >= 0, got {self.depth_tol}")
 
     @property
     def t_max(self) -> float:

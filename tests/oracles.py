@@ -450,12 +450,15 @@ def interp_backward_add_at(cache, dfeat, grid_shape):
 
 def head_block(params, name, x, slope):
     """A perceptron head on every row of ``x`` at once: two leaky hidden
-    layers written as np.where, then the linear output layer."""
+    layers written as np.where, then the linear output layer, a per-row
+    einsum reduction for a one-output head."""
     h = x
     for k in (1, 2):
         pre = h @ params[f"head.{name}.w{k}"] + params[f"head.{name}.b{k}"]
         h = np.where(pre > 0, pre, slope * pre)
-    return h @ params[f"head.{name}.w3"] + params[f"head.{name}.b3"]
+    w3 = params[f"head.{name}.w3"]
+    out = np.einsum("ij,j->i", h, w3[:, 0])[:, None] if w3.shape[1] == 1 else h @ w3
+    return out + params[f"head.{name}.b3"]
 
 
 # ---------------------------------------------------------------------------

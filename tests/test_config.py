@@ -67,6 +67,18 @@ class TestConfig:
         with pytest.raises(ValueError, match=r":2:"):
             load_config(p)
 
+    @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+    def test_nonfinite_constant_rejected(self, tmp_path, constant):
+        p = tmp_path / "bad.json"
+        p.write_text('{"sampler": {"delta": %s}}' % constant)
+        with pytest.raises(ValueError, match=f"bad.json: {constant} is not allowed"):
+            load_config(p)
+
+    def test_nonfinite_override_has_no_digest(self):
+        cfg = load_config(overrides={"sampler": {"delta": float("nan")}})
+        with pytest.raises(ValueError):
+            config_digest(cfg)
+
     def test_merge_is_deep(self, tmp_path):
         p = tmp_path / "cfg.json"
         p.write_text(json.dumps({"sampler": {"n_feat": 5}}))

@@ -539,17 +539,6 @@ def test_leaky_same_bits_as_where(slope):
     assert np.array_equal(x.view(np.uint64), want.view(np.uint64))
 
 
-def chunked_query_head(fp, z_grid, name, positions, t, chunk=65536):
-    """Scores as dense eval computed them probe by probe: the whole head on
-    each ``chunk``-probe block of the z-major lattice at once."""
-    out = np.empty((len(positions), fp.config.head_out(name)))
-    for lo in range(0, len(positions), chunk):
-        block = positions[lo : lo + chunk]
-        x = head_input(z_grid, block, np.full(len(block), t), fp.config)
-        out[lo : lo + len(block)] = head_block(fp.params, name, x, fp.config.leaky_slope)
-    return out
-
-
 @pytest.mark.parametrize("mode", [MODE_FIT_PER_SCENE, MODE_AMORTIZED])
 def test_query_head_and_query_field_equal_head_block(mode):
     fp, z_grid = field_and_grid(mode, seed=6)
@@ -582,6 +571,11 @@ LATTICES = {
 }
 
 
+def whole_lattice_query_head(fp, z_grid, name, centers, t):
+    """One query_head call on every probe of a z-major lattice."""
+    return query_head(fp, z_grid, name, centers, np.full(len(centers), t))
+
+
 @pytest.mark.parametrize("mode", [MODE_FIT_PER_SCENE, MODE_AMORTIZED])
 @pytest.mark.parametrize("lattice", sorted(LATTICES))
 def test_lattice_head_equals_chunked_query_head(mode, lattice):
@@ -593,34 +587,36 @@ def test_lattice_head_equals_chunked_query_head(mode, lattice):
     assert len(zs) == nz
     for name in ("occ", "ego"):
         got = lattice_head(fp, z_grid, name, xy, zs, 1.8)
-        assert np.array_equal(got, chunked_query_head(fp, z_grid, name, centers, 1.8))
+        assert np.array_equal(got, whole_lattice_query_head(fp, z_grid, name, centers, 1.8))
 
 
-@pytest.mark.parametrize("chunk", [1, 13, 35, 36])
-def test_lattice_head_chunks_across_layers(chunk):
+@pytest.mark.parametrize("tile", [1, 13, 35, 36])
+def test_lattice_head_chunks_across_layers(tile, monkeypatch):
+    """Tiles of 1 row, and tiles that end inside, exactly at and just past
+    the 35-column layers of the 7x5x3 lattice."""
+    monkeypatch.setattr(field, "_TILE", tile)
     grid = LATTICES["7x5x3"]
     fp, z_grid = field_and_grid(MODE_FIT_PER_SCENE, seed=4)
     centers = grid.centers()
-    got = lattice_head(fp, z_grid, "feat", centers[:35, :2], centers[::35, 2], 0.6, chunk=chunk)
-    assert np.array_equal(got, chunked_query_head(fp, z_grid, "feat", centers, 0.6, chunk=chunk))
+    got = lattice_head(fp, z_grid, "feat", centers[:35, :2], centers[::35, 2], 0.6)
+    assert np.array_equal(got, whole_lattice_query_head(fp, z_grid, "feat", centers, 0.6))
 
 
 @pytest.mark.parametrize("mode", [MODE_FIT_PER_SCENE, MODE_AMORTIZED])
-@pytest.mark.parametrize("chunk", [65536, 5001])
-def test_lattice_head_tiles_match_whole_blocks(mode, chunk, monkeypatch):
-    """At each tile size, blocks span several hidden-layer tiles and the
-    lattice ends in a partial tile whose length is no multiple of 8; a chunk
-    of 5001 also ends every block in an odd partial tile."""
+def test_lattice_head_tiles_match_whole_blocks(mode, monkeypatch):
+    """At each tile size the lattice spans several tiles and ends in a
+    partial tile whose length is no multiple of 8."""
     grid = LATTICES["61x47x5"]
     assert grid.shape == (5, 47, 61)
     fp, z_grid = field_and_grid(mode, seed=5)
     centers = grid.centers()
+    want = {name: whole_lattice_query_head(fp, z_grid, name, centers, 2.4) for name in ("occ", "ego", "feat")}
     for tile in (16, 256, 512, 2048):
         monkeypatch.setattr(field, "_TILE", tile)
-        assert len(centers) > field._TILE and len(centers) % chunk % field._TILE % 8
-        for name in ("occ", "ego", "feat"):
-            got = lattice_head(fp, z_grid, name, centers[: 47 * 61, :2], centers[:: 47 * 61, 2], 2.4, chunk=chunk)
-            assert np.array_equal(got, chunked_query_head(fp, z_grid, name, centers, 2.4, chunk=chunk))
+        assert len(centers) > field._TILE and len(centers) % field._TILE % 8
+        for name in want:
+            got = lattice_head(fp, z_grid, name, centers[: 47 * 61, :2], centers[:: 47 * 61, 2], 2.4)
+            assert np.array_equal(got, want[name])
 
 
 def test_lattice_head_same_bits_at_one_and_two_blas_threads():
@@ -643,6 +639,52 @@ def test_lattice_head_same_bits_at_one_and_two_blas_threads():
     finally:
         calls[1](before)
     assert all(np.array_equal(a, b) for a, b in zip(*got))
+
+
+def test_scores_do_not_depend_on_the_batch(monkeypatch):
+    """At 1 and 2 BLAS threads, a probe's head output has the bits of one
+    query_head call on all 5,000 probes at 1 thread, whether it is scored in
+    a shuffled batch of 1-700 probes, alone through head_forward (with and
+    without a cache) or by lattice_head at any tile size."""
+    from occ4d.cli import _blas_thread_calls
+
+    calls = _blas_thread_calls()
+    if calls is None:
+        pytest.skip("numpy's bundled OpenBLAS thread-count symbols are not available")
+    fp, z_grid = field_and_grid(MODE_AMORTIZED, seed=8)
+    rng = np.random.default_rng(8)
+    positions = rng.uniform([-17.0, -17.0, -0.4], [17.0, 17.0, 3.0], size=(5000, 3))
+    times = rng.uniform(0.0, 3.0, size=5000)
+    x = head_input(z_grid, positions, times, fp.config)
+    centers = LATTICES["7x5x3"].centers()
+    before = calls[0]()
+    try:
+        calls[1](1)
+        want = {name: query_head(fp, z_grid, name, positions, times) for name in ("occ", "ego", "feat")}
+        for threads in (1, 2):
+            calls[1](threads)
+            for name, whole in want.items():
+                got = np.empty_like(whole)
+                order = rng.permutation(len(positions))
+                cuts = np.cumsum(rng.integers(1, 701, size=len(positions)))
+                for rows in np.split(order, cuts[cuts < len(order)]):
+                    got[rows] = query_head(fp, z_grid, name, positions[rows], times[rows])
+                assert np.array_equal(got, whole), (threads, name)
+
+                batch, batch_cache = field.head_forward(fp, name, x[:700], want_cache=True)
+                for i in rng.choice(700, size=5, replace=False):
+                    one, one_cache = field.head_forward(fp, name, x[i : i + 1], want_cache=True)
+                    assert np.array_equal(field.head_forward(fp, name, x[i : i + 1]), whole[i : i + 1])
+                    assert np.array_equal(one, batch[i : i + 1]) and np.array_equal(one, whole[i : i + 1])
+                    assert all(np.array_equal(a, b[i : i + 1]) for a, b in zip(one_cache, batch_cache))
+
+                lattice = whole_lattice_query_head(fp, z_grid, name, centers, 0.6)
+                for tile in (1, 13, 35, 36):
+                    monkeypatch.setattr(field, "_TILE", tile)
+                    got = lattice_head(fp, z_grid, name, centers[:35, :2], centers[::35, 2], 0.6)
+                    assert np.array_equal(got, lattice), (threads, name, tile)
+    finally:
+        calls[1](before)
 
 
 @pytest.mark.parametrize(

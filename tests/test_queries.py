@@ -128,6 +128,19 @@ def pca16():
     return fit_pca(rng.normal(size=(400, 16)) * np.linspace(3, 0.2, 16), 8)
 
 
+class TestSamplerConfig:
+    @pytest.mark.parametrize("tol", [-0.1, float("nan")])
+    def test_negative_depth_tol_rejected(self, tol):
+        with pytest.raises(ValueError, match="depth_tol"):
+            SamplerConfig(depth_tol=tol)
+        SamplerConfig(depth_tol=0.0)
+
+    def test_negative_missing_ray_samples_rejected(self):
+        with pytest.raises(ValueError, match="missing_ray_samples_per_ray must be >= 0"):
+            SamplerConfig(missing_ray_samples_per_ray=-1)
+        SamplerConfig(missing_ray_samples_per_ray=0)
+
+
 class TestOccupancyNegatives:
     def test_on_segment_with_tau_one(self):
         scan = synthetic_scan([(0, 0, 1)], [(10, 0, 1)])
