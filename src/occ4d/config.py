@@ -58,12 +58,10 @@ DEFAULT_CONFIG = {
         "theta_min_deg": -20.0,
         "theta_max_deg": 20.0,
         "rotation_enabled": True,
-        "jitter_enabled": False,
-        "jitter_tau": 1.0,
     },
-    "field": _section(FieldConfig, "d_feat"),
+    "field": _section(FieldConfig, "d_feat", "k_past"),
     "train": _section(TrainConfig, "seed"),
-    "eval": {**_section(EvalGrid), "raytrace": True, "ego_bev_step": 0.5, "thresholds": {}},
+    "eval": {**_section(EvalGrid), "raytrace": True, "ego_bev_step": 0.5},
     "scaling": {"sample_counts": [1, 4, 16, 64], "seeds": [0], "total_steps": 800, "warmup_steps": 50},
 }
 
@@ -73,7 +71,9 @@ def _deep_merge(base: dict, override: dict) -> dict:
     for k, v in override.items():
         if k not in out:
             raise KeyError(f"unknown config key: {k!r}")
-        if isinstance(v, dict) and isinstance(out[k], dict):
+        if isinstance(out[k], dict):
+            if not isinstance(v, dict):
+                raise ValueError(f"config key {k!r} must be an object, got {v!r}")
             out[k] = _deep_merge(out[k], v)
         else:
             out[k] = v
@@ -93,7 +93,7 @@ def load_config(path=None, overrides: dict | None = None) -> dict:
                 raise ValueError(f"{path}:{e.lineno}:{e.colno}: invalid JSON: {e.msg}") from None
         try:
             cfg = _deep_merge(cfg, user)
-        except KeyError as e:
+        except (KeyError, ValueError) as e:
             raise ValueError(f"{path}: {e.args[0]}") from None
     if overrides:
         cfg = _deep_merge(cfg, overrides)
@@ -118,14 +118,14 @@ def augment_from(cfg: dict) -> AugmentConfig:
     return AugmentConfig(
         theta_min=math.radians(a["theta_min_deg"]),
         theta_max=math.radians(a["theta_max_deg"]),
-        jitter_tau=a["jitter_tau"],
         rotation_enabled=a["rotation_enabled"],
-        jitter_enabled=a["jitter_enabled"],
     )
 
 
 def field_from(cfg: dict) -> FieldConfig:
-    return from_json(FieldConfig, cfg["field"], d_feat=cfg["pca"]["d"])
+    """The field config, with d_feat from the PCA and one encoder input per
+    past scan of the suite."""
+    return from_json(FieldConfig, cfg["field"], d_feat=cfg["pca"]["d"], k_past=len(cfg["suite"]["past_offsets"]))
 
 
 def train_from(cfg: dict, seed: int | None = None, **overrides) -> TrainConfig:

@@ -91,24 +91,16 @@ def inverse(p: Pose) -> Pose:
 
 @dataclass(frozen=True)
 class AugmentConfig:
-    """Training-sample augmentation knobs.
-
-    theta is drawn uniformly from [theta_min, theta_max] when rotation is
-    enabled. jitter_tau reshapes the along-ray negative draw (d^tau); tau=1
-    is plain uniform sampling.
-    """
+    """Training-sample augmentation knobs: theta is drawn uniformly from
+    [theta_min, theta_max] when rotation is enabled."""
 
     theta_min: float = -math.radians(20.0)
     theta_max: float = math.radians(20.0)
-    jitter_tau: float = 1.0
     rotation_enabled: bool = True
-    jitter_enabled: bool = False
 
     def __post_init__(self):
         if self.theta_min > self.theta_max:
             raise ValueError("theta_min must be <= theta_max")
-        if self.jitter_tau <= 0.0:
-            raise ValueError("jitter_tau must be positive")
 
 
 def per_ray_rng(seed: int, ray_index: int, stream: int = 0) -> np.random.Generator:

@@ -9,12 +9,13 @@ All randomness flows through counter-based streams keyed by
 (seed, purpose, ray-or-point index), so outputs are byte-identical at any
 worker count. Stream k is numpy's Philox4x64-10 with key [seed, stream] and
 counter [0, k, 0, 0]; its draw j is word j % 4 of the block at counter
-[j // 4 + 1, k, 0, 0] (``geom.philox_uniforms``). The per-ray generators
-are array code over all rays of a scan: ``_draw_filtered`` reproduces, for
-every ray at once, the redraw rounds a per-ray ``per_ray_rng`` generator
-would run, draw for draw. Rotation augmentation is applied after
-generation, to scans and query positions jointly, which makes equivariance
-exact.
+[j // 4 + 1, k, 0, 0] (``geom.philox_uniforms``). Every generator is array
+code over all its rays or queries at once, drawing what a per-key
+``per_ray_rng`` generator would draw, draw for draw: ``_draw_filtered``
+replays the redraw rounds of every ray of a scan, and ``_first_accepted``
+the rejection attempts of every ego-path query. Rotation augmentation is
+applied after generation, to scans and query positions jointly, which makes
+equivariance exact.
 """
 
 from __future__ import annotations
@@ -303,20 +304,18 @@ def _per_ray_quota(count: int, n_rays: int) -> np.ndarray:
     return quota
 
 
-def gen_occupancy_negatives(
-    scan: LidarScan, cfg: SamplerConfig, count: int, scan_stream: int = 0, tau: float | None = None
-) -> QuerySet:
-    """Free-space queries along hit rays: s + d^tau (p - s), d ~ U(0,1),
-    rejecting d^tau in {0, 1} exactly and points outside the roi."""
+def gen_occupancy_negatives(scan: LidarScan, cfg: SamplerConfig, count: int, scan_stream: int = 0) -> QuerySet:
+    """Free-space queries along hit rays: s + d^tau (p - s), d ~ U(0,1) and
+    tau = cfg.jitter_tau, rejecting d^tau in {0, 1} exactly and points
+    outside the roi."""
     hits = scan.hit_indices
     if len(hits) == 0:
         raise EmptyScanError("scan has no hit rays")
-    tau = cfg.jitter_tau if tau is None else tau
     s = scan.origins[hits]
     seg = scan.endpoints()[hits] - s
 
     def make(idx, u):
-        dtau = u ** tau
+        dtau = u ** cfg.jitter_tau
         return s[idx] + dtau[:, None] * seg[idx], (dtau != 0.0) & (dtau != 1.0)
 
     stream = _stream(_PURPOSE_NEG, scan_stream)
@@ -498,15 +497,39 @@ def ego_tube_distance(path_vertices: np.ndarray, pts: np.ndarray) -> np.ndarray:
     return _segments_dist_xy(np.atleast_2d(pts)[:, :2], path_vertices)
 
 
+def _first_accepted(seed: int, purpose: int, n: int, attempts: int, width: int, make):
+    """The first accepted attempt of each of ``n`` queries.
+
+    Attempt a of query i takes draws width*a ... width*a + width - 1 of the
+    stream ``per_ray_rng(seed, i, _stream(purpose))``, and ``make(u) ->
+    (pos, times, ok)`` maps the (m, width) uniforms of m attempts to
+    candidates. Round a draws attempt a of every query not yet accepted, for
+    at most ``attempts`` rounds. Returns (found, pos, times): which queries
+    accepted an attempt, and the candidates they took, in query order.
+    """
+    found, pos, times = np.zeros(n, dtype=bool), np.empty((n, 3)), np.empty(n)
+    for a in range(attempts):
+        todo = np.flatnonzero(~found)
+        if len(todo) == 0:
+            break
+        offsets = np.tile(np.arange(a * width, (a + 1) * width), len(todo))
+        u = philox_uniforms(seed, _stream(purpose), np.repeat(todo, width), offsets)
+        p, t, ok = make(u.reshape(-1, width))
+        pos[todo[ok]], times[todo[ok]], found[todo[ok]] = p[ok], t[ok], True
+    return found, pos[found], times[found]
+
+
 def gen_ego_path_queries(
     scene: Scene, t0: float, cfg: SamplerConfig, frame: Pose | None = None
 ) -> QuerySet:
     """Tube labels around the future ego path over [t0, t0 + t_max].
 
     Positives are uniform per arc length along the path with a uniform disk
-    offset of radius < w_ego in x-y; negatives are uniform over the roi,
-    rejection-resampled until outside the tube. Query times are uniform in
-    [0, t_max] and carried but never used for labeling."""
+    offset of radius < w_ego in x-y, redrawn while outside the roi and
+    dropped after ``_MAX_REDRAWS`` attempts; negatives are uniform over the
+    roi, redrawn while inside the tube, and a negative still inside after
+    ``_EGO_NEG_ATTEMPTS`` attempts is a RuntimeError. Query times are uniform
+    in [0, t_max] and carried but never used for labeling."""
     lo, hi = scene.horizon
     if t0 < lo - 1e-9 or t0 + cfg.t_max > hi + 1e-9:
         raise ValueError(f"ego trajectory [{lo}, {hi}] does not cover [{t0}, {t0 + cfg.t_max}]")
@@ -519,57 +542,35 @@ def gen_ego_path_queries(
     total_len = float(cum[-1])
     roi = cfg.roi
 
-    pos_list, pos_times = [], []
-    for i in range(cfg.n_ego_pos):
-        gen = per_ray_rng(cfg.seed, i, _stream(_PURPOSE_EGO_POS, 0))
-        for _ in range(_MAX_REDRAWS):
-            s_arc, u_r, phi, u_z, u_t = gen.uniform(size=5)
-            if total_len > 0.0:
-                arc = s_arc * total_len
-                k = min(int(np.searchsorted(cum, arc, side="right")) - 1, len(seg_len) - 1)
-                frac = (arc - cum[k]) / seg_len[k] if seg_len[k] > 0 else 0.0
-                base = verts[k] + frac * (verts[k + 1] - verts[k])
-            else:
-                base = verts[0]
-            r = cfg.w_ego * math.sqrt(u_r)
-            p = np.array([
-                base[0] + r * math.cos(2.0 * math.pi * phi),
-                base[1] + r * math.sin(2.0 * math.pi * phi),
-                roi.z[0] + u_z * (roi.z[1] - roi.z[0]),
-            ])
-            if roi.contains_xyz(p)[0]:
-                pos_list.append(p)
-                pos_times.append(u_t * cfg.t_max)
-                break
+    def positive(u):
+        s_arc, u_r, phi, u_z, u_t = u.T
+        base = np.broadcast_to(verts[0], (len(u), 3))
+        if total_len > 0.0:
+            arc = s_arc * total_len
+            k = np.minimum(np.searchsorted(cum, arc, side="right") - 1, len(seg_len) - 1)
+            nonzero = seg_len[k] > 0
+            frac = np.where(nonzero, (arc - cum[k]) / np.where(nonzero, seg_len[k], 1.0), 0.0)
+            base = verts[k] + frac[:, None] * (verts[k + 1] - verts[k])
+        r, angle = cfg.w_ego * np.sqrt(u_r), 2.0 * math.pi * phi
+        z = roi.z[0] + u_z * (roi.z[1] - roi.z[0])
+        p = np.stack([base[:, 0] + r * np.cos(angle), base[:, 1] + r * np.sin(angle), z], axis=1)
+        return p, u_t * cfg.t_max, roi.contains_xyz(p)
 
-    neg_list, neg_times = [], []
-    for i in range(cfg.n_ego_neg):
-        gen = per_ray_rng(cfg.seed, i, _stream(_PURPOSE_EGO_NEG, 0))
-        for attempt in range(_EGO_NEG_ATTEMPTS + 1):
-            if attempt == _EGO_NEG_ATTEMPTS:
-                raise RuntimeError(
-                    f"ego negative {i}: exceeded {_EGO_NEG_ATTEMPTS} rejection attempts; "
-                    "roi is nearly covered by the ego tube"
-                )
-            ux, uy, uz, ut = gen.uniform(size=4)
-            p = np.array([
-                roi.x[0] + ux * (roi.x[1] - roi.x[0]),
-                roi.y[0] + uy * (roi.y[1] - roi.y[0]),
-                roi.z[0] + uz * (roi.z[1] - roi.z[0]),
-            ])
-            if ego_tube_distance(verts, p)[0] > cfg.w_ego:
-                neg_list.append(p)
-                neg_times.append(ut * cfg.t_max)
-                break
+    box = np.array([roi.x, roi.y, roi.z]).T  # low and high corners
 
-    pos = _labeled_set(
-        TAG_EGO_POS, np.array(pos_times), np.array(pos_list).reshape(-1, 3),
-        np.ones(len(pos_list), np.uint8), 0,
-    )
-    neg = _labeled_set(
-        TAG_EGO_NEG, np.array(neg_times), np.array(neg_list).reshape(-1, 3),
-        np.zeros(len(neg_list), np.uint8), 0,
-    )
+    def negative(u):
+        p = box[0] + u[:, :3] * (box[1] - box[0])
+        return p, u[:, 3] * cfg.t_max, ego_tube_distance(verts, p) > cfg.w_ego
+
+    _, pos, pos_t = _first_accepted(cfg.seed, _PURPOSE_EGO_POS, cfg.n_ego_pos, _MAX_REDRAWS, 5, positive)
+    found, neg, neg_t = _first_accepted(cfg.seed, _PURPOSE_EGO_NEG, cfg.n_ego_neg, _EGO_NEG_ATTEMPTS, 4, negative)
+    if not found.all():
+        raise RuntimeError(
+            f"ego negative {np.argmin(found)}: exceeded {_EGO_NEG_ATTEMPTS} rejection attempts; "
+            "roi is nearly covered by the ego tube"
+        )
+    pos = _labeled_set(TAG_EGO_POS, pos_t, pos, np.ones(len(pos), np.uint8), 0)
+    neg = _labeled_set(TAG_EGO_NEG, neg_t, neg, np.zeros(len(neg), np.uint8), 0)
     return QuerySet.concat([pos, neg], 0)
 
 
@@ -609,8 +610,7 @@ class SampleMeta:
 
 
 def assemble_sample(
-    past_scans, future_scans, images, scene: Scene, cfg: SamplerConfig, aug: AugmentConfig,
-    pca: PcaModel | None = None,
+    past_scans, future_scans, images, scene: Scene, cfg: SamplerConfig, aug: AugmentConfig, pca: PcaModel,
 ):
     """Build one training sample: encoder input plus the full query set.
 
@@ -641,18 +641,17 @@ def assemble_sample(
     n_scans = len(rel_future)
     neg_split = _split_count(cfg.n_occ_neg, n_scans)
     pos_split = _split_count(cfg.n_occ_pos, n_scans)
-    tau = aug.jitter_tau if aug.jitter_enabled else cfg.jitter_tau
 
     parts = {tag: [] for tag in TAG_NAMES}
     for si, scan in enumerate(rel_future):
-        parts[TAG_RAY_NEG].append(gen_occupancy_negatives(scan, cfg, neg_split[si], si, tau=tau))
+        parts[TAG_RAY_NEG].append(gen_occupancy_negatives(scan, cfg, neg_split[si], si))
         parts[TAG_RAY_POS].append(gen_occupancy_positives(scan, cfg, pos_split[si], si))
         parts[TAG_MISSING_RAY].append(gen_missing_ray_negatives(scan, cfg, si))
-        if pca is not None and rel_images and cfg.n_feat > 0:
+        if rel_images and cfg.n_feat > 0:
             parts[TAG_FEATURE].append(gen_feature_queries(scan, rel_images, pca, cfg, si))
 
-    d = pca.d if pca is not None else 0
-    feature_all = QuerySet.concat(parts[TAG_FEATURE], d) if parts[TAG_FEATURE] else QuerySet.empty(d)
+    d = pca.d
+    feature_all = QuerySet.concat(parts[TAG_FEATURE], d)
     if feature_all.n > cfg.n_feat:
         gen = per_ray_rng(cfg.seed, 0, _stream(_PURPOSE_SUBSAMPLE, 1))
         keep = np.sort(gen.choice(feature_all.n, size=cfg.n_feat, replace=False))
@@ -689,7 +688,7 @@ def assemble_sample(
     }
     exhausted = [k for k, want in requested.items() if counts.get(k, 0) < want]
     meta = SampleMeta(
-        t0=t0, theta=theta, tau=tau, seed=cfg.seed,
+        t0=t0, theta=theta, tau=cfg.jitter_tau, seed=cfg.seed,
         requested=requested, emitted=counts, exhausted=sorted(exhausted),
     )
     return enc, queries, meta

@@ -268,12 +268,12 @@ def _scalar_set(q, tag, positions, times, labels, feats=None, d=0):
     )
 
 
-def occupancy_negatives_scalar(scan, cfg, count, scan_stream=0, tau=None):
+def occupancy_negatives_scalar(scan, cfg, count, scan_stream=0):
     from occ4d import queries as q
     from occ4d.geom import per_ray_rng
 
     hits = scan.hit_indices
-    tau = cfg.jitter_tau if tau is None else tau
+    tau = cfg.jitter_tau
     quota = q._per_ray_quota(count, len(hits))
     positions, times = [], []
     for j, ray in enumerate(hits):
@@ -359,6 +359,91 @@ def feature_queries_scalar(scan, images, pca, cfg, scan_stream=0):
             times.append(scan.times[ray])
             targets.append(project(pca, img.features[v[j], u[j]]))
     return _scalar_set(q, q.TAG_FEATURE, positions, times, 0, targets, pca.d)
+
+
+def ego_path_queries_scalar(scene, t0, cfg, frame=None):
+    """Ego-path queries drawn one query at a time, one ``per_ray_rng``
+    generator each, with per-attempt Python redraw loops: the loop body is
+    ``gen_ego_path_queries`` as it was before it became array code."""
+    from occ4d.geom import per_ray_rng
+    from occ4d.queries import (
+        _EGO_NEG_ATTEMPTS,
+        _MAX_REDRAWS,
+        _PURPOSE_EGO_NEG,
+        _PURPOSE_EGO_POS,
+        TAG_EGO_NEG,
+        TAG_EGO_POS,
+        QuerySet,
+        _labeled_set,
+        _stream,
+        ego_tube_distance,
+    )
+    from occ4d.scene import ego_path_vertices
+
+    lo, hi = scene.horizon
+    if t0 < lo - 1e-9 or t0 + cfg.t_max > hi + 1e-9:
+        raise ValueError(f"ego trajectory [{lo}, {hi}] does not cover [{t0}, {t0 + cfg.t_max}]")
+    verts = ego_path_vertices(scene, t0, t0 + cfg.t_max)
+    if frame is not None:
+        verts = frame.apply(verts)
+    seg = np.diff(verts[:, :2], axis=0)
+    seg_len = np.sqrt(np.sum(seg * seg, axis=1))
+    cum = np.concatenate([[0.0], np.cumsum(seg_len)])
+    total_len = float(cum[-1])
+    roi = cfg.roi
+
+    pos_list, pos_times = [], []
+    for i in range(cfg.n_ego_pos):
+        gen = per_ray_rng(cfg.seed, i, _stream(_PURPOSE_EGO_POS, 0))
+        for _ in range(_MAX_REDRAWS):
+            s_arc, u_r, phi, u_z, u_t = gen.uniform(size=5)
+            if total_len > 0.0:
+                arc = s_arc * total_len
+                k = min(int(np.searchsorted(cum, arc, side="right")) - 1, len(seg_len) - 1)
+                frac = (arc - cum[k]) / seg_len[k] if seg_len[k] > 0 else 0.0
+                base = verts[k] + frac * (verts[k + 1] - verts[k])
+            else:
+                base = verts[0]
+            r = cfg.w_ego * math.sqrt(u_r)
+            p = np.array([
+                base[0] + r * math.cos(2.0 * math.pi * phi),
+                base[1] + r * math.sin(2.0 * math.pi * phi),
+                roi.z[0] + u_z * (roi.z[1] - roi.z[0]),
+            ])
+            if roi.contains_xyz(p)[0]:
+                pos_list.append(p)
+                pos_times.append(u_t * cfg.t_max)
+                break
+
+    neg_list, neg_times = [], []
+    for i in range(cfg.n_ego_neg):
+        gen = per_ray_rng(cfg.seed, i, _stream(_PURPOSE_EGO_NEG, 0))
+        for attempt in range(_EGO_NEG_ATTEMPTS + 1):
+            if attempt == _EGO_NEG_ATTEMPTS:
+                raise RuntimeError(
+                    f"ego negative {i}: exceeded {_EGO_NEG_ATTEMPTS} rejection attempts; "
+                    "roi is nearly covered by the ego tube"
+                )
+            ux, uy, uz, ut = gen.uniform(size=4)
+            p = np.array([
+                roi.x[0] + ux * (roi.x[1] - roi.x[0]),
+                roi.y[0] + uy * (roi.y[1] - roi.y[0]),
+                roi.z[0] + uz * (roi.z[1] - roi.z[0]),
+            ])
+            if ego_tube_distance(verts, p)[0] > cfg.w_ego:
+                neg_list.append(p)
+                neg_times.append(ut * cfg.t_max)
+                break
+
+    pos = _labeled_set(
+        TAG_EGO_POS, np.array(pos_times), np.array(pos_list).reshape(-1, 3),
+        np.ones(len(pos_list), np.uint8), 0,
+    )
+    neg = _labeled_set(
+        TAG_EGO_NEG, np.array(neg_times), np.array(neg_list).reshape(-1, 3),
+        np.zeros(len(neg_list), np.uint8), 0,
+    )
+    return QuerySet.concat([pos, neg], 0)
 
 
 # ---------------------------------------------------------------------------

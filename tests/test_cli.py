@@ -346,8 +346,7 @@ class TestDeterminism:
     def test_pool_workers_run_one_blas_thread(self):
         if cli._blas_thread_calls() is None:
             pytest.skip("numpy's bundled OpenBLAS thread-count symbols are not available")
-        with cli._pool(2) as pool:
-            assert list(pool.map(_blas_threads, range(2))) == [1, 1]
+        assert cli._run_jobs(_blas_threads, [0, 1], workers=2) == ([1, 1], True)
 
 
 def _blas_threads(_):
@@ -367,7 +366,6 @@ class TestEvalEncoderInput:
         cfg_path = tmp_path / "config.json"
         doc = json.loads(json.dumps(SMOKE_OVERRIDES))
         doc["suite"].update({"n_scenes": 1, "n_future": 2, "past_offsets": past_offsets})
-        doc["field"]["k_past"] = len(past_offsets)
         doc["train"].update({"total_steps": 3, "warmup_steps": 1})
         doc["augment"] = {"rotation_enabled": False}
         cfg_path.write_text(json.dumps(doc))
@@ -405,6 +403,17 @@ class TestEvalEncoderInput:
         assert len(seen[0].point_sets) == len(written.point_sets)
         for got, want in zip(seen[0].point_sets, written.point_sets):
             np.testing.assert_array_equal(got, want)
+
+    def test_encoder_takes_one_input_per_past_scan(self, tmp_path, monkeypatch):
+        # four past offsets: the field's k_past comes from the suite, so the
+        # t0 scan reaches the encoder, and its embedding takes 2 * 4 channels
+        from occ4d.training import load_checkpoint
+
+        seen, written, _ = self.run(tmp_path, monkeypatch, [-1.5, -1.0, -0.5, 0.0])
+        fp = load_checkpoint(tmp_path / "run" / "checkpoint.bin")[0]
+        assert fp.config.k_past == 4
+        assert fp.params["enc.embed.w"].shape == (8, SMOKE_OVERRIDES["field"]["channels"])
+        assert len(seen[0].point_sets) == len(written.point_sets) == 4
 
     def test_eval_now_is_the_latest_past_scan(self, tmp_path, monkeypatch):
         # past offsets ending before 0: as in training's samples, eval's t0

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import pytest
 
@@ -48,7 +49,7 @@ class TestConfig:
     def test_default_digest_pinned(self):
         # every manifest and sample meta embeds this digest: the defaults'
         # values and key set must not move
-        assert config_digest(load_config()) == "9de717c1a333c3a0c180b9eabf7014fb655b320531b7ba83439f1e33a814c17f"
+        assert config_digest(load_config()) == "e9f416fa0eb8eaf6b084bd87c19ac5097ac8d9b9dc5b4b71feea8859de765f34"
 
     def test_digest_changes_with_content(self):
         cfg = load_config()
@@ -60,6 +61,32 @@ class TestConfig:
         p.write_text(json.dumps({"not_a_section": 1}))
         with pytest.raises(ValueError, match="not_a_section"):
             load_config(p)
+
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [("eval", "thresholds", {}), ("augment", "jitter_enabled", True), ("augment", "jitter_tau", 2.0), ("field", "k_past", 4)],
+    )
+    def test_removed_key_rejected(self, tmp_path, section, key, value):
+        # sampler.jitter_tau is the one tau, and k_past comes from the suite
+        p = tmp_path / "old.json"
+        p.write_text(json.dumps({section: {key: value}}))
+        with pytest.raises(ValueError, match=f"old.json: unknown config key: '{key}'"):
+            load_config(p)
+
+    @pytest.mark.parametrize("value", [5, None, "x", [1, 2]])
+    def test_section_must_be_an_object(self, tmp_path, value):
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps({"suite": value}))
+        with pytest.raises(ValueError, match=re.escape(f"bad.json: config key 'suite' must be an object, got {value!r}")):
+            load_config(p)
+        with pytest.raises(ValueError, match="config key 'roi' must be an object"):
+            load_config(overrides={"sampler": {"roi": value}})
+
+    def test_k_past_counts_the_past_offsets(self):
+        assert field_from(load_config()).k_past == 3
+        cfg = load_config(overrides={"suite": {"past_offsets": [-1.5, -1.0, -0.5, 0.0]}})
+        assert field_from(cfg).k_past == 4
+        assert field_from(cfg).hist_channels == 8
 
     def test_invalid_json_reports_line(self, tmp_path):
         p = tmp_path / "bad.json"

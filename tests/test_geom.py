@@ -109,13 +109,10 @@ class TestAugmentConfig:
         cfg = AugmentConfig()
         assert cfg.theta_min == -math.radians(20.0)
         assert cfg.theta_max == math.radians(20.0)
-        assert cfg.jitter_tau == 1.0
 
     def test_rejects_bad_range(self):
         with pytest.raises(ValueError):
             AugmentConfig(theta_min=0.2, theta_max=0.1)
-        with pytest.raises(ValueError):
-            AugmentConfig(jitter_tau=0.0)
 
 
 class TestPerRayRng:

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from occ4d.geom import AugmentConfig, Pose, inverse, per_ray_rng, rotate_about_z
+from occ4d.geom import AugmentConfig, Pose, inverse, per_ray_rng, rotate_about_z, yaw_matrix
 from occ4d import queries
 from occ4d.field import init_params
 from occ4d.pca import fit_pca, load_pca, save_pca
@@ -60,6 +60,7 @@ from occ4d.training import save_checkpoint
 
 from test_field import SMALL
 from oracles import (
+    ego_path_queries_scalar,
     feature_queries_scalar,
     ks_statistic_uniform,
     missing_ray_negatives_scalar,
@@ -139,6 +140,11 @@ class TestSamplerConfig:
         with pytest.raises(ValueError, match="missing_ray_samples_per_ray must be >= 0"):
             SamplerConfig(missing_ray_samples_per_ray=-1)
         SamplerConfig(missing_ray_samples_per_ray=0)
+
+    @pytest.mark.parametrize("tau", [0.0, -1.0])
+    def test_nonpositive_jitter_tau_rejected(self, tau):
+        with pytest.raises(ValueError, match="jitter_tau must be positive"):
+            SamplerConfig(jitter_tau=tau)
 
 
 class TestOccupancyNegatives:
@@ -404,9 +410,9 @@ class TestArrayReplayMatchesScalarOracle:
     def test_jitter_tau(self, tau):
         scene = random_scene(seed=3)
         scan = cast_lidar_scan(scene, lidar_pose_at(scene, 0.3), scene.rig.lidar_pattern, 0.3)
-        cfg = SamplerConfig(seed=5, roi=NARROW_ROI)
-        qs = gen_occupancy_negatives(scan, cfg, 2000, 1, tau=tau)
-        assert_same_queries(qs, occupancy_negatives_scalar(scan, cfg, 2000, 1, tau=tau))
+        cfg = SamplerConfig(seed=5, roi=NARROW_ROI, jitter_tau=tau)
+        qs = gen_occupancy_negatives(scan, cfg, 2000, 1)
+        assert_same_queries(qs, occupancy_negatives_scalar(scan, cfg, 2000, 1))
 
     def test_rays_outside_roi_use_every_round(self):
         # the second ray lies wholly outside the roi (x > 14) and draws all
@@ -427,10 +433,10 @@ class TestArrayReplayMatchesScalarOracle:
     def test_single_hit_with_large_quota(self):
         # more than half the ray lies outside the roi, so redraw rounds follow round 0
         scan = synthetic_scan([(0, 0, 1)], [(30, 0, 1)])
-        cfg = SamplerConfig(seed=1)
         for tau in (1.0, 0.5):
-            qs = gen_occupancy_negatives(scan, cfg, 300, tau=tau)
-            assert_same_queries(qs, occupancy_negatives_scalar(scan, cfg, 300, tau=tau))
+            cfg = SamplerConfig(seed=1, jitter_tau=tau)
+            qs = gen_occupancy_negatives(scan, cfg, 300)
+            assert_same_queries(qs, occupancy_negatives_scalar(scan, cfg, 300))
         assert_same_queries(gen_occupancy_positives(scan, cfg, 300), occupancy_positives_scalar(scan, cfg, 300))
 
     def test_missing_rays_leaving_the_roi(self):
@@ -531,6 +537,65 @@ class TestEgoPathQueries:
         scene = random_scene(seed=14)
         with pytest.raises(ValueError):
             gen_ego_path_queries(scene, 2.0, SamplerConfig())  # needs cover to 5.0
+
+
+def assert_same_bits(got, want):
+    assert_same_queries(got, want)
+    for name in ("times", "positions"):  # array_equal calls -0.0 and 0.0 equal
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+
+
+def ego_error(fn, *args):
+    with pytest.raises(RuntimeError) as info:
+        fn(*args)
+    return str(info.value)
+
+
+class TestEgoMatchesScalarOracle:
+    """gen_ego_path_queries emits, bit for bit, what one per_ray_rng
+    generator and one redraw loop per query emit."""
+
+    @pytest.mark.parametrize("seed", [0, 7, 21])
+    @pytest.mark.parametrize("t0", [0.0, -0.5])
+    def test_same_bits(self, seed, t0):
+        scene = random_scene(seed=seed)
+        frames = (None, inverse(ego_pose_at(scene, t0)), Pose(yaw_matrix(0.7), [3.0, -2.0, 0.5]))
+        budgets = ({}, {"n_ego_pos": 37, "n_ego_neg": 300, "w_ego": 2.5}, {"roi": NARROW_ROI})
+        for frame in frames:
+            for budget in budgets:
+                cfg = SamplerConfig(seed=seed, **budget)
+                qs = gen_ego_path_queries(scene, t0, cfg, frame=frame)
+                assert_same_bits(qs, ego_path_queries_scalar(scene, t0, cfg, frame))
+                assert qs.counts()["ego_neg"] == cfg.n_ego_neg
+
+    def test_stationary_ego(self):
+        # zero path length: every positive is a disk offset from the one point
+        scene = random_scene(seed=3, ego_speed=(0.0, 0.0))
+        cfg = SamplerConfig(seed=3)
+        qs = gen_ego_path_queries(scene, 0.0, cfg)
+        assert_same_bits(qs, ego_path_queries_scalar(scene, 0.0, cfg))
+        verts = ego_path_vertices(scene, 0.0, cfg.t_max)
+        assert np.all(verts[:, :2] == verts[0, :2])
+        pos = qs.positions[qs.tags == TAG_EGO_POS]
+        assert len(pos) == cfg.n_ego_pos
+        assert np.all(np.hypot(*(pos[:, :2] - verts[0, :2]).T) <= cfg.w_ego)
+
+    def test_roi_off_the_path_drops_positives(self):
+        # the path runs along +x from the origin; the roi lies behind it, so
+        # every positive uses all its redraws and is dropped
+        scene = random_scene(seed=5)
+        cfg = SamplerConfig(seed=5, roi=Roi4(x=(-14.0, -8.0)))
+        qs = gen_ego_path_queries(scene, 0.0, cfg)
+        assert_same_bits(qs, ego_path_queries_scalar(scene, 0.0, cfg))
+        assert qs.counts()["ego_pos"] == 0 and qs.counts()["ego_neg"] == cfg.n_ego_neg
+
+    @pytest.mark.parametrize("seed, w_ego, first", [(1, 4.0, 57), (3, 4.0, 76), (0, 100.0, 0)])
+    def test_covered_roi_names_first_exhausted_negative(self, seed, w_ego, first):
+        scene = random_scene(seed=5)
+        cfg = SamplerConfig(seed=seed, w_ego=w_ego, roi=Roi4(x=(-2.0, 12.0), y=(-3.0, 3.0)))
+        message = ego_error(gen_ego_path_queries, scene, 0.0, cfg)
+        assert message == ego_error(ego_path_queries_scalar, scene, 0.0, cfg)
+        assert message.startswith(f"ego negative {first}: exceeded 100 rejection attempts")
 
 
 class TestAssembleSample:
