@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
-"""List the public API of src/occ4d that no program code uses.
+"""List the API of src/occ4d that no program code uses.
 
-Takes every public top-level name of src/occ4d (function, class, constant)
-and every public method or property of its top-level classes, and looks for
-references in the Python files under src/, scripts/ and bench/:
+Takes every top-level name of src/occ4d (function, class, constant), public
+or private, and every public method or property of its top-level classes,
+and looks for references in the Python files under src/, scripts/ and bench/:
 
 - a bare name read, in a file that defines or imports that name at the top;
 - an attribute taken (``module.name``, ``obj.method``), in any file;
@@ -14,6 +14,8 @@ Definitions, assignments and imports are not references. Prints one line per
 name with no reference, saying whether tests/ uses it:
 
     occ4d.pca.reconstruct  tests: yes
+
+A private helper that its module stopped calling shows up the same way.
 
 Matching is by name, not by object, so a name that another object shares can
 count as used: the list can miss dead code, and a name used only through a
@@ -61,12 +63,13 @@ def _top_level(tree):
             yield node, node.target.id
 
 
-def public_api(package: Path):
-    """(qualified name, bare name) of each public definition in ``package``."""
+def api(package: Path):
+    """(qualified name, bare name) of each top-level definition in
+    ``package`` and each public method of its classes."""
     for path in sorted(package.glob("*.py")):
         prefix = f"{package.name}.{path.stem}"
         for node, name in _top_level(ast.parse(path.read_text(), str(path))):
-            if name.startswith("_"):
+            if name.startswith("__"):
                 continue
             yield f"{prefix}.{name}", name
             if isinstance(node, ast.ClassDef):
@@ -82,7 +85,7 @@ def main(argv) -> int:
     repo = Path(argv[0]) if argv else Path(__file__).resolve().parent.parent
     program = references(p for d in PROGRAM_DIRS for p in sorted((repo / d).rglob("*.py")))
     tests = references(sorted((repo / "tests").rglob("*.py")))
-    for qualified, name in public_api(repo / "src" / "occ4d"):
+    for qualified, name in api(repo / "src" / "occ4d"):
         if not program[name]:
             print(f"{qualified}  tests: {'yes' if tests[name] else 'no'}")
     return 0

@@ -490,7 +490,7 @@ def main(argv=None) -> int:
         if args.command == "scaling":
             return cmd_scaling(cfg, args.queries, args.eval_dataset, args.out, force=args.force)
         parser.error(f"unknown command {args.command}")
-    except (ValueError, FileNotFoundError, FileExistsError) as e:
+    except (ValueError, RuntimeError, FileNotFoundError, FileExistsError) as e:
         print(f"occ4d {args.command}: {e}", file=sys.stderr)
         return 1
     return 0

@@ -66,6 +66,24 @@ DEFAULT_CONFIG = {
 }
 
 
+_JSON_TYPES = {bool: "a boolean", int: "an integer", float: "a number", str: "a string"}
+
+
+def _fits(default, v) -> bool:
+    """Whether ``v`` has the JSON type of the leaf ``default``. Any number
+    fits a float. A list takes items that fit its first item, and every
+    two-item default is a [low, high] pair that takes exactly two."""
+    if isinstance(default, list):
+        return isinstance(v, list) and (len(v) == 2 or len(default) != 2) and all(_fits(default[0], x) for x in v)
+    return type(v) is type(default) or isinstance(default, float) and type(v) is int
+
+
+def _json_type(default) -> str:
+    if isinstance(default, list):
+        return f"an array of {'2 ' if len(default) == 2 else ''}{_JSON_TYPES[type(default[0])].split()[1]}s"
+    return _JSON_TYPES[type(default)]
+
+
 def _deep_merge(base: dict, override: dict) -> dict:
     out = copy.deepcopy(base)
     for k, v in override.items():
@@ -75,6 +93,8 @@ def _deep_merge(base: dict, override: dict) -> dict:
             if not isinstance(v, dict):
                 raise ValueError(f"config key {k!r} must be an object, got {v!r}")
             out[k] = _deep_merge(out[k], v)
+        elif not _fits(out[k], v):
+            raise ValueError(f"config key {k!r} must be {_json_type(out[k])}, got {v!r}")
         else:
             out[k] = v
     return out

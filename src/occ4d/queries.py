@@ -11,11 +11,11 @@ worker count. Stream k is numpy's Philox4x64-10 with key [seed, stream] and
 counter [0, k, 0, 0]; its draw j is word j % 4 of the block at counter
 [j // 4 + 1, k, 0, 0] (``geom.philox_uniforms``). Every generator is array
 code over all its rays or queries at once, drawing what a per-key
-``per_ray_rng`` generator would draw, draw for draw: ``_draw_filtered``
-replays the redraw rounds of every ray of a scan, and ``_first_accepted``
-the rejection attempts of every ego-path query. Rotation augmentation is
-applied after generation, to scans and query positions jointly, which makes
-equivariance exact.
+``per_ray_rng`` generator would draw, draw for draw. One rejection sampler,
+``_draw_filtered``, serves all six query kinds; its keys are rays for the
+four ray-based kinds and queries for the two ego-path kinds. Rotation
+augmentation is applied after generation, to scans and query positions
+jointly, which makes equivariance exact.
 """
 
 from __future__ import annotations
@@ -245,60 +245,59 @@ def _runs(counts: np.ndarray):
     return owner, np.arange(len(owner)) - np.repeat(np.cumsum(counts) - counts, counts)
 
 
-def _draw_filtered(seed: int, stream: int, rays: np.ndarray, needed: np.ndarray, make_positions, roi: Roi4):
-    """Roi-filtered draws for all keys (rays) of one stream at once.
+def _draw_filtered(seed: int, stream: int, keys, needed, make, roi: Roi4, rounds=_MAX_REDRAWS, width=1):
+    """Roi-filtered items for all keys of one stream at once, for every
+    query kind. Item j of key k is draws ``width*j ... width*j + width - 1``
+    of the stream ``per_ray_rng(seed, keys[k], stream)``.
 
-    Replays, for each key k and its stream ``per_ray_rng(seed, rays[k],
-    stream)``, the redraw loop: round r draws ``needed[k] - total`` uniforms
-    at the key's running offset, maps them through ``make_positions(idx, u)
-    -> (pos, ok)`` (``idx`` indexes ``rays``) and keeps the draws that pass
-    ``ok & roi.contains_xyz(pos)``, for at most ``_MAX_REDRAWS`` rounds.
-    Round 0 is one Philox call. Keys still short then draw their worst-case
-    remaining budget, (needed - total) * (_MAX_REDRAWS - 1), in one more
-    call, and the rounds are replayed on per-key prefix sums of ``ok``: a
-    tail draw is kept iff it is ok and lies before the key's final offset.
-    Keys go in groups of at most ``_GROUP_DRAWS`` worst-case draws, to bound
-    memory. Returns (idx, positions) of the kept draws in key order, then in
-    draw order.
-    """
-    group = np.cumsum(needed) * _MAX_REDRAWS // _GROUP_DRAWS
-    cuts = [0, *(np.flatnonzero(np.diff(group)) + 1), len(rays)]
-    idx_parts, pos_parts = [], []
+    Replays each key's redraw loop: round r draws ``needed[k] - total`` items
+    at the key's running offset, maps them through ``make(idx, u_0, ...,
+    u_{width-1}) -> (values, ok)`` (``idx`` indexes ``keys``) and keeps the
+    items that pass ``ok & roi.contains_xyz(values)``, which reads columns
+    0-2, for at most ``rounds`` rounds. Round 0 is one Philox call. Keys
+    still short then draw their worst-case remaining budget, (needed - total)
+    * (rounds - 1) items, in one more call, and the rounds are replayed on
+    per-key prefix sums of ``ok``: a tail item is kept iff it is ok and lies
+    before the key's final offset. Keys go in groups of at most
+    ``_GROUP_DRAWS`` worst-case draws, to bound memory. Returns (idx, values)
+    of the kept items in key order, then in draw order."""
+    group = np.cumsum(needed) * (rounds * width) // _GROUP_DRAWS
+    cuts = [0, *(np.flatnonzero(np.diff(group)) + 1), len(keys)]
+    idx_parts, val_parts = [], []
     for lo, hi in zip(cuts[:-1], cuts[1:]):
 
-        def draw(idx, offsets, lo=lo):
-            pos, ok = make_positions(lo + idx, philox_uniforms(seed, stream, rays[lo + idx], offsets))
-            return pos, ok & roi.contains_xyz(pos)
+        def draw(idx, items, lo=lo):
+            offsets = (items[:, None] * width + np.arange(width)).ravel()
+            u = philox_uniforms(seed, stream, np.repeat(keys[lo + idx], width), offsets)
+            values, ok = make(lo + idx, *u.reshape(-1, width).T)
+            return values, ok & roi.contains_xyz(values)
 
         want = needed[lo:hi]
         idx0, off0 = _runs(want)
-        pos0, ok0 = draw(idx0, off0)
+        val0, ok0 = draw(idx0, off0)
         deficit = want - np.bincount(idx0[ok0], minlength=len(want))
-        budget = deficit * (_MAX_REDRAWS - 1)
+        budget = deficit * (rounds - 1)
         idx1, off1 = _runs(budget)
-        pos1, ok1 = draw(idx1, want[idx1] + off1)
+        val1, ok1 = draw(idx1, want[idx1] + off1)
         kept = np.concatenate([[0], np.cumsum(ok1)])
         start = np.cumsum(budget) - budget
         end, short = np.zeros(len(want), np.int64), deficit
-        for _ in range(_MAX_REDRAWS - 1):
+        for _ in range(rounds - 1):
+            if not short.any():  # short == 0 is a fixed point: no key draws again
+                break
             end = end + short
             short = deficit - (kept[start + end] - kept[start])
         keep1 = ok1 & (off1 < end[idx1])
         idx = np.concatenate([idx0[ok0], idx1[keep1]])
         order = np.argsort(idx, kind="stable")
         idx_parts.append(lo + idx[order])
-        pos_parts.append(np.concatenate([pos0[ok0], pos1[keep1]])[order])
-    return np.concatenate(idx_parts), np.concatenate(pos_parts)
-
-
-def _split_count(total: int, n_parts: int) -> list:
-    base, extra = divmod(total, n_parts)
-    return [base + (1 if i < extra else 0) for i in range(n_parts)]
+        val_parts.append(np.concatenate([val0[ok0], val1[keep1]])[order])
+    return np.concatenate(idx_parts), np.concatenate(val_parts)
 
 
 def _per_ray_quota(count: int, n_rays: int) -> np.ndarray:
-    """Round-robin allocation: ray j in the hit list serves draws
-    j, j+n, j+2n, ..."""
+    """Round-robin split of ``count`` over ``n_rays`` rays (or scans): ray j
+    serves draws j, j+n, j+2n, ..., so the first ``count % n`` get one more."""
     quota = np.full(n_rays, count // n_rays, dtype=np.int64)
     quota[: count % n_rays] += 1
     return quota
@@ -497,28 +496,6 @@ def ego_tube_distance(path_vertices: np.ndarray, pts: np.ndarray) -> np.ndarray:
     return _segments_dist_xy(np.atleast_2d(pts)[:, :2], path_vertices)
 
 
-def _first_accepted(seed: int, purpose: int, n: int, attempts: int, width: int, make):
-    """The first accepted attempt of each of ``n`` queries.
-
-    Attempt a of query i takes draws width*a ... width*a + width - 1 of the
-    stream ``per_ray_rng(seed, i, _stream(purpose))``, and ``make(u) ->
-    (pos, times, ok)`` maps the (m, width) uniforms of m attempts to
-    candidates. Round a draws attempt a of every query not yet accepted, for
-    at most ``attempts`` rounds. Returns (found, pos, times): which queries
-    accepted an attempt, and the candidates they took, in query order.
-    """
-    found, pos, times = np.zeros(n, dtype=bool), np.empty((n, 3)), np.empty(n)
-    for a in range(attempts):
-        todo = np.flatnonzero(~found)
-        if len(todo) == 0:
-            break
-        offsets = np.tile(np.arange(a * width, (a + 1) * width), len(todo))
-        u = philox_uniforms(seed, _stream(purpose), np.repeat(todo, width), offsets)
-        p, t, ok = make(u.reshape(-1, width))
-        pos[todo[ok]], times[todo[ok]], found[todo[ok]] = p[ok], t[ok], True
-    return found, pos[found], times[found]
-
-
 def gen_ego_path_queries(
     scene: Scene, t0: float, cfg: SamplerConfig, frame: Pose | None = None
 ) -> QuerySet:
@@ -528,8 +505,9 @@ def gen_ego_path_queries(
     offset of radius < w_ego in x-y, redrawn while outside the roi and
     dropped after ``_MAX_REDRAWS`` attempts; negatives are uniform over the
     roi, redrawn while inside the tube, and a negative still inside after
-    ``_EGO_NEG_ATTEMPTS`` attempts is a RuntimeError. Query times are uniform
-    in [0, t_max] and carried but never used for labeling."""
+    ``_EGO_NEG_ATTEMPTS`` attempts is a RuntimeError. Each query is one key
+    of ``_draw_filtered``. Query times are uniform in [0, t_max] and carried
+    but never used for labeling."""
     lo, hi = scene.horizon
     if t0 < lo - 1e-9 or t0 + cfg.t_max > hi + 1e-9:
         raise ValueError(f"ego trajectory [{lo}, {hi}] does not cover [{t0}, {t0 + cfg.t_max}]")
@@ -542,9 +520,8 @@ def gen_ego_path_queries(
     total_len = float(cum[-1])
     roi = cfg.roi
 
-    def positive(u):
-        s_arc, u_r, phi, u_z, u_t = u.T
-        base = np.broadcast_to(verts[0], (len(u), 3))
+    def positive(idx, s_arc, u_r, phi, u_z, u_t):
+        base = np.broadcast_to(verts[0], (len(idx), 3))
         if total_len > 0.0:
             arc = s_arc * total_len
             k = np.minimum(np.searchsorted(cum, arc, side="right") - 1, len(seg_len) - 1)
@@ -553,24 +530,27 @@ def gen_ego_path_queries(
             base = verts[k] + frac[:, None] * (verts[k + 1] - verts[k])
         r, angle = cfg.w_ego * np.sqrt(u_r), 2.0 * math.pi * phi
         z = roi.z[0] + u_z * (roi.z[1] - roi.z[0])
-        p = np.stack([base[:, 0] + r * np.cos(angle), base[:, 1] + r * np.sin(angle), z], axis=1)
-        return p, u_t * cfg.t_max, roi.contains_xyz(p)
+        x, y = base[:, 0] + r * np.cos(angle), base[:, 1] + r * np.sin(angle)
+        return np.stack([x, y, z, u_t * cfg.t_max], axis=1), np.ones(len(idx), dtype=bool)
 
     box = np.array([roi.x, roi.y, roi.z]).T  # low and high corners
 
-    def negative(u):
-        p = box[0] + u[:, :3] * (box[1] - box[0])
-        return p, u[:, 3] * cfg.t_max, ego_tube_distance(verts, p) > cfg.w_ego
+    def negative(idx, u_x, u_y, u_z, u_t):
+        p = box[0] + np.stack([u_x, u_y, u_z], axis=1) * (box[1] - box[0])
+        return np.column_stack([p, u_t * cfg.t_max]), ego_tube_distance(verts, p) > cfg.w_ego
 
-    _, pos, pos_t = _first_accepted(cfg.seed, _PURPOSE_EGO_POS, cfg.n_ego_pos, _MAX_REDRAWS, 5, positive)
-    found, neg, neg_t = _first_accepted(cfg.seed, _PURPOSE_EGO_NEG, cfg.n_ego_neg, _EGO_NEG_ATTEMPTS, 4, negative)
-    if not found.all():
+    def draw(purpose, n, make, rounds, width):
+        return _draw_filtered(cfg.seed, _stream(purpose), np.arange(n), np.ones(n, np.int64), make, roi, rounds, width)
+
+    _, pos = draw(_PURPOSE_EGO_POS, cfg.n_ego_pos, positive, _MAX_REDRAWS, 5)
+    idx, neg = draw(_PURPOSE_EGO_NEG, cfg.n_ego_neg, negative, _EGO_NEG_ATTEMPTS, 4)
+    if len(idx) < cfg.n_ego_neg:
         raise RuntimeError(
-            f"ego negative {np.argmin(found)}: exceeded {_EGO_NEG_ATTEMPTS} rejection attempts; "
-            "roi is nearly covered by the ego tube"
+            f"ego negative {np.argmin(np.bincount(idx, minlength=cfg.n_ego_neg))}: exceeded "
+            f"{_EGO_NEG_ATTEMPTS} rejection attempts; roi is nearly covered by the ego tube"
         )
-    pos = _labeled_set(TAG_EGO_POS, pos_t, pos, np.ones(len(pos), np.uint8), 0)
-    neg = _labeled_set(TAG_EGO_NEG, neg_t, neg, np.zeros(len(neg), np.uint8), 0)
+    pos = _labeled_set(TAG_EGO_POS, pos[:, 3], pos[:, :3], np.ones(len(pos), np.uint8), 0)
+    neg = _labeled_set(TAG_EGO_NEG, neg[:, 3], neg[:, :3], np.zeros(len(neg), np.uint8), 0)
     return QuerySet.concat([pos, neg], 0)
 
 
@@ -638,9 +618,8 @@ def assemble_sample(
         for im in images
     ]
 
-    n_scans = len(rel_future)
-    neg_split = _split_count(cfg.n_occ_neg, n_scans)
-    pos_split = _split_count(cfg.n_occ_pos, n_scans)
+    neg_split = _per_ray_quota(cfg.n_occ_neg, len(rel_future))
+    pos_split = _per_ray_quota(cfg.n_occ_pos, len(rel_future))
 
     parts = {tag: [] for tag in TAG_NAMES}
     for si, scan in enumerate(rel_future):

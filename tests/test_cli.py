@@ -168,6 +168,18 @@ class TestPipeline:
         err = capsys.readouterr().err
         assert err.startswith("occ4d genqueries:") and "sensors/lidar/az_count" in err
 
+    def test_genqueries_with_the_roi_inside_the_ego_tube_fails_cleanly(self, pipeline, tmp_path, capsys):
+        # an ego tube 60 m wide covers the whole roi, so no negative can be drawn
+        root, _ = pipeline
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps({**SMOKE_OVERRIDES, "sampler": {**SMOKE_OVERRIDES["sampler"], "w_ego": 60}}))
+        out = tmp_path / "queries"
+        code = main(["genqueries", "--config", str(cfg_path), "--dataset", str(root / "data"), "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("occ4d genqueries: ego negative 0: exceeded 100 rejection attempts")
+        assert err.count("\n") == 1 and not out.exists()
+
     def test_train_outputs(self, pipeline):
         root, _ = pipeline
         run = root / "run"

@@ -82,6 +82,29 @@ class TestConfig:
         with pytest.raises(ValueError, match="config key 'roi' must be an object"):
             load_config(overrides={"sampler": {"roi": value}})
 
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ({"suite": {"n_scenes": "2"}}, "config key 'n_scenes' must be an integer, got '2'"),
+            ({"suite": {"n_boxes": [3]}}, "config key 'n_boxes' must be an array of 2 integers, got [3]"),
+            ({"seed": {"a": 1}}, "config key 'seed' must be an integer, got {'a': 1}"),
+            ({"augment": {"rotation_enabled": 1}}, "config key 'rotation_enabled' must be a boolean, got 1"),
+            ({"suite": {"n_boxes": [3.5, 6]}}, "config key 'n_boxes' must be an array of 2 integers, got [3.5, 6]"),
+        ],
+        ids=["string_for_int", "one_item_pair", "object_for_int", "int_for_bool", "float_in_int_pair"],
+    )
+    def test_leaf_of_the_wrong_type_rejected(self, tmp_path, doc, message):
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=re.escape(f"bad.json: {message}")):
+            load_config(p)
+
+    def test_leaf_types_that_fit_are_accepted(self):
+        # an integer is a number; variable-length lists take any length
+        cfg = load_config(overrides={"sampler": {"w_ego": 2}, "suite": {"past_offsets": [-0.5, 0.0]}})
+        assert cfg["sampler"]["w_ego"] == 2 and sampler_from(cfg).w_ego == 2
+        assert field_from(cfg).k_past == 2
+
     def test_k_past_counts_the_past_offsets(self):
         assert field_from(load_config()).k_past == 3
         cfg = load_config(overrides={"suite": {"past_offsets": [-1.5, -1.0, -0.5, 0.0]}})

@@ -405,6 +405,14 @@ class TestArrayReplayMatchesScalarOracle:
         qs = gen_feature_queries(scan, [img], pca16, cfg)
         assert_same_queries(qs, feature_queries_scalar(scan, [img], pca16, cfg))
         assert qs.n > 50
+        # wide keys: an ego-path query's worst case is 320 or 400 draws, so
+        # every query is a group of its own
+        cfg = SamplerConfig(seed=4, n_ego_neg=300, w_ego=2.5)
+        for t0 in (0.0, -0.5):
+            for frame in (None, inverse(ego_pose_at(scene, t0)), Pose(yaw_matrix(0.7), [3.0, -2.0, 0.5])):
+                qs = gen_ego_path_queries(scene, t0, cfg, frame=frame)
+                assert_same_bits(qs, ego_path_queries_scalar(scene, t0, cfg, frame))
+                assert qs.counts()["ego_neg"] == 300
 
     @pytest.mark.parametrize("tau", [0.7, 2.5])
     def test_jitter_tau(self, tau):
