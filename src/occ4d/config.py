@@ -117,6 +117,10 @@ def load_config(path=None, overrides: dict | None = None) -> dict:
             raise ValueError(f"{path}: {e.args[0]}") from None
     if overrides:
         cfg = _deep_merge(cfg, overrides)
+    d, d_raw = cfg["pca"]["d"], cfg["suite"]["d_raw"]
+    if d > d_raw:
+        where = "" if path is None else f"{path}: "
+        raise ValueError(f"{where}pca.d ({d}) exceeds suite.d_raw ({d_raw}); the PCA keeps at most d_raw dimensions")
     return cfg
 
 

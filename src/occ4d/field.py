@@ -7,6 +7,14 @@ bilinear grid interpolation concatenated with a Fourier encoding of (z, t).
 
 Everything is plain numpy with hand-derived backward passes; tests pin the
 gradients against central finite differences.
+
+The compute dtype follows the params: each float64 array that meets them
+(the pillar histogram, padding and scratch buffers, the leaky gradient's
+constants, the interpolation weights and scatter, the Fourier columns and
+the loss derivative) is cast once, with ``copy=False``, to the dtype of the
+parameter or grid it meets. So float32 params run every layer in float32,
+and with float64 params every cast is a no-op and every bit is kept.
+Positions and times stay float64 up to those casts.
 """
 
 from __future__ import annotations
@@ -94,8 +102,9 @@ class FieldParams:
     mode: str
     params: dict
 
-    def copy(self) -> "FieldParams":
-        return FieldParams(self.config, self.mode, {k: v.copy() for k, v in self.params.items()})
+    def astype(self, dtype) -> "FieldParams":
+        """A copy with every tensor in ``dtype``."""
+        return FieldParams(self.config, self.mode, {k: v.astype(dtype) for k, v in self.params.items()})
 
 
 def _param_shapes(cfg: FieldConfig, mode: str) -> list:
@@ -141,7 +150,8 @@ def init_params(cfg: FieldConfig, seed: int, mode: str = MODE_AMORTIZED, zero: b
         else:
             fan_in = int(np.prod(shape[:-1]))
             bound = 1.0 / math.sqrt(fan_in)
-            params[name] = gen.uniform(-bound, bound, size=shape)
+            # values float32 holds exactly, so a float32 round trip keeps them
+            params[name] = gen.uniform(-bound, bound, size=shape).astype(np.float32).astype(np.float64)
     return FieldParams(cfg, mode, params)
 
 
@@ -184,18 +194,18 @@ _CONV_ROWS = 8
 _scratch = {}
 
 
-def _scratch_array(name: str, shape: tuple) -> np.ndarray:
+def _scratch_array(name: str, shape: tuple, dtype) -> np.ndarray:
     """A zero-filled array on first use; later calls get it back as they
     left it."""
-    buf = _scratch.get(name)
+    buf = _scratch.get((name, dtype))
     if buf is None or buf.shape != shape:
-        buf = _scratch[name] = np.zeros(shape)
+        buf = _scratch[name, dtype] = np.zeros(shape, dtype)
     return buf
 
 
 def _pad(x: np.ndarray) -> np.ndarray:
     """x inside a one-cell ring of zeros, (H,W,C) -> (H+2,W+2,C)."""
-    xp = np.zeros((x.shape[0] + 2, x.shape[1] + 2, x.shape[2]))
+    xp = np.zeros((x.shape[0] + 2, x.shape[1] + 2, x.shape[2]), x.dtype)
     xp[1:-1, 1:-1] = x
     return xp
 
@@ -207,7 +217,7 @@ def _shifted_matmuls(xp: np.ndarray, taps, out: np.ndarray) -> np.ndarray:
     of per-row GEMMs as ``xp[i:i+H, j:j+W] @ m``, so the bits do not depend
     on the blocking."""
     h, wd = out.shape[:2]
-    products = _scratch_array("products", (min(h, _CONV_ROWS), wd, out.shape[2]))
+    products = _scratch_array("products", (min(h, _CONV_ROWS), wd, out.shape[2]), out.dtype)
     for r in range(0, h, _CONV_ROWS):
         acc = out[r : r + _CONV_ROWS]
         product = products[: len(acc)]
@@ -237,16 +247,16 @@ def _conv2d_backward(xp: np.ndarray, w: np.ndarray, dout: np.ndarray):
     cin, cout = w.shape[2], w.shape[3]
     flat_dout = dout.reshape(-1, cout)
     dw = np.empty_like(w)
-    cols = _scratch_array("cols", (h + 2, wd, cin))
+    cols = _scratch_array("cols", (h + 2, wd, cin), xp.dtype)
     for dx in range(3):
         np.copyto(cols, xp[:, dx : dx + wd])
         for dy in range(3):
             dw[dy, dx] = cols[dy : dy + h].reshape(-1, cin).T @ flat_dout
     db = flat_dout.sum(axis=0)
     taps = [(2 - dy, 2 - dx, w[dy, dx].T) for dy in range(3) for dx in range(3)]
-    doutp = _scratch_array("doutp", (h + 2, wd + 2, cout))  # only the interior is ever written
+    doutp = _scratch_array("doutp", (h + 2, wd + 2, cout), dout.dtype)  # only the interior is ever written
     doutp[1:-1, 1:-1] = dout
-    dxs = _shifted_matmuls(doutp, taps, np.zeros((h, wd, cin)))
+    dxs = _shifted_matmuls(doutp, taps, np.zeros((h, wd, cin), dout.dtype))
     return dw, db, dxs
 
 
@@ -256,7 +266,7 @@ def _leaky(x: np.ndarray, slope: float, out=None) -> np.ndarray:
 
 
 def _leaky_grad(x: np.ndarray, slope: float) -> np.ndarray:
-    return np.where(x > 0, 1.0, slope)
+    return np.where(x > 0, x.dtype.type(1.0), x.dtype.type(slope))
 
 
 def encode(fp: FieldParams, enc_input: EncoderInput, want_cache: bool = False):
@@ -265,7 +275,7 @@ def encode(fp: FieldParams, enc_input: EncoderInput, want_cache: bool = False):
         raise ValueError("encode requires amortized-mode parameters")
     cfg = fp.config
     p = fp.params
-    hist = pillar_histogram(enc_input, cfg)
+    hist = pillar_histogram(enc_input, cfg).astype(p["enc.embed.w"].dtype, copy=False)
     xp0 = _pad(hist @ p["enc.embed.w"] + p["enc.embed.b"])
     pre1 = _conv2d(xp0, p["enc.conv1.w"], p["enc.conv1.b"])
     hp1 = np.zeros_like(xp0)
@@ -322,11 +332,8 @@ def _interp_setup(z_grid: np.ndarray, x: np.ndarray, y: np.ndarray, cfg: FieldCo
     j0 = np.minimum(np.floor(v).astype(np.int64), h - 2)
     fx = u - i0
     fy = v - j0
-    w00 = (1 - fy) * (1 - fx)
-    w01 = (1 - fy) * fx
-    w10 = fy * (1 - fx)
-    w11 = fy * fx
-    return i0, j0, (w00, w01, w10, w11)
+    weights = ((1 - fy) * (1 - fx), (1 - fy) * fx, fy * (1 - fx), fy * fx)
+    return i0, j0, tuple(wk.astype(z_grid.dtype, copy=False) for wk in weights)
 
 
 def interp_grid(z_grid: np.ndarray, x: np.ndarray, y: np.ndarray, cfg: FieldConfig, want_cache=False):
@@ -358,7 +365,8 @@ def interp_backward(cache, dfeat: np.ndarray, grid_shape) -> np.ndarray:
     corners = np.concatenate([cell, cell + 1, cell + w, cell + w + 1])
     flat = (corners[:, None] * c + np.arange(c)).ravel()
     vals = np.concatenate([wk[:, None] * dfeat for wk in weights]).ravel()
-    return np.bincount(flat, weights=vals, minlength=h * w * c).reshape(grid_shape)
+    dz = np.bincount(flat, weights=vals, minlength=h * w * c).reshape(grid_shape)
+    return dz.astype(dfeat.dtype, copy=False)
 
 
 def head_forward(fp: FieldParams, name: str, x: np.ndarray, want_cache=False):
@@ -407,7 +415,7 @@ def head_input(z_grid: np.ndarray, positions: np.ndarray, times: np.ndarray, cfg
     grid_feat = interp_grid(z_grid, positions[:, 0], positions[:, 1], cfg, want_cache=want_cache)
     if want_cache:
         grid_feat, cache = grid_feat
-    ft = fourier_zt(positions[:, 2], times, cfg)
+    ft = fourier_zt(positions[:, 2], times, cfg).astype(grid_feat.dtype, copy=False)
     x = np.concatenate([grid_feat, ft], axis=1)
     if want_cache:
         return x, cache
@@ -522,12 +530,14 @@ def _term_weights(batch: Batch, weights, per_term_average: bool) -> list:
 
 def _head_loss(name: str, out: np.ndarray, target: np.ndarray):
     """A head's mean loss and its derivative per output element: BCE on the
-    logit for occ and ego, elementwise L1 for feat."""
+    logit for occ and ego, elementwise L1 for feat. The derivative takes
+    ``out``'s dtype; the targets are float64."""
     if name == "feat":
         resid = out - target
-        return float(np.mean(np.abs(resid))), np.sign(resid)
+        return float(np.mean(np.abs(resid))), np.sign(resid).astype(out.dtype, copy=False)
     logits = out[:, 0]
-    return float(np.mean(_bce_from_logits(logits, target))), (sigmoid(logits) - target)[:, None]
+    dlogits = (sigmoid(logits) - target).astype(out.dtype, copy=False)
+    return float(np.mean(_bce_from_logits(logits, target))), dlogits[:, None]
 
 
 def _heads_loss(fp: FieldParams, z_grid: np.ndarray, batch: Batch, weights, per_term_average: bool, grads=None):

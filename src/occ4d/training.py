@@ -3,6 +3,13 @@
 Batch composition at step s is a pure function of (seed, s) through
 counter-based streams, so resuming from a checkpoint reproduces the
 uninterrupted run exactly.
+
+``train`` runs every step in float32: it casts the params and the Adam
+moments to float32 on entry and back to float64 on return, so everything
+outside it (checkpoints, resume, eval) sees float64. ``init_params`` draws
+values that float32 holds exactly, and a float32 value survives the round
+trip, so a resumed run is the uninterrupted one and a tensor that training
+never moves comes back with its bits.
 """
 
 from __future__ import annotations
@@ -30,6 +37,8 @@ from .queries import HEAD_TAGS, EncoderInput, QuerySet
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+
+TRAIN_DTYPE = np.float32
 
 _STREAM_SAMPLE_SEL = 0x5E1
 _STREAM_BATCH_IDX = 0xB1D
@@ -97,6 +106,13 @@ class AdamState:
             {k: np.zeros_like(p) for k, p in params.items()},
         )
 
+    def astype(self, dtype) -> "AdamState":
+        """A copy with every moment in ``dtype``."""
+        return AdamState(
+            {k: m.astype(dtype) for k, m in self.m.items()},
+            {k: v.astype(dtype) for k, v in self.v.items()},
+        )
+
 
 def adam_step(params: dict, grads: dict, state: AdamState, step_index: int, lr: float) -> None:
     """Standard bias-corrected Adam update of ``params`` and of the moment
@@ -104,8 +120,9 @@ def adam_step(params: dict, grads: dict, state: AdamState, step_index: int, lr: 
 
     Per tensor, two scratch buffers take the textbook expressions
     m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g^2 and
-    lr m_hat / (sqrt(v_hat) + eps) through the same float64 operations, so
-    the result has the same bits as evaluating them out of place."""
+    lr m_hat / (sqrt(v_hat) + eps) through the same operations in the
+    params' dtype (the Python-float constants take it), so the result has
+    the same bits as evaluating them out of place."""
     bc1 = 1.0 - ADAM_BETA1 ** step_index
     bc2 = 1.0 - ADAM_BETA2 ** step_index
     for k, p in params.items():
@@ -171,7 +188,9 @@ def train(
     directly; amortized mode re-encodes the selected sample each step.
     ``start_step``/``stop_step`` resume and interrupt a run without changing
     the schedule, so a resumed run reproduces the uninterrupted one exactly.
-    Non-finite losses abort with the failing step index.
+    Non-finite losses abort with the failing step index. The steps run in
+    float32 (see the module docstring); the returned params and moments are
+    float64.
     """
     if not samples:
         raise ValueError("dataset must contain at least one sample")
@@ -180,10 +199,11 @@ def train(
     if cfg.mode == MODE_AMORTIZED and any(s.enc_input is None for s in samples):
         raise ValueError("amortized mode needs encoder inputs")
 
-    fp = init.copy() if init is not None else init_params(field_cfg, cfg.seed, cfg.mode)
+    fp = init if init is not None else init_params(field_cfg, cfg.seed, cfg.mode)
     if fp.mode != cfg.mode:
         raise ValueError(f"parameter mode {fp.mode!r} != train mode {cfg.mode!r}")
-    state = adam_state if adam_state is not None else AdamState.zeros(fp.params)
+    fp = fp.astype(TRAIN_DTYPE)
+    state = adam_state.astype(TRAIN_DTYPE) if adam_state is not None else AdamState.zeros(fp.params)
     subsets = [{name: s.queries.indices_for(*tags) for name, tags in HEAD_TAGS.items()} for s in samples]
 
     history = []
@@ -208,7 +228,7 @@ def train(
         best_loss = min(best_loss, terms.total)
         if on_step is not None:
             on_step(step, terms)
-    return TrainResult(fp, best_loss, history, state, last)
+    return TrainResult(fp.astype(np.float64), best_loss, history, state.astype(np.float64), last)
 
 
 # ---------------------------------------------------------------------------

@@ -180,6 +180,17 @@ class TestPipeline:
         assert err.startswith("occ4d genqueries: ego negative 0: exceeded 100 rejection attempts")
         assert err.count("\n") == 1 and not out.exists()
 
+    def test_simulate_with_pca_wider_than_the_raw_features_fails_cleanly(self, tmp_path, capsys):
+        # the default pca.d is 16: refused at config load, before any scene is written
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps({"suite": {"d_raw": 12}}))
+        out = tmp_path / "data"
+        code = main(["simulate", "--config", str(cfg_path), "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("occ4d simulate:") and "pca.d" in err and "suite.d_raw" in err
+        assert list(tmp_path.iterdir()) == [cfg_path]
+
     def test_train_outputs(self, pipeline):
         root, _ = pipeline
         run = root / "run"

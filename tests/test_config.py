@@ -105,6 +105,15 @@ class TestConfig:
         assert cfg["sampler"]["w_ego"] == 2 and sampler_from(cfg).w_ego == 2
         assert field_from(cfg).k_past == 2
 
+    def test_pca_wider_than_the_raw_features_rejected(self, tmp_path):
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps({"suite": {"d_raw": 12}}))
+        with pytest.raises(ValueError, match=re.escape("bad.json: pca.d (16) exceeds suite.d_raw (12)")):
+            load_config(p)
+        with pytest.raises(ValueError, match=re.escape("pca.d (7) exceeds suite.d_raw (6)")):
+            load_config(overrides={"suite": {"d_raw": 6}, "pca": {"d": 7}})
+        assert load_config(overrides={"suite": {"d_raw": 6}, "pca": {"d": 6}})["pca"]["d"] == 6
+
     def test_k_past_counts_the_past_offsets(self):
         assert field_from(load_config()).k_past == 3
         cfg = load_config(overrides={"suite": {"past_offsets": [-1.5, -1.0, -0.5, 0.0]}})

@@ -120,6 +120,41 @@ class TestAdam:
             for got, want in ((fp.params[k], params[k]), (state.m[k], m[k]), (state.v[k], v[k])):
                 assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), k
 
+    @pytest.mark.parametrize("start", ["zeros", "checkpoint"])
+    def test_float32_same_bits_as_out_of_place_update(self, start, tmp_path):
+        # the dtype train() steps in: Python-float constants take the arrays'
+        # float32 on both sides, so 50 sparse steps with -0.0 zeros keep the bits
+        rng = np.random.default_rng(24)
+        fp = init_params(SMALL, seed=25, mode=MODE_FIT_PER_SCENE)
+        fp.params["grid.z"][:] = rng.normal(size=fp.params["grid.z"].shape)
+        state = AdamState.zeros(fp.params)
+        if start == "checkpoint":
+            for k, p in fp.params.items():
+                state.m[k][:] = rng.normal(size=p.shape) * (rng.uniform(size=p.shape) < 0.5)
+                state.v[k][:] = state.m[k] ** 2
+                state.v[k][rng.uniform(size=p.shape) < 0.1] = -0.0
+            save_checkpoint(tmp_path / "ck.bin", fp, state, step=7)
+            fp, state, _, _ = load_checkpoint(tmp_path / "ck.bin")
+        f32 = {k: p.astype(np.float32) for k, p in fp.params.items()}
+        state = state.astype(np.float32)
+        params = {k: p.copy() for k, p in f32.items()}
+        m = {k: a.copy() for k, a in state.m.items()}
+        v = {k: a.copy() for k, a in state.v.items()}
+        cfg = TrainConfig(warmup_steps=5, total_steps=50)
+        for step in range(1, 51):
+            grads = {}
+            for k, p in params.items():
+                g = (rng.normal(size=p.shape) * (rng.uniform(size=p.shape) < 0.2)).astype(np.float32)
+                g[rng.uniform(size=p.shape) < 0.05] = -0.0
+                grads[k] = g
+            lr = lr_schedule(step, cfg)
+            adam_step(f32, grads, state, step, lr)
+            adam_step_out_of_place(params, grads, m, v, step, lr)
+        for k in params:
+            for got, want in ((f32[k], params[k]), (state.m[k], m[k]), (state.v[k], v[k])):
+                assert got.dtype == want.dtype == np.float32, k
+                assert np.array_equal(got.view(np.uint32), want.view(np.uint32)), k
+
 
 class TestTrain:
     def test_loss_decreases_fit_mode(self):
@@ -177,6 +212,24 @@ class TestTrain:
                 np.testing.assert_array_equal(result.params.params[k], init.params[k])
             else:
                 assert not np.array_equal(result.params.params[k], init.params[k])
+
+    @pytest.mark.parametrize("mode", [MODE_FIT_PER_SCENE, MODE_AMORTIZED])
+    def test_steps_run_in_float32_and_return_float64(self, mode, tmp_path):
+        # params and moments come back float64 holding float32 values, and
+        # the checkpoint keeps one <f8 member per tensor
+        sample = make_sample(15, amortized=mode == MODE_AMORTIZED)
+        cfg = TrainConfig(mode=mode, total_steps=10, warmup_steps=2, seed=8)
+        result = train([sample], SMALL, cfg)
+        tensors = {**result.params.params, **result.adam_state.m, **result.adam_state.v}
+        for k, v in tensors.items():
+            assert v.dtype == np.float64, k
+            assert np.array_equal(v.astype(np.float32).astype(np.float64), v), k
+        path = tmp_path / "ck.bin"
+        save_checkpoint(path, result.params, result.adam_state, step=result.last_step)
+        with np.load(path) as z:
+            members = [name for name in z.files if name != "meta"]
+            assert len(members) == 3 * len(result.params.params)
+            assert {z[name].dtype.str for name in members} == {"<f8"}
 
 
 class TestCheckpoint:
