@@ -425,6 +425,17 @@ def cmd_report(inputs, out_path=None) -> int:
     return 0
 
 
+def _worker_count(text: str) -> int:
+    """``--workers``: a whole number of processes, at least 1."""
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a whole number, got {text!r}") from None
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    return n
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="occ4d",
@@ -435,7 +446,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(p):
         p.add_argument("--config", default=env_default("config"), help="run config JSON (defaults apply)")
-        p.add_argument("--workers", type=int, default=1, help="worker processes (1 = reproducibility mode)")
+        p.add_argument("--workers", type=_worker_count, default=1, help="worker processes (1 = reproducibility mode)")
         p.add_argument("--force", action="store_true", help="overwrite existing outputs / skip digest check")
 
     p = sub.add_parser("simulate", help="generate a scene suite with scans and feature images")

@@ -328,8 +328,10 @@ def _interp_setup(z_grid: np.ndarray, x: np.ndarray, y: np.ndarray, cfg: FieldCo
     h, w = cfg.grid_h, cfg.grid_w
     u = np.clip((x - cfg.x_range[0]) / cfg.cell - 0.5, 0.0, w - 1.0)
     v = np.clip((y - cfg.y_range[0]) / cfg.cell - 0.5, 0.0, h - 1.0)
-    i0 = np.minimum(np.floor(u).astype(np.int64), w - 2)
-    j0 = np.minimum(np.floor(v).astype(np.int64), h - 2)
+    # u, v >= 0, so every corner lies in the grid; along an axis one cell
+    # wide the far corner is the near one (see interp_grid)
+    i0 = np.minimum(np.floor(u).astype(np.int64), max(w - 2, 0))
+    j0 = np.minimum(np.floor(v).astype(np.int64), max(h - 2, 0))
     fx = u - i0
     fy = v - j0
     weights = ((1 - fy) * (1 - fx), (1 - fy) * fx, fy * (1 - fx), fy * fx)
@@ -341,11 +343,12 @@ def interp_grid(z_grid: np.ndarray, x: np.ndarray, y: np.ndarray, cfg: FieldConf
     half-cell ring clamps to the edge cells, keeping outputs continuous up
     to the region boundary."""
     i0, j0, (w00, w01, w10, w11) = _interp_setup(z_grid, x, y, cfg)
+    i1, j1 = i0 + min(cfg.grid_w - 1, 1), j0 + min(cfg.grid_h - 1, 1)
     out = (
         w00[:, None] * z_grid[j0, i0]
-        + w01[:, None] * z_grid[j0, i0 + 1]
-        + w10[:, None] * z_grid[j0 + 1, i0]
-        + w11[:, None] * z_grid[j0 + 1, i0 + 1]
+        + w01[:, None] * z_grid[j0, i1]
+        + w10[:, None] * z_grid[j1, i0]
+        + w11[:, None] * z_grid[j1, i1]
     )
     if want_cache:
         return out, (i0, j0, (w00, w01, w10, w11))
@@ -362,7 +365,8 @@ def interp_backward(cache, dfeat: np.ndarray, grid_shape) -> np.ndarray:
     i0, j0, weights = cache
     h, w, c = grid_shape
     cell = j0 * w + i0
-    corners = np.concatenate([cell, cell + 1, cell + w, cell + w + 1])
+    di, dj = min(w - 1, 1), min(h - 1, 1) * w
+    corners = np.concatenate([cell, cell + di, cell + dj, cell + dj + di])
     flat = (corners[:, None] * c + np.arange(c)).ravel()
     vals = np.concatenate([wk[:, None] * dfeat for wk in weights]).ravel()
     dz = np.bincount(flat, weights=vals, minlength=h * w * c).reshape(grid_shape)

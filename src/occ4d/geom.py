@@ -114,20 +114,11 @@ def per_ray_rng(seed: int, ray_index: int, stream: int = 0) -> np.random.Generat
     return np.random.Generator(np.random.Philox(key=key, counter=counter))
 
 
-_PHILOX_M = (np.uint64(0xD2E7470EE14C6C93), np.uint64(0xCA5A826395121157))
-_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
-_LO32 = np.uint64(0xFFFFFFFF)
-
-
-def _mulhilo(a: np.uint64, b: np.ndarray):
-    """High and low 64-bit words of the 128-bit products a * b, from
-    32-bit halves so that every partial product fits in uint64."""
-    a0, a1 = a & _LO32, a >> np.uint64(32)
-    b0, b1 = b & _LO32, b >> np.uint64(32)
-    p01, p10 = a0 * b1, a1 * b0
-    mid = ((a0 * b0) >> np.uint64(32)) + (p01 & _LO32) + (p10 & _LO32)
-    hi = a1 * b1 + (p01 >> np.uint64(32)) + (p10 >> np.uint64(32)) + (mid >> np.uint64(32))
-    return hi, a * b
+# the multipliers of words 0 and 2, and the Weyl constants that bump the key each round
+_PHILOX_M = np.array([[0xD2E7470EE14C6C93], [0xCA5A826395121157]], dtype=np.uint64)
+_PHILOX_W = np.array([[0x9E3779B97F4A7C15], [0xBB67AE8584CAA73B]], dtype=np.uint64)
+_LO32, _S32 = np.uint64(0xFFFFFFFF), np.uint64(32)
+_M_LO, _M_HI = _PHILOX_M & _LO32, _PHILOX_M >> _S32
 
 
 def philox_uniforms(seed: int, stream: int, keys, offsets) -> np.ndarray:
@@ -140,6 +131,16 @@ def philox_uniforms(seed: int, stream: int, keys, offsets) -> np.ndarray:
     ``[j // 4 + 1, ray, 0, 0]``, and the uniform is ``(word >> 11) * 2**-53``.
     Each run of consecutive entries sharing a key and a block is computed
     once, so callers should list draws in key, then draw order.
+
+    A round maps words (w0, w1, w2, w3) to (hi(m1 w2) ^ w1 ^ k0, lo(m1 w2),
+    hi(m0 w0) ^ w3 ^ k1, lo(m0 w0)): it multiplies words 0 and 2 only. So the
+    state is two (2, n) arrays, ``x`` = words (0, 2) and ``y`` = words (1, 3),
+    and a round is 17 whole-array operations, whatever n is. The high words
+    come from 32-bit halves so that every partial sum fits in uint64
+    (Hacker's Delight, mulhu). Every operation writes into one of seven
+    buffers allocated once per call, so a call of tens of thousands of
+    blocks does not fault in fresh pages each round; the products enter the
+    next round with their rows swapped, as reversed views of those buffers.
     """
     keys = np.asarray(keys, dtype=np.uint64)
     offsets = np.asarray(offsets, dtype=np.int64)
@@ -147,13 +148,27 @@ def philox_uniforms(seed: int, stream: int, keys, offsets) -> np.ndarray:
     new = np.ones(len(keys), dtype=bool)
     new[1:] = (keys[1:] != keys[:-1]) | (block[1:] != block[:-1])
     first = np.flatnonzero(new)
-    c0 = block[first].astype(np.uint64) + np.uint64(1)
-    c1 = keys[first]
-    c2 = c3 = np.zeros(len(first), dtype=np.uint64)
+    x, y, lo, t, w, b0, b1 = np.zeros((7, 2, len(first)), dtype=np.uint64)
+    x[0] = block[first].astype(np.uint64) + np.uint64(1)
+    y[0] = keys[first]
+    key = np.array([[seed & _U64], [stream & _U64]], dtype=np.uint64)
     for r in range(10):  # round r uses the key bumped r times by the Weyl constants
-        k0, k1 = (np.uint64((k + r * w) & _U64) for k, w in zip((seed, stream), _PHILOX_W))
-        hi0, lo0 = _mulhilo(_PHILOX_M[0], c0)
-        hi1, lo1 = _mulhilo(_PHILOX_M[1], c2)
-        c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
-    words = np.stack([c0, c1, c2, c3], axis=1)[np.cumsum(new) - 1, offsets % 4]
+        np.multiply(_PHILOX_M, x, out=lo)
+        np.bitwise_and(x, _LO32, out=b0)
+        np.right_shift(x, _S32, out=b1)
+        np.multiply(_M_LO, b0, out=t)
+        t >>= _S32
+        b0 *= _M_HI
+        t += b0  # m_hi * x_lo + (m_lo * x_lo >> 32) < 2**64
+        np.bitwise_and(t, _LO32, out=w)
+        t >>= _S32
+        w += np.multiply(_M_LO, b1, out=b0)
+        w >>= _S32
+        b1 *= _M_HI
+        b1 += t
+        b1 += w  # the high words of _PHILOX_M * x
+        np.bitwise_xor(b1[::-1], y, out=x)
+        x ^= key + np.uint64(r) * _PHILOX_W
+        y, lo = lo[::-1], y[::-1]
+    words = np.stack([x[0], y[0], x[1], y[1]])[offsets % 4, np.cumsum(new) - 1]
     return (words >> np.uint64(11)) * 2.0**-53

@@ -64,6 +64,10 @@ _PURPOSE_SUBSAMPLE = 8
 
 _MAX_REDRAWS = 64
 _GROUP_DRAWS = 1 << 18
+# redraw rounds in _draw_filtered's second Philox call. A key short after
+# round 0 most often needs 1-3 more; at the default budgets about 1 in 10
+# short missing-ray keys and 1 in 200 short negatives need more than 8.
+_TAIL_ROUNDS = 8
 _EGO_NEG_ATTEMPTS = 100
 
 class EmptyScanError(ValueError):
@@ -254,45 +258,49 @@ def _draw_filtered(seed: int, stream: int, keys, needed, make, roi: Roi4, rounds
     at the key's running offset, maps them through ``make(idx, u_0, ...,
     u_{width-1}) -> (values, ok)`` (``idx`` indexes ``keys``) and keeps the
     items that pass ``ok & roi.contains_xyz(values)``, which reads columns
-    0-2, for at most ``rounds`` rounds. Round 0 is one Philox call. Keys
-    still short then draw their worst-case remaining budget, (needed - total)
-    * (rounds - 1) items, in one more call, and the rounds are replayed on
-    per-key prefix sums of ``ok``: a tail item is kept iff it is ok and lies
-    before the key's final offset. Keys go in groups of at most
-    ``_GROUP_DRAWS`` worst-case draws, to bound memory. Returns (idx, values)
-    of the kept items in key order, then in draw order."""
+    0-2, for at most ``rounds`` rounds. The rounds run in three stretches of
+    1, ``_TAIL_ROUNDS`` and all remaining rounds, one Philox call each. A
+    stretch of s rounds draws each still-short key's worst case for them,
+    (needed - total) * s items from its running offset, since no round draws
+    more than the one before; the rounds are then replayed on per-key prefix
+    sums of ``ok``: an item is kept iff it is ok and lies before the key's
+    offset at the stretch's end, where the next stretch starts (drawing
+    again what lies past it). Counter-based draws make the bits of each
+    item independent of how the calls are cut. Most keys are done within
+    the first two stretches, so the third draws for a few keys only. Keys go
+    in groups of at most ``_GROUP_DRAWS`` worst-case draws, to bound memory.
+    Returns (idx, values) of the kept items in key order, then in draw
+    order."""
     group = np.cumsum(needed) * (rounds * width) // _GROUP_DRAWS
     cuts = [0, *(np.flatnonzero(np.diff(group)) + 1), len(keys)]
+    tail = min(_TAIL_ROUNDS, rounds - 1)
     idx_parts, val_parts = [], []
     for lo, hi in zip(cuts[:-1], cuts[1:]):
-
-        def draw(idx, items, lo=lo):
-            offsets = (items[:, None] * width + np.arange(width)).ravel()
-            u = philox_uniforms(seed, stream, np.repeat(keys[lo + idx], width), offsets)
+        offset, short = np.zeros(hi - lo, np.int64), needed[lo:hi]
+        for stretch in (1, tail, rounds - 1 - tail):
+            deficit, budget = short, short * stretch
+            idx, off = _runs(budget)
+            draws = ((offset[idx] + off)[:, None] * width + np.arange(width)).ravel()
+            u = philox_uniforms(seed, stream, np.repeat(keys[lo + idx], width), draws)
             values, ok = make(lo + idx, *u.reshape(-1, width).T)
-            return values, ok & roi.contains_xyz(values)
-
-        want = needed[lo:hi]
-        idx0, off0 = _runs(want)
-        val0, ok0 = draw(idx0, off0)
-        deficit = want - np.bincount(idx0[ok0], minlength=len(want))
-        budget = deficit * (rounds - 1)
-        idx1, off1 = _runs(budget)
-        val1, ok1 = draw(idx1, want[idx1] + off1)
-        kept = np.concatenate([[0], np.cumsum(ok1)])
-        start = np.cumsum(budget) - budget
-        end, short = np.zeros(len(want), np.int64), deficit
-        for _ in range(rounds - 1):
-            if not short.any():  # short == 0 is a fixed point: no key draws again
+            ok = ok & roi.contains_xyz(values)
+            kept = np.concatenate([[0], np.cumsum(ok)])
+            start = np.cumsum(budget) - budget
+            end = np.zeros(hi - lo, np.int64)
+            for _ in range(stretch):
+                if not short.any():  # short == 0 is a fixed point: no key draws again
+                    break
+                end = end + short
+                short = deficit - (kept[start + end] - kept[start])
+            keep = ok & (off < end[idx])
+            idx_parts.append(lo + idx[keep])
+            val_parts.append(values[keep])
+            if not short.any():
                 break
-            end = end + short
-            short = deficit - (kept[start + end] - kept[start])
-        keep1 = ok1 & (off1 < end[idx1])
-        idx = np.concatenate([idx0[ok0], idx1[keep1]])
-        order = np.argsort(idx, kind="stable")
-        idx_parts.append(lo + idx[order])
-        val_parts.append(np.concatenate([val0[ok0], val1[keep1]])[order])
-    return np.concatenate(idx_parts), np.concatenate(val_parts)
+            offset = offset + end
+    idx = np.concatenate(idx_parts)
+    order = np.argsort(idx, kind="stable")
+    return idx[order], np.concatenate(val_parts)[order]
 
 
 def _per_ray_quota(count: int, n_rays: int) -> np.ndarray:

@@ -66,6 +66,14 @@ class TestCliContract:
         assert e.value.code == 2
         assert "--bogus-flag" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("workers", ["0", "-1", "two"])
+    def test_workers_below_one_is_a_usage_error(self, workers, tmp_path, capsys):
+        with pytest.raises(SystemExit) as e:
+            main(["simulate", "--workers", workers, "--out", str(tmp_path / "data")])
+        assert e.value.code == 2
+        assert "--workers" in capsys.readouterr().err
+        assert not (tmp_path / "data").exists()
+
     def test_top_level_help(self, capsys):
         with pytest.raises(SystemExit) as e:
             main(["--help"])

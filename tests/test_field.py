@@ -1,5 +1,5 @@
 import math
-from dataclasses import astuple
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -402,6 +402,36 @@ class TestGradients:
                     fd = (up - dn) / (2 * h)
                     denom = max(abs(fd), abs(gflat[j]), 1e-6)
                     assert abs(fd - gflat[j]) / denom < 1e-4, f"{name}[{j}] fd={fd} got={gflat[j]}"
+
+    @pytest.mark.parametrize("mode", [MODE_FIT_PER_SCENE, MODE_AMORTIZED])
+    @pytest.mark.parametrize("h, w", [(1, 1), (1, 3), (3, 1)], ids=["1x1", "1x3", "3x1"])
+    def test_one_cell_wide_grid_gradcheck(self, mode, h, w):
+        # along an axis one cell wide both interpolation corners are that
+        # cell; every grid entry and some head weights match central
+        # differences of the loss
+        cfg = replace(SMALL, x_range=(-1.0, w - 1.0), y_range=(0.0, float(h)))
+        assert (cfg.grid_h, cfg.grid_w) == (h, w)
+        rng = np.random.default_rng(30)
+        fp = init_params(cfg, seed=31, mode=mode)
+        enc = random_enc_input(rng, cfg) if mode == MODE_AMORTIZED else None
+        if mode == MODE_FIT_PER_SCENE:
+            fp.params["grid.z"][:] = rng.normal(size=fp.params["grid.z"].shape)
+        batch = Batch.from_queryset(random_queryset(rng, cfg))
+        _, grads = loss_and_grads(fp, batch, enc_input=enc)
+        names = ["grid.z" if mode == MODE_FIT_PER_SCENE else "enc.embed.w", "head.occ.w1", "head.feat.w1", "head.ego.w1"]
+        h_step = 1e-5
+        for name in names:
+            flat, gflat = fp.params[name].reshape(-1), grads[name].reshape(-1)
+            picks = np.arange(flat.size) if name == "grid.z" else rng.integers(0, flat.size, size=6)
+            for j in picks:
+                old = flat[j]
+                flat[j] = old + h_step
+                up = forward_loss(fp, batch, enc)
+                flat[j] = old - h_step
+                dn = forward_loss(fp, batch, enc)
+                flat[j] = old
+                fd = (up - dn) / (2 * h_step)
+                assert abs(fd - gflat[j]) / max(abs(fd), abs(gflat[j]), 1e-6) < 1e-4, f"{name}[{j}] fd={fd} got={gflat[j]}"
 
     def test_zero_weights_zero_gradient(self):
         rng = np.random.default_rng(14)

@@ -174,6 +174,26 @@ class TestPhiloxUniforms:
         got = philox_uniforms(seed, stream, np.array(keys, dtype=np.uint64), np.array(offsets, dtype=np.int64))
         np.testing.assert_array_equal(got, np.array(expected))
 
+    @pytest.mark.parametrize("seed, stream", [(0, 3 << 32), (U64_MAX, (8 << 32) | 7)], ids=["seed0", "seed_max"])
+    def test_many_keys(self, seed, stream):
+        # 1,500 keys at once, the width the query generators call with: runs
+        # of 0-70 draws from offsets 0-11, keys repeated out of order and
+        # the extreme keys; one entry of the first key runs alone at the end
+        rng = np.random.default_rng(seed & 0xFFFF)
+        rays = np.concatenate([np.array([0, U64_MAX], dtype=np.uint64), rng.integers(0, 2**64 - 1, 1498, dtype=np.uint64)])
+        rays[-298:] = rays[rng.integers(0, 1202, 298)]
+        keys, offsets, expected = [], [], []
+        for ray, n, skip in zip(rays, rng.integers(0, 71, len(rays)), rng.integers(0, 12, len(rays))):
+            draws = per_ray_rng(seed, int(ray), stream).uniform(size=skip + n)[skip:]
+            keys += [ray] * n
+            offsets += range(skip, skip + n)
+            expected += list(draws)
+        keys.append(rays[0])
+        offsets.append(5)
+        expected.append(per_ray_rng(seed, int(rays[0]), stream).uniform(size=6)[5])
+        got = philox_uniforms(seed, stream, np.array(keys, dtype=np.uint64), np.array(offsets, dtype=np.int64))
+        np.testing.assert_array_equal(got, np.array(expected))
+
     @settings(max_examples=50, deadline=None)
     @given(seed=st.integers(0, U64_MAX), ray=st.integers(0, U64_MAX), offsets=st.lists(st.integers(0, 40), max_size=12))
     def test_any_offset_order(self, seed, ray, offsets):

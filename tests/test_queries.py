@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from occ4d.geom import AugmentConfig, Pose, inverse, per_ray_rng, rotate_about_z, yaw_matrix
+from occ4d.geom import AugmentConfig, Pose, inverse, per_ray_rng, philox_uniforms, rotate_about_z, yaw_matrix
 from occ4d import queries
 from occ4d.field import init_params
 from occ4d.pca import fit_pca, load_pca, save_pca
@@ -482,6 +482,38 @@ class TestArrayReplayMatchesScalarOracle:
         qs = gen_feature_queries(scan, [img], pca, SamplerConfig(seed=0))
         assert_same_queries(qs, feature_queries_scalar(scan, [img], pca, SamplerConfig(seed=0)))
         assert qs.n == 0
+
+
+class TestCappedTailMatchesScalarOracle(TestArrayReplayMatchesScalarOracle):
+    """The same cases with one or two redraw rounds in the first tail call,
+    so keys of every generator reach the third call, and with the whole
+    tail in one call."""
+
+    @pytest.fixture(autouse=True, params=[1, 2, 99], ids=["tail1", "tail2", "tail99"])
+    def tail_rounds(self, request, monkeypatch):
+        monkeypatch.setattr(queries, "_TAIL_ROUNDS", request.param)
+
+
+def test_missing_ray_tail_draws_a_fraction_of_the_worst_case(monkeypatch):
+    # a key still short after round 0 may need its deficit in each of the
+    # 63 later rounds; most keys are done in a few, and only those draw more
+    scene = random_scene(seed=1)
+    scan = cast_lidar_scan(scene, lidar_pose_at(scene, 0.0), scene.rig.lidar_pattern, 0.0)
+    cfg = SamplerConfig(seed=1)
+    draws = []
+
+    def counted(seed, stream, keys, offsets):
+        draws.append(len(offsets))
+        return philox_uniforms(seed, stream, keys, offsets)
+
+    monkeypatch.setattr(queries, "philox_uniforms", counted)
+    qs = gen_missing_ray_negatives(scan, cfg)
+    assert_same_queries(qs, missing_ray_negatives_scalar(scan, cfg))
+    quota = len(missing_ray_regions(scan, cfg.missing_ray_min_run)) * cfg.missing_ray_samples_per_ray
+    monkeypatch.setattr(queries, "_MAX_REDRAWS", 1)  # the scalar oracle's redraw limit: round 0 only
+    deficit = quota - missing_ray_negatives_scalar(scan, cfg).n
+    assert deficit > 0 and draws[0] == quota and len(draws) <= 3
+    assert sum(draws[1:]) < 0.25 * 63 * deficit
 
 
 class TestEgoPathQueries:
