@@ -22,15 +22,18 @@ checkpoint     one <f8 member per parameter, then ``adam.m.<name>`` and
                ``adam.v.<name>`` moments; meta mode, step, field_config, meta
 =============  ==========================================================
 
-``to_json`` and ``from_json`` map a dataclass to and from a JSON object, for
-the checkpoint's field config, the run config's sections and the scene
-file's sensors; this module imports nothing else from occ4d, so each of
-those modules can use them.
+The JSON helpers serve the run config, the scene files, the checkpoint's
+field config and the report inputs. ``read_json`` reads a strict JSON file,
+``check_json`` checks a document against a template of defaults, and
+``to_json`` and ``from_json`` map a dataclass to and from a JSON object.
+This module imports nothing else from occ4d, so each of those modules can
+use them.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import zipfile
 from dataclasses import asdict
 
@@ -79,3 +82,63 @@ def from_json(cls, doc: dict, **extra):
     """A ``cls`` with the fields of the JSON object ``doc``, JSON lists as
     tuples, and the fields in ``extra``; absent fields keep their defaults."""
     return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in doc.items()}, **extra)
+
+
+def read_json(path):
+    """The JSON document in the file ``path``; ValueError naming ``path`` if
+    it is not JSON (with line and column) or holds a number that is not
+    finite (``NaN``, ``Infinity``, or one too large for a float)."""
+    def number(text):
+        x = float(text)
+        if not math.isfinite(x):
+            raise ValueError(f"{path}: {text} is not allowed; JSON numbers must be finite")
+        return x
+
+    with open(path) as f:
+        try:
+            return json.load(f, parse_float=number, parse_constant=number)
+        except json.JSONDecodeError as e:
+            raise ValueError(f"{path}:{e.lineno}:{e.colno}: invalid JSON: {e.msg}") from None
+
+
+_JSON_TYPES = {bool: "boolean", int: "integer", float: "number", str: "string", dict: "object", list: "array", tuple: "array"}
+
+
+def check_json(doc, template, required=()) -> None:
+    """Check the JSON value ``doc`` against ``template``, whose leaves are
+    defaults of the JSON type each value must have; the ValueError starts
+    with the key path and names the value given.
+
+    - An object may hold only its template's keys, and must hold each key
+      whose path is in ``required`` (``*`` stands for any array index).
+    - Any number fits a float; a bool fits only a bool; 64.0 is no integer.
+    - A tuple fixes its array's length, and so does a two-item list (a
+      [low, high] pair); any other list takes any length. Every item must
+      fit the template's first item.
+    """
+    _check(doc, template, {tuple(r.split("/")) for r in required}, ())
+
+
+def _check(v, t, required, path) -> None:
+    if not (type(v) is type(t) or type(t) is float and type(v) is int or type(t) is tuple and type(v) is list):
+        raise ValueError(f"{_key(path)}: {v!r} is not of type {_JSON_TYPES[type(t)]!r}")
+    if isinstance(t, dict):
+        slot = tuple("*" if isinstance(p, int) else p for p in path)
+        for k in t:
+            if k not in v and (*slot, k) in required:
+                raise ValueError(f"{_key((*path, k))}: missing required key")
+        for k, x in v.items():
+            if k not in t:
+                raise ValueError(f"{_key((*path, k))}: unknown key")
+            _check(x, t[k], required, (*path, k))
+    elif isinstance(t, (list, tuple)):
+        if (isinstance(t, tuple) or len(t) == 2) and len(v) != len(t):
+            short = len(v) < len(t)
+            raise ValueError(f"{_key(path)}: {v!r} is too {'short' if short else 'long'}; it must have {len(t)} items")
+        for i, x in enumerate(v):
+            _check(x, t[0], required, (*path, i))
+
+
+def _key(path) -> str:
+    """A key path as ``boxes/0/center``; the whole document is ``<root>``."""
+    return "/".join(map(str, path)) or "<root>"

@@ -20,6 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .artifact import read_json
 from .config import (
     augment_from,
     config_digest,
@@ -389,7 +390,7 @@ def cmd_scaling(cfg: dict, queries_dir, eval_dataset_dir, out_dir, force: bool =
 def cmd_report(inputs, out_path=None) -> int:
     lines = []
     for path in inputs:
-        doc = json.loads(Path(path).read_text())
+        doc = read_json(path)
         lines.append(f"## {path}")
         if "rows" in doc:  # scaling table
             lines.append("| n_samples | seed | R@P70 (exact) | ego AP |")

@@ -17,7 +17,7 @@ import shutil
 from dataclasses import fields
 from pathlib import Path
 
-from .artifact import from_json, to_json
+from .artifact import check_json, from_json, read_json, to_json
 from .evaluation import PAST_OFFSETS, EvalGrid
 from .field import FieldConfig
 from .geom import AugmentConfig
@@ -66,60 +66,28 @@ DEFAULT_CONFIG = {
 }
 
 
-_JSON_TYPES = {bool: "a boolean", int: "an integer", float: "a number", str: "a string"}
-
-
-def _fits(default, v) -> bool:
-    """Whether ``v`` has the JSON type of the leaf ``default``. Any number
-    fits a float. A list takes items that fit its first item, and every
-    two-item default is a [low, high] pair that takes exactly two."""
-    if isinstance(default, list):
-        return isinstance(v, list) and (len(v) == 2 or len(default) != 2) and all(_fits(default[0], x) for x in v)
-    return type(v) is type(default) or isinstance(default, float) and type(v) is int
-
-
-def _json_type(default) -> str:
-    if isinstance(default, list):
-        return f"an array of {'2 ' if len(default) == 2 else ''}{_JSON_TYPES[type(default[0])].split()[1]}s"
-    return _JSON_TYPES[type(default)]
-
-
 def _deep_merge(base: dict, override: dict) -> dict:
     out = copy.deepcopy(base)
     for k, v in override.items():
-        if k not in out:
-            raise KeyError(f"unknown config key: {k!r}")
-        if isinstance(out[k], dict):
-            if not isinstance(v, dict):
-                raise ValueError(f"config key {k!r} must be an object, got {v!r}")
-            out[k] = _deep_merge(out[k], v)
-        elif not _fits(out[k], v):
-            raise ValueError(f"config key {k!r} must be {_json_type(out[k])}, got {v!r}")
-        else:
-            out[k] = v
+        out[k] = _deep_merge(out[k], v) if isinstance(v, dict) else v
     return out
 
 
 def load_config(path=None, overrides: dict | None = None) -> dict:
+    """``DEFAULT_CONFIG`` merged with the JSON file ``path``, then with
+    ``overrides``; ValueError if either holds a key or a type that the
+    defaults do not."""
     cfg = copy.deepcopy(DEFAULT_CONFIG)
-    if path is not None:
-        def reject(constant):
-            raise ValueError(f"{path}: {constant} is not allowed; config numbers must be finite")
-
-        with open(path) as f:
-            try:
-                user = json.load(f, parse_constant=reject)
-            except json.JSONDecodeError as e:
-                raise ValueError(f"{path}:{e.lineno}:{e.colno}: invalid JSON: {e.msg}") from None
+    where = "" if path is None else f"{path}: "
+    docs = [] if path is None else [(where, read_json(path))]
+    for prefix, doc in [*docs, ("", overrides or {})]:
         try:
-            cfg = _deep_merge(cfg, user)
-        except (KeyError, ValueError) as e:
-            raise ValueError(f"{path}: {e.args[0]}") from None
-    if overrides:
-        cfg = _deep_merge(cfg, overrides)
+            check_json(doc, DEFAULT_CONFIG)
+        except ValueError as e:
+            raise ValueError(f"{prefix}invalid config at {e}") from None
+        cfg = _deep_merge(cfg, doc)
     d, d_raw = cfg["pca"]["d"], cfg["suite"]["d_raw"]
     if d > d_raw:
-        where = "" if path is None else f"{path}: "
         raise ValueError(f"{where}pca.d ({d}) exceeds suite.d_raw ({d_raw}); the PCA keeps at most d_raw dimensions")
     return cfg
 
@@ -197,8 +165,7 @@ def write_manifest(out_dir, stage: str, digest: str, extra: dict | None = None) 
 
 
 def read_manifest(out_dir) -> dict:
-    with open(Path(out_dir) / "manifest.json") as f:
-        return json.load(f)
+    return read_json(Path(out_dir) / "manifest.json")
 
 
 @contextlib.contextmanager

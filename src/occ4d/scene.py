@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -526,58 +526,24 @@ def random_scene(seed: int, n_boxes=(3, 6), speed_max=2.5, ego_speed=(2.0, 3.5),
 # JSON scene configs
 
 
-def _json_schema(value) -> dict:
-    """The JSON type of a sensor field, from its default: int, float or a
-    fixed-length tuple of numbers."""
-    if isinstance(value, tuple):
-        return {"type": "array", "items": {"type": "number"}, "minItems": len(value), "maxItems": len(value)}
-    return {"type": "integer" if isinstance(value, int) else "number"}
+_XYZ = (0.0, 0.0, 0.0)
 
-
-_VEC3 = _json_schema((0.0, 0.0, 0.0))
-
-
-def _sensor_schema(cls) -> dict:
-    """A sensor's JSON object: the fields of ``cls`` plus its 3-vector mounting offset."""
-    props = {f.name: _json_schema(f.default) for f in fields(cls)}
-    return {"type": "object", "properties": {**props, "offset": _VEC3}, "additionalProperties": False}
-
-
-SCENE_SCHEMA = {
-    "type": "object",
-    "required": ["ground_z", "boxes", "ego_track", "bounds"],
-    "properties": {
-        "ground_z": {"type": "number"},
-        "bounds": {"type": "object", "required": ["lo", "hi"], "properties": {"lo": _VEC3, "hi": _VEC3}},
-        "boxes": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "required": ["center", "half_extents", "velocity"],
-                "properties": {
-                    "center": _VEC3,
-                    "half_extents": _VEC3,
-                    "velocity": _VEC3,
-                    "yaw": {"type": "number"},
-                    "class_id": {"type": "integer", "minimum": 1},
-                },
-            },
-        },
-        "ego_track": {
-            "type": "array",
-            "minItems": 2,
-            "items": {
-                "type": "object",
-                "required": ["t", "position", "yaw"],
-                "properties": {"t": {"type": "number"}, "position": _VEC3, "yaw": {"type": "number"}},
-            },
-        },
-        "sensors": {
-            "type": "object",
-            "properties": {"lidar": _sensor_schema(ScanPattern), "camera": _sensor_schema(CameraIntrinsics)},
-        },
+# every key a scene file may hold, each with a default of its JSON type
+_SCENE_TEMPLATE = {
+    "ground_z": 0.0,
+    "bounds": {"lo": _XYZ, "hi": _XYZ},
+    "boxes": [{"center": _XYZ, "half_extents": _XYZ, "velocity": _XYZ, "yaw": 0.0, "class_id": 1}],
+    "ego_track": [{"t": 0.0, "position": _XYZ, "yaw": 0.0}],
+    "sensors": {
+        "lidar": {**asdict(ScanPattern()), "offset": _XYZ},
+        "camera": {**asdict(CameraIntrinsics()), "offset": _XYZ},
     },
 }
+_SCENE_REQUIRED = (
+    "ground_z", "boxes", "ego_track", "bounds", "bounds/lo", "bounds/hi",
+    "boxes/*/center", "boxes/*/half_extents", "boxes/*/velocity",
+    "ego_track/*/t", "ego_track/*/position", "ego_track/*/yaw",
+)
 
 
 def scene_to_dict(scene: Scene) -> dict:
@@ -607,13 +573,10 @@ def scene_to_dict(scene: Scene) -> dict:
 
 
 def scene_from_dict(doc: dict) -> Scene:
-    import jsonschema
-
     try:
-        jsonschema.validate(doc, SCENE_SCHEMA, cls=jsonschema.Draft4Validator)
-    except jsonschema.ValidationError as e:
-        path = "/".join(str(p) for p in e.absolute_path) or "<root>"
-        raise ValueError(f"invalid scene config at {path}: {e.message}") from None
+        artifact.check_json(doc, _SCENE_TEMPLATE, _SCENE_REQUIRED)
+    except ValueError as e:
+        raise ValueError(f"invalid scene config at {e}") from None
     sensors = doc.get("sensors", {})
     lid = sensors.get("lidar", {})
     cam = sensors.get("camera", {})
@@ -644,8 +607,12 @@ def save_scene_json(scene: Scene, path) -> None:
 
 
 def load_scene_json(path) -> Scene:
-    with open(path) as f:
-        return scene_from_dict(json.load(f))
+    """The scene in the JSON file ``path``; ValueError naming ``path`` if it is not one."""
+    doc = artifact.read_json(path)
+    try:
+        return scene_from_dict(doc)
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from None
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,9 @@
 import json
+import os
+import re
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -8,6 +12,7 @@ import pytest
 from occ4d import cli
 from occ4d.cli import main
 from occ4d.config import config_digest, load_config, read_manifest
+from occ4d.scene import load_scene_json, random_scene, save_scene_json, scene_to_dict
 
 SMOKE_OVERRIDES = {
     "suite": {"n_scenes": 2, "n_future": 6, "future_dt": 0.5, "d_raw": 12},
@@ -81,6 +86,44 @@ class TestCliContract:
         out = capsys.readouterr().out
         for cmd in ("simulate", "genqueries", "train", "eval", "scaling", "report"):
             assert cmd in out
+
+
+class TestJsonInputs:
+    @pytest.mark.parametrize("fault", ["truncated", "NaN", "-Infinity", "1e999"])
+    @pytest.mark.parametrize("kind", ["config", "scene", "report"])
+    def test_broken_or_nonfinite_json_names_the_file(self, kind, fault, tmp_path, capsys):
+        # "@" marks the number that the fault replaces
+        if kind == "scene":
+            doc = scene_to_dict(random_scene(seed=1))
+            doc["ego_track"][1]["yaw"] = "@"
+        else:
+            doc = {"sampler": {"delta": "@"}} if kind == "config" else {"ap_occ": "@", "n_probes": 10}
+        text = json.dumps(doc)
+        p = tmp_path / f"{kind}.json"
+        p.write_text(text[: len(text) // 2] if fault == "truncated" else text.replace('"@"', fault))
+        if fault == "truncated":
+            expected = re.escape(str(p)) + r":\d+:\d+: invalid JSON"
+        else:
+            expected = re.escape(f"{p}: {fault} is not allowed")
+        if kind == "report":
+            assert main(["report", str(p)]) == 1
+            assert re.match(f"occ4d report: {expected}", capsys.readouterr().err)
+        else:
+            with pytest.raises(ValueError, match=expected):
+                (load_config if kind == "config" else load_scene_json)(p)
+
+    def test_loading_the_inputs_imports_no_jsonschema(self, tmp_path):
+        (tmp_path / "config.json").write_text(json.dumps({"seed": 1}))
+        save_scene_json(random_scene(seed=1), tmp_path / "scene.json")
+        code = (
+            "import sys, occ4d.cli\n"
+            "occ4d.cli.load_config(sys.argv[1]); occ4d.cli.load_scene_json(sys.argv[2])\n"
+            "assert 'jsonschema' not in sys.modules"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        args = [sys.executable, "-c", code, str(tmp_path / "config.json"), str(tmp_path / "scene.json")]
+        subprocess.run(args, env=env, check=True, timeout=120)
 
 
 class TestPipeline:

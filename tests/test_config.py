@@ -70,28 +70,29 @@ class TestConfig:
         # sampler.jitter_tau is the one tau, and k_past comes from the suite
         p = tmp_path / "old.json"
         p.write_text(json.dumps({section: {key: value}}))
-        with pytest.raises(ValueError, match=f"old.json: unknown config key: '{key}'"):
+        with pytest.raises(ValueError, match=f"old.json: invalid config at {section}/{key}: unknown key"):
             load_config(p)
 
     @pytest.mark.parametrize("value", [5, None, "x", [1, 2]])
     def test_section_must_be_an_object(self, tmp_path, value):
         p = tmp_path / "bad.json"
         p.write_text(json.dumps({"suite": value}))
-        with pytest.raises(ValueError, match=re.escape(f"bad.json: config key 'suite' must be an object, got {value!r}")):
+        with pytest.raises(ValueError, match=re.escape(f"bad.json: invalid config at suite: {value!r} is not of type 'object'")):
             load_config(p)
-        with pytest.raises(ValueError, match="config key 'roi' must be an object"):
+        with pytest.raises(ValueError, match=re.escape(f"invalid config at sampler/roi: {value!r} is not of type 'object'")):
             load_config(overrides={"sampler": {"roi": value}})
 
     @pytest.mark.parametrize(
         "doc, message",
         [
-            ({"suite": {"n_scenes": "2"}}, "config key 'n_scenes' must be an integer, got '2'"),
-            ({"suite": {"n_boxes": [3]}}, "config key 'n_boxes' must be an array of 2 integers, got [3]"),
-            ({"seed": {"a": 1}}, "config key 'seed' must be an integer, got {'a': 1}"),
-            ({"augment": {"rotation_enabled": 1}}, "config key 'rotation_enabled' must be a boolean, got 1"),
-            ({"suite": {"n_boxes": [3.5, 6]}}, "config key 'n_boxes' must be an array of 2 integers, got [3.5, 6]"),
+            ({"suite": {"n_scenes": "2"}}, "invalid config at suite/n_scenes: '2' is not of type 'integer'"),
+            ({"suite": {"n_boxes": [3]}}, "invalid config at suite/n_boxes: [3] is too short; it must have 2 items"),
+            ({"seed": {"a": 1}}, "invalid config at seed: {'a': 1} is not of type 'integer'"),
+            ({"augment": {"rotation_enabled": 1}}, "invalid config at augment/rotation_enabled: 1 is not of type 'boolean'"),
+            ({"suite": {"n_boxes": [3.5, 6]}}, "invalid config at suite/n_boxes/0: 3.5 is not of type 'integer'"),
+            ([1, 2], "invalid config at <root>: [1, 2] is not of type 'object'"),
         ],
-        ids=["string_for_int", "one_item_pair", "object_for_int", "int_for_bool", "float_in_int_pair"],
+        ids=["string_for_int", "one_item_pair", "object_for_int", "int_for_bool", "float_in_int_pair", "array_for_config"],
     )
     def test_leaf_of_the_wrong_type_rejected(self, tmp_path, doc, message):
         p = tmp_path / "bad.json"

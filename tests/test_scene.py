@@ -1,4 +1,6 @@
+import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -405,8 +407,56 @@ class TestSceneIO:
     def test_schema_rejects_unknown_sensor_field(self):
         doc = scene_to_dict(random_scene(seed=3))
         doc["sensors"]["lidar"]["az_cuont"] = 32
-        with pytest.raises(ValueError, match="invalid scene config at sensors/lidar: .*'az_cuont' was unexpected"):
+        with pytest.raises(ValueError, match="invalid scene config at sensors/lidar/az_cuont: unknown key"):
             scene_from_dict(doc)
+
+    @pytest.mark.parametrize(
+        "edit, where",
+        [
+            (lambda d: d["boxes"][0].update(clas_id=3), "boxes/0/clas_id"),
+            (lambda d: d.update(grund_z=0.5), "grund_z"),
+            (lambda d: d["sensors"].update(radar={"max_range": 60.0}), "sensors/radar"),
+        ],
+        ids=["box_field", "top_level", "sensor"],
+    )
+    def test_schema_rejects_unknown_key(self, edit, where):
+        doc = scene_to_dict(random_scene(seed=3))
+        edit(doc)
+        with pytest.raises(ValueError, match=f"invalid scene config at {where}: unknown key"):
+            scene_from_dict(doc)
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda d: d.pop("bounds"), "at bounds: missing required key"),
+            (lambda d: d["bounds"].pop("hi"), "at bounds/hi: missing required key"),
+            (lambda d: d["boxes"][1].pop("half_extents"), "at boxes/1/half_extents: missing required key"),
+            (lambda d: d["ego_track"][2].pop("yaw"), "at ego_track/2/yaw: missing required key"),
+            (lambda d: d["bounds"].update(lo=[-24.0, -24.0]), "at bounds/lo: [-24.0, -24.0] is too short; it must have 3 items"),
+            (lambda d: d.update(ground_z=True), "at ground_z: True is not of type 'number'"),
+            (lambda d: d["boxes"][0].update(class_id=2.0), "at boxes/0/class_id: 2.0 is not of type 'integer'"),
+            (lambda d: d["boxes"][0].update(velocity=None), "at boxes/0/velocity: None is not of type 'array'"),
+            (lambda d: d["ego_track"][0].update(t=None), "at ego_track/0/t: None is not of type 'number'"),
+            # the constructors enforce these two; their messages name the field
+            (lambda d: d["boxes"][0].update(class_id=0), "box class_id must lie in"),
+            (lambda d: d.update(ego_track=d["ego_track"][:1]), "ego trajectory needs at least two keyframes"),
+        ],
+        ids=[
+            "missing_top_level", "missing_bounds_key", "missing_box_key", "missing_keyframe_key", "two_item_vec3",
+            "bool_for_number", "float_for_integer", "null_for_vec3", "null_for_number", "class_id_0", "one_keyframe",
+        ],
+    )
+    def test_schema_rejects_each_rule(self, edit, message):
+        doc = scene_to_dict(random_scene(seed=5))
+        edit(doc)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            scene_from_dict(doc)
+
+    @pytest.mark.parametrize("ground_range", [(0.0, 0.0), (-0.6, 0.6)])
+    def test_every_written_scene_loads(self, ground_range):
+        for seed in range(40):
+            doc = json.loads(json.dumps(scene_to_dict(random_scene(seed, ground_range=ground_range))))
+            assert scene_to_dict(scene_from_dict(doc)) == doc
 
     def test_partial_sensors_take_dataclass_defaults(self):
         doc = scene_to_dict(random_scene(seed=4))
