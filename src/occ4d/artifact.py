@@ -1,12 +1,14 @@
 """The one on-disk container for every occ4d artifact.
 
-An artifact is an uncompressed ``np.savez`` zip archive: one ``.npy`` member
-per array, plus a ``meta`` member holding a JSON document with ``kind``,
-``version`` and the kind's scalars. Zip members carry a fixed timestamp, so
-equal inputs give equal bytes. Loading never unpickles. Members per kind:
+An artifact (format 3) is the magic ``OCC4D\\0``, an 8-byte little-endian
+header length, a sorted-key JSON header (``kind``, ``version``, the kind's
+meta scalars and ``arrays``, a list of ``[name, dtype.str, shape]``), each
+array's C-order bytes at the next 64-byte-aligned offset after zero padding,
+and the little-endian CRC-32 of all bytes before it. Equal inputs give equal
+bytes. Only bool, int, uint and float arrays are stored: no unpickling.
 
 =============  ==========================================================
-kind           members (dtype, shape) and meta scalars
+kind           arrays (dtype, shape) and meta scalars
 =============  ==========================================================
 scan           origins, dirs <f8 (n, 3); ranges, times, thickness <f8 (n,);
                miss u1 (n,); hit_kind <i4 (n,); meta rows, cols, max_range
@@ -18,7 +20,7 @@ pca            mean <f8 (d_raw,); components <f8 (d, d_raw);
 queryset       tags, labels u1 (n,); times <f4 (n,); positions <f4 (n, 3);
                feats <f4 (m, d), one row per FEATURE record
 encoder-input  points0, points1, ... <f8 (n_i, 3); rel_times <f8 (k,)
-checkpoint     one <f8 member per parameter, then ``adam.m.<name>`` and
+checkpoint     one <f8 array per parameter, then ``adam.m.<name>`` and
                ``adam.v.<name>`` moments; meta mode, step, field_config, meta
 =============  ==========================================================
 
@@ -34,41 +36,73 @@ from __future__ import annotations
 
 import json
 import math
-import zipfile
+import os
+import zlib
 from dataclasses import asdict
 
 import numpy as np
 
-VERSION = 2
-_ZIP_PREFIX = b"PK\x03\x04"
+VERSION = 3
+_MAGIC = b"OCC4D\0"
+_ALIGN = 64
+_KINDS = "biuf"  # bool, int, uint, float: no dtype that would need unpickling
 
 
 def save(path, kind: str, meta: dict, **arrays) -> None:
     """Write ``arrays`` and ``meta`` as a ``kind`` artifact at exactly ``path``."""
-    doc = json.dumps({"kind": kind, "version": VERSION, **meta}, sort_keys=True)
-    with open(path, "wb") as f:  # a handle, so np.savez appends no ".npz"
-        np.savez(f, meta=np.array(doc), **arrays)
+    arrays = {name: np.asarray(a, order="C") for name, a in arrays.items()}
+    for name, a in arrays.items():
+        if a.dtype.kind not in _KINDS:
+            raise ValueError(f"{path}: array {name!r} has dtype {a.dtype}, which a {kind} file cannot store")
+    specs = [[name, a.dtype.str, list(a.shape)] for name, a in arrays.items()]
+    header = json.dumps({"kind": kind, "version": VERSION, **meta, "arrays": specs}, sort_keys=True).encode()
+    crc = 0
+    with open(path, "wb") as f:
+        for part in (_MAGIC + len(header).to_bytes(8, "little") + header, *arrays.values()):
+            for b in (bytes(-f.tell() % _ALIGN), part):
+                f.write(b)
+                crc = zlib.crc32(b, crc)
+        f.write(crc.to_bytes(4, "little"))
 
 
 def load(path, kind: str):
     """Return ``(meta, arrays)`` of a ``kind`` artifact; ValueError naming
-    ``path`` if it is cut short, corrupt, of another kind or format."""
+    ``path`` if it is cut short, corrupt, of another kind or format. Each
+    array is read into its own buffer, so none keeps the file's bytes."""
+    def corrupt(why):
+        return ValueError(f"{path}: truncated or corrupt {kind} file ({why})")
+
     with open(path, "rb") as f:
-        head = f.read(len(_ZIP_PREFIX))
-        if len(head) < len(_ZIP_PREFIX):
-            raise ValueError(f"{path}: truncated or corrupt {kind} file ({len(head)} bytes)")
-        if head != _ZIP_PREFIX:
-            raise ValueError(f"{path}: not an occ4d {kind} file (format {VERSION})")
-        f.seek(0)
+        size, head = os.fstat(f.fileno()).st_size, f.read(len(_MAGIC) + 8)
+        if not _MAGIC.startswith(head[: len(_MAGIC)]):
+            hint = "; it is a format 2 zip" if head.startswith(b"PK\x03\x04") else ""
+            raise ValueError(f"{path}: not an occ4d {kind} file (format {VERSION}){hint}")
+        n = int.from_bytes(head[len(_MAGIC) :], "little")
+        if len(head) < len(_MAGIC) + 8 or n > size - len(head):
+            raise corrupt(f"{size} bytes")
+        header = f.read(n)
         try:
-            with np.load(f, allow_pickle=False) as z:
-                arrays = {name: z[name] for name in z.files}
-            meta = json.loads(str(arrays.pop("meta")))
-        except (KeyError, ValueError, zipfile.BadZipFile) as e:
-            raise ValueError(f"{path}: truncated or corrupt {kind} file ({e})") from e
-    if meta.get("kind") != kind or meta.get("version") != VERSION:
-        found = f"{meta.get('kind')} format {meta.get('version')}"
-        raise ValueError(f"{path}: not an occ4d {kind} file (format {VERSION}); it holds {found}")
+            meta = json.loads(header)
+            specs = [(name, np.dtype(dt), tuple(shape)) for name, dt, shape in meta.pop("arrays")]
+        except (ValueError, TypeError, KeyError, AttributeError) as e:
+            raise corrupt(e) from None
+        if meta.get("kind") != kind or meta.get("version") != VERSION:
+            found = f"{meta.get('kind')} format {meta.get('version')}"
+            raise ValueError(f"{path}: not an occ4d {kind} file (format {VERSION}); it holds {found}")
+        end = len(head) + n
+        for name, dt, shape in specs:
+            if not (isinstance(name, str) and dt.kind in _KINDS and all(type(d) is int and d >= 0 for d in shape)):
+                raise corrupt(f"array {name!r} of dtype {dt.str} and shape {shape}")
+            end += -end % _ALIGN + dt.itemsize * math.prod(shape)
+        if end + 4 != size:
+            raise corrupt(f"{size} bytes where the header lays out {end + 4}")
+        crc, arrays = zlib.crc32(head + header), {}
+        for name, dt, shape in specs:
+            pad, arrays[name] = f.read(-f.tell() % _ALIGN), np.empty(shape, dt)
+            f.readinto(arrays[name].reshape(-1))
+            crc = zlib.crc32(arrays[name], zlib.crc32(pad, crc))
+        if f.read(4) != crc.to_bytes(4, "little"):
+            raise corrupt("CRC-32 mismatch")
     return meta, arrays
 
 
@@ -86,8 +120,8 @@ def from_json(cls, doc: dict, **extra):
 
 def read_json(path):
     """The JSON document in the file ``path``; ValueError naming ``path`` if
-    it is not JSON (with line and column) or holds a number that is not
-    finite (``NaN``, ``Infinity``, or one too large for a float)."""
+    it is not UTF-8 JSON (with line and column) or holds a number that is
+    not finite (``NaN``, ``Infinity``, or one too large for a float)."""
     def number(text):
         x = float(text)
         if not math.isfinite(x):
@@ -99,6 +133,8 @@ def read_json(path):
             return json.load(f, parse_float=number, parse_constant=number)
         except json.JSONDecodeError as e:
             raise ValueError(f"{path}:{e.lineno}:{e.colno}: invalid JSON: {e.msg}") from None
+        except UnicodeDecodeError as e:
+            raise ValueError(f"{path}: not UTF-8 text ({e.reason} at byte {e.start})") from None
 
 
 _JSON_TYPES = {bool: "boolean", int: "integer", float: "number", str: "string", dict: "object", list: "array", tuple: "array"}

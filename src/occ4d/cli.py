@@ -256,20 +256,20 @@ def cmd_train(cfg: dict, queries_dir, out_dir, resume=None, force: bool = False)
     if not (queries / "manifest.json").exists():
         raise FileNotFoundError(f"queries dir {queries} is missing manifest.json (run genqueries first)")
     digest = config_digest(cfg)
-    samples = _load_samples(queries)
-    field_cfg = field_from(cfg)
-    tcfg = train_from(cfg)
-    if tcfg.mode == MODE_FIT_PER_SCENE and len(samples) > 1:
-        samples = samples[:1]
-    init = state = None
-    start_step = 0
-    if resume is not None:
-        init, state, start_step, ckpt_meta = load_checkpoint(resume)
-        if ckpt_meta.get("config_digest") not in (None, digest):
-            raise ValueError("resume checkpoint was produced by a different config")
-    progress = _train_progress(tcfg, start_step)
-    result = train(samples, field_cfg, tcfg, init=init, adam_state=state, start_step=start_step, on_step=progress)
-    with staged_output(out_dir, force) as tmp:
+    with staged_output(out_dir, force) as tmp:  # refuses an existing output before any work
+        samples = _load_samples(queries)
+        field_cfg = field_from(cfg)
+        tcfg = train_from(cfg)
+        if tcfg.mode == MODE_FIT_PER_SCENE and len(samples) > 1:
+            samples = samples[:1]
+        init = state = None
+        start_step = 0
+        if resume is not None:
+            init, state, start_step, ckpt_meta = load_checkpoint(resume)
+            if ckpt_meta.get("config_digest") not in (None, digest):
+                raise ValueError("resume checkpoint was produced by a different config")
+        progress = _train_progress(tcfg, start_step)
+        result = train(samples, field_cfg, tcfg, init=init, adam_state=state, start_step=start_step, on_step=progress)
         save_checkpoint(
             tmp / "checkpoint.bin",
             result.params,
@@ -345,36 +345,36 @@ def cmd_scaling(cfg: dict, queries_dir, eval_dataset_dir, out_dir, force: bool =
     digest = config_digest(cfg)
     counts = cfg["scaling"]["sample_counts"]
     seeds = cfg["scaling"]["seeds"]
-    all_samples = _load_samples(Path(queries_dir))
-    if len(all_samples) < max(counts):
-        raise ValueError(f"need >= {max(counts)} pretrain samples, found {len(all_samples)}")
-    scenes = _dataset_scenes(eval_dataset_dir)
-    field_cfg = field_from(cfg)
-    rows = []
-    for seed in seeds:
-        for count in counts:
-            tcfg = train_from(
-                cfg,
-                seed=seed,
-                mode=MODE_AMORTIZED,
-                total_steps=cfg["scaling"]["total_steps"],
-                warmup_steps=cfg["scaling"]["warmup_steps"],
-            )
-            result = train(all_samples[:count], field_cfg, tcfg)
-            report, ego = _evaluate(result.params, scenes, cfg, raytrace=False)
-            rows.append(
-                {
-                    "n_samples": count,
-                    "seed": seed,
-                    "r_at_p70": report["r_at_p70_exact"],
-                    "ap_ego": ego["ap_ego"],
-                }
-            )
-            print(
-                f"scaling: n={count} seed={seed} r_at_p70_exact={rows[-1]['r_at_p70']:.4f} "
-                f"ap_ego={rows[-1]['ap_ego']:.4f}"
-            )
-    with staged_output(out_dir, force) as tmp:
+    with staged_output(out_dir, force) as tmp:  # refuses an existing output before any work
+        all_samples = _load_samples(Path(queries_dir))
+        if len(all_samples) < max(counts):
+            raise ValueError(f"need >= {max(counts)} pretrain samples, found {len(all_samples)}")
+        scenes = _dataset_scenes(eval_dataset_dir)
+        field_cfg = field_from(cfg)
+        rows = []
+        for seed in seeds:
+            for count in counts:
+                tcfg = train_from(
+                    cfg,
+                    seed=seed,
+                    mode=MODE_AMORTIZED,
+                    total_steps=cfg["scaling"]["total_steps"],
+                    warmup_steps=cfg["scaling"]["warmup_steps"],
+                )
+                result = train(all_samples[:count], field_cfg, tcfg)
+                report, ego = _evaluate(result.params, scenes, cfg, raytrace=False)
+                rows.append(
+                    {
+                        "n_samples": count,
+                        "seed": seed,
+                        "r_at_p70": report["r_at_p70_exact"],
+                        "ap_ego": ego["ap_ego"],
+                    }
+                )
+                print(
+                    f"scaling: n={count} seed={seed} r_at_p70_exact={rows[-1]['r_at_p70']:.4f} "
+                    f"ap_ego={rows[-1]['ap_ego']:.4f}"
+                )
         with open(tmp / "scaling.csv", "w") as f:
             f.write("n_samples,seed,r_at_p70,ap_ego\n")
             for r in rows:

@@ -451,8 +451,12 @@ def gen_feature_queries(
     hits = scan.hit_indices
     endpoints = scan.endpoints()[hits]
     visible, u, v = min_depth_visible(img, endpoints, cfg.depth_tol)
-
-    vis = np.flatnonzero(visible)
+    # make's point at w = 1; rounding is monotone in w, so a hit with both
+    # buffer ends beyond one roi face can draw no point in the roi
+    far, roi = endpoints + (cfg.delta * 1.0) * scan.dirs[hits], cfg.roi
+    lo, hi = np.array([roi.x[0], roi.y[0], roi.z[0]]), np.array([roi.x[1], roi.y[1], roi.z[1]])
+    beyond = ((endpoints < lo) & (far < lo) | (endpoints > hi) & (far > hi)).any(axis=1)
+    vis = np.flatnonzero(visible & ~beyond)
     rays = hits[vis]
 
     def make(idx, w):

@@ -112,6 +112,14 @@ class TestJsonInputs:
             with pytest.raises(ValueError, match=expected):
                 (load_config if kind == "config" else load_scene_json)(p)
 
+    def test_non_utf8_json_names_the_file(self, tmp_path, capsys):
+        p = tmp_path / "bin.json"
+        p.write_bytes(b'\xff\xfe{"a": 1}')
+        assert main(["report", str(p)]) == 1
+        assert capsys.readouterr().err == f"occ4d report: {p}: not UTF-8 text (invalid start byte at byte 0)\n"
+        with pytest.raises(ValueError, match=re.escape(f"{p}: not UTF-8 text")):
+            load_scene_json(p)
+
     def test_loading_the_inputs_imports_no_jsonschema(self, tmp_path):
         (tmp_path / "config.json").write_text(json.dumps({"seed": 1}))
         save_scene_json(random_scene(seed=1), tmp_path / "scene.json")
@@ -321,6 +329,22 @@ class TestPipeline:
         code = main(["simulate", "--config", str(cfg_path), "--out", str(root / "data")])
         assert code == 1
         assert "already exists" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cmd", ["train", "scaling"])
+    def test_existing_output_refused_before_any_work(self, cmd, pipeline, monkeypatch, capsys):
+        root, cfg_path = pipeline
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("called before the output check")
+
+        monkeypatch.setattr(cli, "train", forbidden)
+        monkeypatch.setattr(cli, "_load_samples", forbidden)
+        args = [cmd, "--config", str(cfg_path), "--queries", str(root / "queries"), "--out", str(root / "run")]
+        assert main(args + (["--eval-dataset", str(root / "data")] if cmd == "scaling" else [])) == 1
+        out = root / "run"
+        assert capsys.readouterr().err == (
+            f"occ4d {cmd}: output directory {out} already exists (use --force to overwrite)\n"
+        )
 
     def test_report_command(self, pipeline, tmp_path, capsys):
         root, _ = pipeline

@@ -1,5 +1,6 @@
 import json
 import math
+import zlib
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ import pytest
 from occ4d.geom import AugmentConfig, Pose, inverse, per_ray_rng, philox_uniforms, rotate_about_z, yaw_matrix
 from occ4d import queries
 from occ4d.field import init_params
-from occ4d.pca import fit_pca, load_pca, save_pca
+from occ4d.pca import fit_pca, load_pca, project, save_pca
 from occ4d.queries import (
     EmptyScanError,
     EncoderInput,
@@ -121,6 +122,9 @@ def scene_sample_inputs(seed, t0=0.0, n_future=6, future_dt=0.5, n_images=4):
         for t in img_times
     ]
     return scene, past, future, images
+
+
+NARROW_ROI = Roi4(x=(-6.0, 9.0), y=(-8.0, 5.0), z=(0.3, 2.0))
 
 
 @pytest.fixture(scope="module")
@@ -358,6 +362,65 @@ class TestFeatureQueries:
         assert qs.counts()["feature"] == 37
         assert qs.feats.shape == (37, 8)
 
+    @staticmethod
+    def _drawn_over_every_visible_hit(scan, img, pca, cfg, scan_stream):
+        """(gen_feature_queries' QuerySet with every visible hit as a key, the number of visible hits)"""
+        hits = scan.hit_indices
+        ends = scan.endpoints()[hits]
+        visible, u, v = min_depth_visible(img, ends, cfg.depth_tol)
+        vis = np.flatnonzero(visible)
+
+        def make(idx, w):
+            return ends[vis[idx]] + (cfg.delta * w)[:, None] * scan.dirs[hits[vis[idx]]], w != 0.0
+
+        stream = queries._stream(queries._PURPOSE_FEAT, scan_stream)
+        idx, pos = queries._draw_filtered(cfg.seed, stream, hits[vis], np.ones(len(vis), np.int64), make, cfg.roi)
+        feats = np.array([project(pca, img.features[v[j], u[j]]) for j in vis[idx]]).reshape(-1, pca.d)
+        n = len(idx)
+        qs = QuerySet(np.full(n, TAG_FEATURE, np.uint8), scan.times[hits[vis[idx]]], pos, np.zeros(n, np.uint8), feats, pca.d)
+        return qs, len(vis)
+
+    def _assert_same_bytes(self, scan, img, pca, cfg, tmp_path, monkeypatch):
+        """Returns (queries, keys drawn, visible hits)."""
+        draw, drawn = queries._draw_filtered, []
+
+        def counting_draw(seed, stream, keys, *args):
+            drawn.append(len(keys))
+            return draw(seed, stream, keys, *args)
+
+        monkeypatch.setattr(queries, "_draw_filtered", counting_draw)
+        got = gen_feature_queries(scan, [img], pca, cfg, scan_stream=2)
+        monkeypatch.setattr(queries, "_draw_filtered", draw)
+        want, visible = self._drawn_over_every_visible_hit(scan, img, pca, cfg, 2)
+        assert_same_queries(got, want)
+        save_queryset(got, tmp_path / "got.bin")
+        save_queryset(want, tmp_path / "want.bin")
+        assert (tmp_path / "got.bin").read_bytes() == (tmp_path / "want.bin").read_bytes()
+        return got, drawn[0], visible
+
+    @pytest.mark.parametrize(
+        "seed, t, roi", [(1, 1.5, Roi4()), (4, 0.0, Roi4(x=(-6.0, 9.0), y=(-8.0, 5.0)))], ids=["default_roi", "cut_roi"]
+    )
+    def test_hits_beyond_one_roi_face_draw_nothing(self, seed, t, roi, pca16, tmp_path, monkeypatch):
+        # about two fifths of the visible hits lie with their whole buffer
+        # beyond one roi face: they get no key, and the queries keep every byte
+        scene = random_scene(seed=seed)
+        scan = cast_lidar_scan(scene, lidar_pose_at(scene, t), scene.rig.lidar_pattern, t)
+        img = render_feature_image(scene, camera_pose_at(scene, t), scene.rig.camera, t, 16)
+        got, drawn, visible = self._assert_same_bytes(scan, img, pca16, SamplerConfig(seed=3, roi=roi), tmp_path, monkeypatch)
+        assert got.n > 40 and drawn + 30 < visible
+
+    def test_buffer_crossing_a_roi_face_keeps_its_key(self, pca16, tmp_path, monkeypatch):
+        # the sensor lies outside the roi (x >= 5), so hits at x = 4.95 and
+        # 4.97 are outside it but their buffers reach into it; hits at x = 4
+        # lie wholly beyond the face and draw nothing
+        xs = (4.0, 4.95, 4.97, 6.0)
+        ends = [(x, x * (-0.3 + 0.2 * (i % 4)), x * (0.05 + 0.12 * (i // 4))) for i, x in enumerate(xs * 4)]
+        scan = synthetic_scan([(0.0, 0.0, 0.0)] * len(ends), ends)
+        cfg = SamplerConfig(seed=2, roi=Roi4(x=(5.0, 20.0)))
+        got, drawn, visible = self._assert_same_bytes(scan, front_camera_image(d_raw=16), pca16, cfg, tmp_path, monkeypatch)
+        assert visible == 16 and drawn == 12 and got.n == 12
+
     def test_empty_image_list_errors(self, pca16):
         scan = synthetic_scan([(0, 0, 2)], [(5, 0, 1)])
         with pytest.raises(ValueError):
@@ -369,9 +432,6 @@ def assert_same_queries(got, want):
         a, b = getattr(got, name), getattr(want, name)
         assert a.shape == b.shape and a.dtype == b.dtype, name
         assert np.array_equal(a, b), name
-
-
-NARROW_ROI = Roi4(x=(-6.0, 9.0), y=(-8.0, 5.0), z=(0.3, 2.0))
 
 
 class TestArrayReplayMatchesScalarOracle:
@@ -729,15 +789,33 @@ class TestQuerySetFormat:
         np.testing.assert_array_equal(load_queryset(p).labels, [0, 1, 0, 0, 1, 0])
 
     def test_golden_layout(self, tmp_path):
-        # frozen v2 layout: a zip of .npy members plus JSON metadata
+        # frozen format 3: magic, 8-byte little-endian header length, sorted-key
+        # JSON header, each array's C-order bytes at a 64-byte-aligned offset,
+        # then the CRC-32 of everything before it
         p = tmp_path / "q.bin"
-        save_queryset(self._tiny(), p)
-        assert p.read_bytes()[:4] == b"PK\x03\x04"
-        with np.load(p, allow_pickle=False) as z:
-            meta = json.loads(str(z["meta"]))
-            dtypes = {name: z[name].dtype.str for name in z.files if name != "meta"}
-        assert meta == {"kind": "queryset", "version": 2}
-        assert dtypes == {"tags": "|u1", "times": "<f4", "positions": "<f4", "labels": "|u1", "feats": "<f4"}
+        qs = self._tiny()
+        save_queryset(qs, p)
+        raw = p.read_bytes()
+        assert raw[:6] == b"OCC4D\0"
+        n = int.from_bytes(raw[6:14], "little")
+        header = json.loads(raw[14 : 14 + n])
+        assert raw[14 : 14 + n] == json.dumps(header, sort_keys=True).encode()
+        assert header == {
+            "kind": "queryset",
+            "version": 3,
+            "arrays": [
+                ["tags", "|u1", [6]], ["times", "<f4", [6]], ["positions", "<f4", [6, 3]],
+                ["labels", "|u1", [6]], ["feats", "<f4", [2, 2]],
+            ],
+        }
+        expected = {"tags": qs.tags, "times": qs.times, "positions": qs.positions, "labels": qs.labels, "feats": qs.feats}
+        end = 14 + n
+        for name, dtype, shape in header["arrays"]:
+            offset = end + -end % 64
+            assert offset % 64 == 0 and raw[end:offset] == bytes(offset - end)
+            end = offset + np.dtype(dtype).itemsize * math.prod(shape)
+            assert raw[offset:end] == np.asarray(expected[name], dtype).tobytes(), name
+        assert raw[end:] == zlib.crc32(raw[:end]).to_bytes(4, "little")
 
     def test_feature_targets_alignment(self):
         qs = self._tiny()

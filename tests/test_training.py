@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from occ4d import artifact
 from occ4d.field import MODE_AMORTIZED, MODE_FIT_PER_SCENE, init_params, query_head
 from occ4d.training import (
     AdamState,
@@ -216,7 +217,7 @@ class TestTrain:
     @pytest.mark.parametrize("mode", [MODE_FIT_PER_SCENE, MODE_AMORTIZED])
     def test_steps_run_in_float32_and_return_float64(self, mode, tmp_path):
         # params and moments come back float64 holding float32 values, and
-        # the checkpoint keeps one <f8 member per tensor
+        # the checkpoint keeps one <f8 array per tensor
         sample = make_sample(15, amortized=mode == MODE_AMORTIZED)
         cfg = TrainConfig(mode=mode, total_steps=10, warmup_steps=2, seed=8)
         result = train([sample], SMALL, cfg)
@@ -226,10 +227,9 @@ class TestTrain:
             assert np.array_equal(v.astype(np.float32).astype(np.float64), v), k
         path = tmp_path / "ck.bin"
         save_checkpoint(path, result.params, result.adam_state, step=result.last_step)
-        with np.load(path) as z:
-            members = [name for name in z.files if name != "meta"]
-            assert len(members) == 3 * len(result.params.params)
-            assert {z[name].dtype.str for name in members} == {"<f8"}
+        _, arrays = artifact.load(path, "checkpoint")
+        assert len(arrays) == 3 * len(result.params.params)
+        assert {a.dtype.str for a in arrays.values()} == {"<f8"}
 
 
 class TestCheckpoint:
