@@ -13,7 +13,7 @@ and looks for references in the Python files under src/, scripts/ and bench/:
 Definitions, assignments and imports are not references. Prints one line per
 name with no reference, saying whether tests/ uses it:
 
-    occ4d.pca.reconstruct  tests: yes
+    occ4d.<module>.<name>  tests: yes
 
 A private helper that its module stopped calling shows up the same way.
 

@@ -59,7 +59,7 @@ DEFAULT_CONFIG = {
         "theta_max_deg": 20.0,
         "rotation_enabled": True,
     },
-    "field": _section(FieldConfig, "d_feat", "k_past"),
+    "field": _section(FieldConfig, "d_feat", "k_past", "z_range", "t_max"),
     "train": _section(TrainConfig, "seed"),
     "eval": {**_section(EvalGrid), "raytrace": True, "ego_bev_step": 0.5},
     "scaling": {"sample_counts": [1, 4, 16, 64], "seeds": [0], "total_steps": 800, "warmup_steps": 50},
@@ -89,6 +89,10 @@ def load_config(path=None, overrides: dict | None = None) -> dict:
     d, d_raw = cfg["pca"]["d"], cfg["suite"]["d_raw"]
     if d > d_raw:
         raise ValueError(f"{where}pca.d ({d}) exceeds suite.d_raw ({d_raw}); the PCA keeps at most d_raw dimensions")
+    for axis in "xy":
+        (lo, hi), (f_lo, f_hi) = cfg["eval"][axis], cfg["field"][f"{axis}_range"]
+        if lo < f_lo or hi > f_hi:
+            raise ValueError(f"{where}eval/{axis} [{lo}, {hi}] reaches outside field/{axis}_range [{f_lo}, {f_hi}]")
     return cfg
 
 
@@ -115,9 +119,11 @@ def augment_from(cfg: dict) -> AugmentConfig:
 
 
 def field_from(cfg: dict) -> FieldConfig:
-    """The field config, with d_feat from the PCA and one encoder input per
-    past scan of the suite."""
-    return from_json(FieldConfig, cfg["field"], d_feat=cfg["pca"]["d"], k_past=len(cfg["suite"]["past_offsets"]))
+    """The field config, with d_feat from the PCA, one encoder input per past
+    scan of the suite, and (z, t) normalised over the sampler's roi."""
+    roi = cfg["sampler"]["roi"]
+    doc = {**cfg["field"], "z_range": roi["z"], "t_max": roi["t_max"]}
+    return from_json(FieldConfig, doc, d_feat=cfg["pca"]["d"], k_past=len(cfg["suite"]["past_offsets"]))
 
 
 def train_from(cfg: dict, seed: int | None = None, **overrides) -> TrainConfig:
@@ -162,10 +168,6 @@ def write_manifest(out_dir, stage: str, digest: str, extra: dict | None = None) 
         json.dump(doc, f, sort_keys=True, indent=1)
         f.write("\n")
     return path
-
-
-def read_manifest(out_dir) -> dict:
-    return read_json(Path(out_dir) / "manifest.json")
 
 
 @contextlib.contextmanager

@@ -3,8 +3,10 @@ average precision, Soft-IoU, and the dense 4D occupancy / ego-path harnesses.
 
 Voxel traversal is an incremental Amanatides-Woo march, run on all rays of a
 scan in lockstep; tests check it against the per-ray march and that against a
-brute-force per-voxel slab oracle rather than trusting it. Metric routines
-are exact threshold sweeps with ties grouped.
+brute-force per-voxel slab oracle rather than trusting it. Every
+precision-recall metric is one sort (``_ranked``) and one summary
+(``_summary``: recall at precision, its threshold, AP) of an exact threshold
+sweep with ties grouped.
 
 The harnesses score a field from BEV grids that the caller supplies, one per
 scene (``scene_grid_for``), at the caller's t0. The occupancy harness keeps
@@ -222,18 +224,21 @@ def label_by_raytrace(
 # metrics
 
 
-def _descending(scores: np.ndarray) -> np.ndarray:
-    """Descending order of float64 ``scores`` by numpy's default (unstable)
-    sort; ValueError on NaN, which has no place in it."""
+def _ranked(scores, labels):
+    """(order, scores, labels), the float64 ``scores`` sorted descending by
+    numpy's default (unstable) sort; ValueError on NaN."""
+    scores = np.asarray(scores, dtype=np.float64)
     if np.isnan(scores).any():
         raise ValueError("scores must not be NaN")
-    return np.argsort(-scores)
+    order = np.argsort(-scores)
+    return order, scores[order], np.asarray(labels)[order]
 
 
 def _sweep(s: np.ndarray, y: np.ndarray):
     """(thresholds desc, precision, recall) at every distinct score of the
     descending scores ``s`` with 0/1 labels ``y``, ties grouped; asserts
-    recall monotonicity along the sweep."""
+    recall monotonicity along the sweep. Only the last row of each tie group
+    is kept, where the counts are exact whatever the order inside the group."""
     tp = np.cumsum(y, dtype=np.int64)
     idx = np.append(np.nonzero(np.diff(s) != 0.0)[0], len(s) - 1)  # each tie group's last row
     thr, tp = s[idx], tp[idx]
@@ -244,19 +249,13 @@ def _sweep(s: np.ndarray, y: np.ndarray):
     return thr, precision, recall
 
 
-def _pr_sweep(scores, labels):
-    """``_sweep`` after one sort. It keeps only the last row of each group of
-    equal scores, where the counts are exact whatever the order inside the
-    group, so the output does not depend on tie order."""
-    scores = np.asarray(scores, dtype=np.float64)
-    order = _descending(scores)
-    return _sweep(scores[order], np.asarray(labels)[order])
-
-
-def _at_precision(thr, precision, recall, precision_target: float = 0.7):
-    """(recall, threshold) as recall_at_precision gives them and AP as
-    average_precision gives it, from one sweep."""
-    ap = _step_area(precision, recall)
+def _summary(s: np.ndarray, y: np.ndarray, precision_target: float = 0.7):
+    """(recall, threshold, AP) of ``_sweep(s, y)``: the max recall at precision
+    >= target and the loosest threshold giving it, (0, inf) if none does; AP
+    sums (R_k - R_{k-1}) * P_k in descending-threshold order (np.cumsum adds
+    strictly in order), as the obvious scalar loop does, bit for bit."""
+    thr, precision, recall = _sweep(s, y)
+    ap = float(np.cumsum((recall - np.concatenate([[0.0], recall[:-1]])) * precision)[-1])
     ok = precision >= precision_target
     if not ok.any():
         return 0.0, math.inf, ap
@@ -272,32 +271,19 @@ def _both_classes(labels) -> np.ndarray:
     return labels
 
 
-def _recall_and_ap(scores, labels, precision_target: float = 0.7):
-    """``_at_precision`` of scores and labels in any order."""
-    return _at_precision(*_pr_sweep(scores, _both_classes(labels)), precision_target)
-
-
 def recall_at_precision(scores, labels, precision_target: float):
     """Max recall over thresholds whose precision meets the target, plus the
     loosest qualifying threshold; (0, inf) when none qualifies."""
-    return _recall_and_ap(scores, labels, precision_target)[:2]
-
-
-def _step_area(precision, recall) -> float:
-    prev = np.concatenate([[0.0], recall[:-1]])
-    return float(np.cumsum((recall - prev) * precision)[-1])
+    _, s, y = _ranked(scores, _both_classes(labels))
+    return _summary(s, y, precision_target)[:2]
 
 
 def average_precision(scores, labels) -> float:
-    """Step-interpolated area under the precision-recall curve:
-    sum over thresholds of (R_k - R_{k-1}) * P_k.
-
-    Accumulated sequentially in descending-threshold order (np.cumsum adds
-    strictly in order), matching the obvious scalar enumeration bit for bit."""
-    labels = np.asarray(labels)
-    if labels.sum() == 0:
+    """Step-interpolated area under the precision-recall curve (``_summary``)."""
+    if np.sum(labels) == 0:
         raise ValueError("average precision needs at least one positive")
-    return _step_area(*_pr_sweep(scores, labels)[1:])
+    _, s, y = _ranked(scores, labels)
+    return _summary(s, y)[2]
 
 
 def soft_iou(scores, labels) -> float:
@@ -339,12 +325,6 @@ def _timed(timings, key: str):
     yield
     if timings is not None:
         timings[key] = timings.get(key, 0.0) + time.perf_counter() - start
-
-
-def _if_both_classes(s: np.ndarray, labels: np.ndarray):
-    """``_at_precision`` of probes in descending score order, or None unless
-    both classes occur."""
-    return _at_precision(*_sweep(s, labels)) if 0 < labels.sum() < len(labels) else None
 
 
 def _label_counts(ray: np.ndarray) -> dict:
@@ -398,26 +378,29 @@ def eval_4d_occupancy(
 
     with _timed(timings, "metrics"):
         report = {"probe_counts": _label_counts(ray), "n_probes": scores.size, "per_time_breakdown": []}
+        # one sort for every sweep: each subset below is a mask on this order
         sc = scores.ravel()
-        order = _descending(sc)  # one sort for every sweep: each subset below is a mask on this order
-        s, ex, ti_of = sc[order], exact.ravel()[order], order // len(centers) % len(grid.times)
-        r, thr, ap = _at_precision(*_sweep(s, _both_classes(ex)))
+        order, s, ex = _ranked(sc, exact.ravel())
+        ti_of = order // len(centers) % len(grid.times)
+        r, thr, ap = _summary(s, _both_classes(ex))
         report.update(r_at_p70_exact=r, threshold_exact=thr, ap_occ_exact=ap, soft_iou=soft_iou(sc, exact.ravel()))
         if raytrace:
             rl = ray.ravel()[order]
             known = rl != LABEL_UNKNOWN
-            r, thr, ap = _if_both_classes(s[known], rl[known]) or (0.0, math.inf, 0.0)
+            y = rl[known]
+            r, thr, ap = _summary(s[known], y) if 0 < y.sum() < len(y) else (0.0, math.inf, 0.0)
             report.update(r_at_p70=r, threshold=thr, ap_occ=ap)
         for ti, t in enumerate(grid.times):
             row, at_t = {"time": t}, ti_of == ti
-            exact_metrics = _if_both_classes(s[at_t], ex[at_t])
-            if exact_metrics:
-                row["r_at_p70_exact"], _, row["ap_occ_exact"] = exact_metrics
+            y = ex[at_t]
+            if 0 < y.sum() < len(y):
+                row["r_at_p70_exact"], _, row["ap_occ_exact"] = _summary(s[at_t], y)
             if raytrace:
                 row["probe_counts"] = _label_counts(ray[:, ti])
-                ray_metrics = _if_both_classes(s[at_t & known], rl[at_t & known])
-                if ray_metrics:
-                    row["r_at_p70"] = ray_metrics[0]
+                at_t &= known
+                y = rl[at_t]
+                if 0 < y.sum() < len(y):
+                    row["r_at_p70"] = _summary(s[at_t], y)[0]
             report["per_time_breakdown"].append(row)
     return report
 

@@ -517,14 +517,6 @@ class LossTerms:
     ego: float
 
 
-def _as_batch(batch) -> Batch:
-    if isinstance(batch, QuerySet):
-        batch = Batch.from_queryset(batch)
-    if batch.n == 0:
-        raise ValueError("batch must be non-empty")
-    return batch
-
-
 def _term_weights(batch: Batch, weights, per_term_average: bool) -> list:
     """Each head's weight on the sum of its per-row losses."""
     if per_term_average:
@@ -545,11 +537,11 @@ def _head_loss(name: str, out: np.ndarray, target: np.ndarray):
 
 
 def _heads_loss(fp: FieldParams, z_grid: np.ndarray, batch: Batch, weights, per_term_average: bool, grads=None):
-    """The batch's LossTerms, the forward pass that ``loss`` and
-    ``loss_and_grads`` share. Given a ``grads`` dict, each head's backward
-    runs right after its forward, so its activations are freed before the
-    next head runs; its gradients go into ``grads``. Returns (LossTerms,
-    d total / d head input or None, interp cache)."""
+    """The batch's LossTerms, the forward pass of ``loss_and_grads``. Given
+    a ``grads`` dict, each head's backward runs right after its forward, so
+    its activations are freed before the next head runs; its gradients go
+    into ``grads``. Returns (LossTerms, d total / d head input or None,
+    interp cache)."""
     x, interp_cache = head_input(z_grid, batch.positions, batch.times, fp.config, want_cache=True)
     dx = None if grads is None else np.zeros_like(x)
     coeffs = _term_weights(batch, weights, per_term_average)
@@ -571,28 +563,25 @@ def _heads_loss(fp: FieldParams, z_grid: np.ndarray, batch: Batch, weights, per_
     return LossTerms(float(total), **terms), dx, interp_cache
 
 
-def loss(fp: FieldParams, z_grid: np.ndarray, batch, weights=(1.0, 0.5, 0.1), per_term_average=True) -> LossTerms:
-    """Weighted sum of per-term means: BCE for occupancy and ego labels,
-    elementwise L1 for feature targets. Absent subsets contribute 0."""
-    return _heads_loss(fp, z_grid, _as_batch(batch), weights, per_term_average)[0]
-
-
 def loss_and_grads(
     fp: FieldParams,
-    batch,
+    batch: Batch,
     z_grid: np.ndarray | None = None,
     enc_input: EncoderInput | None = None,
     weights=(1.0, 0.5, 0.1),
     per_term_average: bool = True,
     freeze_encoder: bool = False,
 ):
-    """Loss plus exact analytic gradients of every parameter.
+    """Loss plus exact analytic gradients of every parameter. The loss is a
+    weighted sum of per-term means: BCE for occupancy and ego labels,
+    elementwise L1 for feature targets; absent subsets contribute 0.
 
     In amortized mode pass ``enc_input`` (the grid is recomputed and the
     encoder receives gradients unless frozen); in fit-per-scene mode the
     grid itself is the parameter. Returns (LossTerms, grads dict).
     """
-    batch = _as_batch(batch)
+    if batch.n == 0:
+        raise ValueError("batch must be non-empty")
     enc_cache = None
     if fp.mode == MODE_AMORTIZED:
         if enc_input is None:

@@ -88,10 +88,6 @@ def project(model: PcaModel, v: np.ndarray) -> np.ndarray:
     return (v - model.mean) @ model.components.T
 
 
-def reconstruct(model: PcaModel, coords: np.ndarray) -> np.ndarray:
-    return np.asarray(coords, dtype=np.float64) @ model.components + model.mean
-
-
 def save_pca(model: PcaModel, path) -> None:
     artifact.save(
         path, "pca", {},

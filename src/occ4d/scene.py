@@ -202,6 +202,16 @@ class FeatureImage:
         return self.features.shape[2]
 
 
+def _keyframe_times(times) -> np.ndarray:
+    """Ego keyframe times as float64; ValueError unless at least two, strictly increasing."""
+    times = np.asarray(times, dtype=np.float64)
+    if len(times) < 2:
+        raise ValueError("ego trajectory needs at least two keyframes")
+    if np.any(np.diff(times) <= 0.0):
+        raise ValueError("ego trajectory timestamps must be strictly increasing")
+    return times
+
+
 @dataclass(frozen=True)
 class Scene:
     """Immutable ground-truth world; the oracle for every label."""
@@ -216,13 +226,9 @@ class Scene:
 
     def __post_init__(self):
         object.__setattr__(self, "boxes", tuple(self.boxes))
-        object.__setattr__(self, "ego_times", np.asarray(self.ego_times, dtype=np.float64))
+        object.__setattr__(self, "ego_times", _keyframe_times(self.ego_times))
         object.__setattr__(self, "ego_positions", np.asarray(self.ego_positions, dtype=np.float64))
         object.__setattr__(self, "ego_yaws", np.asarray(self.ego_yaws, dtype=np.float64))
-        if len(self.ego_times) < 2:
-            raise ValueError("ego trajectory needs at least two keyframes")
-        if np.any(np.diff(self.ego_times) <= 0.0):
-            raise ValueError("ego trajectory timestamps must be strictly increasing")
         guard = self.bounds.scaled(2.0)
         for t in (self.horizon[0], self.horizon[1]):
             for box in self.boxes:
@@ -572,6 +578,14 @@ def scene_to_dict(scene: Scene) -> dict:
     }
 
 
+def _built_at(where: str, make, *args):
+    """``make(*args)``, naming the scene file's element ``where`` in its ValueError."""
+    try:
+        return make(*args)
+    except ValueError as e:
+        raise ValueError(f"invalid scene config at {where}: {e}") from None
+
+
 def scene_from_dict(doc: dict) -> Scene:
     try:
         artifact.check_json(doc, _SCENE_TEMPLATE, _SCENE_REQUIRED)
@@ -590,10 +604,12 @@ def scene_from_dict(doc: dict) -> Scene:
     return Scene(
         ground_z=doc["ground_z"],
         boxes=tuple(
-            Box(b["center"], b["half_extents"], b["velocity"], b.get("yaw", 0.0), b.get("class_id", 1))
-            for b in doc["boxes"]
+            _built_at(
+                f"boxes/{i}", Box, b["center"], b["half_extents"], b["velocity"], b.get("yaw", 0.0), b.get("class_id", 1)
+            )
+            for i, b in enumerate(doc["boxes"])
         ),
-        ego_times=np.array([k["t"] for k in track]),
+        ego_times=_built_at("ego_track", _keyframe_times, [k["t"] for k in track]),
         ego_positions=np.array([k["position"] for k in track]),
         ego_yaws=np.array([k["yaw"] for k in track]),
         bounds=Aabb(doc["bounds"]["lo"], doc["bounds"]["hi"]),

@@ -2,7 +2,8 @@
 
 Everything in this file is deliberately written as plain loops over scalars
 (or transparent one-liners) so it shares no code path with the package
-implementations it checks.
+implementations it checks. The exceptions sit in the last section: helpers
+that only tests need, over package internals.
 """
 
 from __future__ import annotations
@@ -597,3 +598,23 @@ def encoder_scatter(params, hist, dz, slope):
     grads["enc.embed.w"] = hist_flat.T @ dx0_flat
     grads["enc.embed.b"] = dx0_flat.sum(axis=0)
     return z, grads
+
+
+def reconstruct(model, coords) -> np.ndarray:
+    """The raw vectors that PCA ``model`` projects to ``coords``."""
+    return np.asarray(coords, dtype=np.float64) @ model.components + model.mean
+
+
+# ---------------------------------------------------------------------------
+# test-only helpers over package internals
+
+
+def loss(fp, z_grid, batch, weights=(1.0, 0.5, 0.1), per_term_average=True):
+    """The LossTerms of ``loss_and_grads`` from the forward pass alone, on the
+    BEV grid ``z_grid``; ``batch`` is a Batch or a QuerySet."""
+    from occ4d.field import Batch, _heads_loss
+    from occ4d.queries import QuerySet
+
+    if isinstance(batch, QuerySet):
+        batch = Batch.from_queryset(batch)
+    return _heads_loss(fp, z_grid, batch, weights, per_term_average)[0]

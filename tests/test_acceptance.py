@@ -13,14 +13,14 @@ import time
 import numpy as np
 import pytest
 
+from occ4d.artifact import read_json
 from occ4d.cli import main
-from occ4d.config import read_manifest
 from occ4d.evaluation import (
     EvalGrid, average_precision, eval_4d_occupancy, recall_at_precision, scene_grid_for, soft_iou,
 )
-from occ4d.field import FieldConfig, MODE_AMORTIZED, MODE_FIT_PER_SCENE, init_params, loss, loss_and_grads
+from occ4d.field import FieldConfig, MODE_AMORTIZED, MODE_FIT_PER_SCENE, init_params, loss_and_grads
 from occ4d.geom import AugmentConfig, rotate_about_z
-from occ4d.pca import fit_pca, project, reconstruct
+from occ4d.pca import fit_pca, project
 from occ4d.queries import (
     Roi4,
     SamplerConfig,
@@ -52,8 +52,10 @@ from occ4d.training import TrainConfig, TrainSample, train
 
 from oracles import (
     average_precision_bruteforce,
+    loss,
     polyline_dist_xy,
     recall_at_precision_bruteforce,
+    reconstruct,
     soft_iou_loop,
     splat_zbuffer,
 )
@@ -429,9 +431,9 @@ def test_criterion_8_pipeline_determinism(tmp_path):
         bundles.append(
             json.dumps(
                 {
-                    "sim": read_manifest(base / "data")["files"],
-                    "queries": read_manifest(base / "queries")["files"],
-                    "run": read_manifest(base / "run")["files"],
+                    "sim": read_json(base / "data" / "manifest.json")["files"],
+                    "queries": read_json(base / "queries" / "manifest.json")["files"],
+                    "run": read_json(base / "run" / "manifest.json")["files"],
                     "report": (base / "report.json").read_text(),
                 },
                 sort_keys=True,

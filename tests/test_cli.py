@@ -10,8 +10,9 @@ import numpy as np
 import pytest
 
 from occ4d import cli
+from occ4d.artifact import read_json
 from occ4d.cli import main
-from occ4d.config import config_digest, load_config, read_manifest
+from occ4d.config import config_digest, load_config
 from occ4d.scene import load_scene_json, random_scene, save_scene_json, scene_to_dict
 
 SMOKE_OVERRIDES = {
@@ -140,7 +141,7 @@ class TestPipeline:
         data = root / "data"
         assert sorted(p.name for p in (data / "scenes").iterdir()) == ["scene000.json", "scene001.json"]
         assert (data / "manifest.json").exists()
-        man = read_manifest(data)
+        man = read_json(data / "manifest.json")
         assert man["stage"] == "simulate"
         assert man["n_scenes"] == 2
         listed = {f["path"] for f in man["files"]}
@@ -164,7 +165,7 @@ class TestPipeline:
 
     def test_queries_manifest_counts(self, pipeline):
         root, _ = pipeline
-        man = read_manifest(root / "queries")
+        man = read_json(root / "queries" / "manifest.json")
         metas = [json.loads(p.read_text()) for p in sorted((root / "queries").glob("sample*.meta.json"))]
         assert man["requested"]["ray_negative"] == 2 * 700
         for kind, n in man["emitted"].items():
@@ -176,7 +177,7 @@ class TestPipeline:
         root, _ = pipeline
         calls = cli._blas_thread_calls()
         for stage in ("data", "queries", "run"):
-            man = read_manifest(root / stage)
+            man = read_json(root / stage / "manifest.json")
             assert man["blas_threads"] == (None if calls is None else calls[0]())
             assert all(set(entry) == {"path", "bytes", "sha256"} for entry in man["files"])
 
@@ -188,7 +189,7 @@ class TestPipeline:
         assert main(["genqueries", *args]) == 0
         suite = load_config(cfg_path)["suite"]
         assert len(paths) == len(set(paths)) == suite["n_scenes"] * len(suite["image_times"])
-        assert read_manifest(tmp_path / "q")["files"] == read_manifest(root / "queries")["files"]
+        assert read_json(tmp_path / "q" / "manifest.json")["files"] == read_json(root / "queries" / "manifest.json")["files"]
 
     def test_train_on_truncated_sample_fails_cleanly(self, pipeline, tmp_path, capsys):
         root, cfg_path = pipeline
@@ -380,9 +381,9 @@ class TestDeterminism:
                 == 0
             )
             bundle = {
-                "sim": read_manifest(base / "data")["files"],
-                "queries": read_manifest(base / "queries")["files"],
-                "run": read_manifest(base / "run")["files"],
+                "sim": read_json(base / "data" / "manifest.json")["files"],
+                "queries": read_json(base / "queries" / "manifest.json")["files"],
+                "run": read_json(base / "run" / "manifest.json")["files"],
                 "report": (base / "report.json").read_text(),
             }
             digests.append(json.dumps(bundle, sort_keys=True))
@@ -407,7 +408,7 @@ class TestDeterminism:
                 )
                 == 0
             )
-            manifests.append(read_manifest(base / "data")["files"])
+            manifests.append(read_json(base / "data" / "manifest.json")["files"])
         assert manifests[0] == manifests[1]
 
 
@@ -419,7 +420,7 @@ class TestDeterminism:
         for workers in ("1", "2"):
             out = tmp_path / f"queries_w{workers}"
             assert main(["genqueries", *args, "--dataset", str(tmp_path / "data"), "--workers", workers, "--out", str(out)]) == 0
-            manifests.append(read_manifest(out)["files"])
+            manifests.append(read_json(out / "manifest.json")["files"])
         assert manifests[0] == manifests[1]
 
     def test_blas_threads_do_not_change_files(self, tmp_path):
@@ -435,7 +436,7 @@ class TestDeterminism:
                 calls[1](threads)
                 out = tmp_path / f"queries_t{threads}"
                 assert main(["genqueries", *args, "--dataset", str(tmp_path / "data"), "--out", str(out)]) == 0
-                manifests.append(read_manifest(out))
+                manifests.append(read_json(out / "manifest.json"))
         finally:
             calls[1](before)
         assert [m["blas_threads"] for m in manifests] == [1, 2]

@@ -48,8 +48,9 @@ class TestConfig:
 
     def test_default_digest_pinned(self):
         # every manifest and sample meta embeds this digest: the defaults'
-        # values and key set must not move
-        assert config_digest(load_config()) == "e9f416fa0eb8eaf6b084bd87c19ac5097ac8d9b9dc5b4b71feea8859de765f34"
+        # values and key set must not move (field.z_range and field.t_max
+        # left the defaults on purpose: the roi fixes both)
+        assert config_digest(load_config()) == "0ff76464bda28702f4b014e30ae4f84c4591eea8f3a92e52dfc6e351fec56683"
 
     def test_digest_changes_with_content(self):
         cfg = load_config()
@@ -64,10 +65,14 @@ class TestConfig:
 
     @pytest.mark.parametrize(
         "section, key, value",
-        [("eval", "thresholds", {}), ("augment", "jitter_enabled", True), ("augment", "jitter_tau", 2.0), ("field", "k_past", 4)],
+        [
+            ("eval", "thresholds", {}), ("augment", "jitter_enabled", True), ("augment", "jitter_tau", 2.0),
+            ("field", "k_past", 4), ("field", "t_max", 3.0), ("field", "z_range", [-0.4, 3.0]),
+        ],
     )
     def test_removed_key_rejected(self, tmp_path, section, key, value):
-        # sampler.jitter_tau is the one tau, and k_past comes from the suite
+        # sampler.jitter_tau is the one tau, k_past comes from the suite, and
+        # the field's z range and horizon from the sampler's roi
         p = tmp_path / "old.json"
         p.write_text(json.dumps({section: {key: value}}))
         with pytest.raises(ValueError, match=f"old.json: invalid config at {section}/{key}: unknown key"):
@@ -120,6 +125,28 @@ class TestConfig:
         cfg = load_config(overrides={"suite": {"past_offsets": [-1.5, -1.0, -0.5, 0.0]}})
         assert field_from(cfg).k_past == 4
         assert field_from(cfg).hist_channels == 8
+
+    def test_field_z_and_t_follow_the_roi(self):
+        default = field_from(load_config())
+        assert (default.z_range, default.t_max) == ((-0.4, 3.0), 3.0)
+        cfg = load_config(overrides={"sampler": {"roi": {"z": [-1.0, 2.5], "t_max": 2.4}}})
+        fc = field_from(cfg)
+        assert (fc.z_range, fc.t_max) == ((-1.0, 2.5), 2.4)
+        assert sampler_from(cfg).roi.z == fc.z_range and sampler_from(cfg).t_max == fc.t_max
+
+    @pytest.mark.parametrize("axis", ["x", "y"])
+    def test_eval_lattice_outside_the_field_rejected(self, tmp_path, axis):
+        # the field scores probes only inside its x-y region, so eval would
+        # fail after every other stage had run
+        p = tmp_path / "wide.json"
+        p.write_text(json.dumps({"eval": {axis: [-20.0, 20.0]}}))
+        message = f"wide.json: eval/{axis} [-20.0, 20.0] reaches outside field/{axis}_range [-18.0, 18.0]"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            load_config(p)
+        with pytest.raises(ValueError, match=f"eval/{axis} .* field/{axis}_range"):
+            load_config(overrides={"field": {f"{axis}_range": [-15.0, 18.0]}})
+        cfg = load_config(overrides={"eval": {axis: [-18.0, 18.0]}})  # the field's own edges are inside
+        assert cfg["eval"][axis] == [-18.0, 18.0]
 
     def test_invalid_json_reports_line(self, tmp_path):
         p = tmp_path / "bad.json"

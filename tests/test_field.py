@@ -20,7 +20,6 @@ from occ4d.field import (
     interp_backward,
     interp_grid,
     lattice_head,
-    loss,
     loss_and_grads,
     pillar_histogram,
     query_head,
@@ -30,7 +29,7 @@ from occ4d.field import _conv2d, _conv2d_backward, _leaky, _pad
 from occ4d.evaluation import EvalGrid
 from occ4d.queries import EncoderInput, QuerySet
 
-from oracles import conv2d_backward_scatter, conv2d_scatter, encoder_scatter, head_block, interp_backward_add_at
+from oracles import conv2d_backward_scatter, conv2d_scatter, encoder_scatter, head_block, interp_backward_add_at, loss
 
 SMALL = FieldConfig(
     x_range=(-4.0, 4.0),

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from occ4d.evaluation import _pr_sweep, _recall_and_ap, average_precision, recall_at_precision, soft_iou
+from occ4d.evaluation import _both_classes, _ranked, _summary, _sweep, average_precision, recall_at_precision, soft_iou
 
 from oracles import (
     average_precision_bruteforce,
@@ -14,6 +14,17 @@ from oracles import (
     recall_at_precision_bruteforce,
     soft_iou_loop,
 )
+
+
+def pr_sweep(scores, labels):
+    """The package's sweep of scores and labels in any order."""
+    return _sweep(*_ranked(scores, labels)[1:])
+
+
+def recall_and_ap(scores, labels, precision_target=0.7):
+    """The package's (recall, threshold, AP) of scores and labels in any
+    order, from one sort and one sweep; ValueError unless both classes occur."""
+    return _summary(*_ranked(scores, _both_classes(labels))[1:], precision_target)
 
 
 def random_instance(rng, n=None, ties=False):
@@ -148,19 +159,19 @@ def test_one_sweep_equals_the_two_public_metrics():
     cases.append(random_instance(rng, n=200_000))
     for scores, labels in cases:
         for target in (0.7, 0.3, 0.99):
-            r, thr, ap = _recall_and_ap(scores, labels, target)
+            r, thr, ap = recall_and_ap(scores, labels, target)
             assert (r, thr) == recall_at_precision(scores, labels, target)
             assert ap == average_precision(scores, labels)
     with pytest.raises(ValueError):
-        _recall_and_ap([0.5, 0.6], [1, 1])
+        recall_and_ap([0.5, 0.6], [1, 1])
     with pytest.raises(ValueError):
-        _recall_and_ap([0.5, 0.6], [0, 0])
+        recall_and_ap([0.5, 0.6], [0, 0])
 
 
 def test_average_precision_adds_terms_in_order():
     rng = np.random.default_rng(12)
     scores, labels = random_instance(rng, n=300_000)
-    _, precision, recall = _pr_sweep(scores, labels)
+    _, precision, recall = pr_sweep(scores, labels)
     terms = (recall - np.concatenate([[0.0], recall[:-1]])) * precision
     ap = 0.0
     for t in terms:
@@ -182,16 +193,16 @@ def test_sweep_does_not_depend_on_tie_order(levels, rows, seed):
     perm = np.random.default_rng(seed).permutation(len(rows))
     want = pr_sweep_stable(scores, labels)
     for s, y in ((scores, labels), (scores[perm], labels[perm])):
-        assert all(np.array_equal(g, w) for g, w in zip(_pr_sweep(s, y), want))
+        assert all(np.array_equal(g, w) for g, w in zip(pr_sweep(s, y), want))
         if 0 < labels.sum() < len(labels):
             for target in (0.3, 0.7, 0.99):
-                assert _recall_and_ap(s, y, target) == recall_and_ap_stable(scores, labels, target)
+                assert recall_and_ap(s, y, target) == recall_and_ap_stable(scores, labels, target)
 
 
 def test_nan_scores_rejected():
     scores, labels = [0.9, math.nan, 0.2, 0.8], [1, 0, 1, 0]
     with pytest.raises(ValueError, match="NaN"):
-        _recall_and_ap(scores, labels)
+        recall_and_ap(scores, labels)
     with pytest.raises(ValueError, match="NaN"):
         average_precision(scores, labels)
     with pytest.raises(ValueError, match="NaN"):

@@ -437,7 +437,7 @@ class TestSceneIO:
             (lambda d: d["boxes"][0].update(class_id=2.0), "at boxes/0/class_id: 2.0 is not of type 'integer'"),
             (lambda d: d["boxes"][0].update(velocity=None), "at boxes/0/velocity: None is not of type 'array'"),
             (lambda d: d["ego_track"][0].update(t=None), "at ego_track/0/t: None is not of type 'number'"),
-            # the constructors enforce these two; their messages name the field
+            # the constructors enforce these two (see test_constructor_errors_name_the_element)
             (lambda d: d["boxes"][0].update(class_id=0), "box class_id must lie in"),
             (lambda d: d.update(ego_track=d["ego_track"][:1]), "ego trajectory needs at least two keyframes"),
         ],
@@ -451,6 +451,28 @@ class TestSceneIO:
         edit(doc)
         with pytest.raises(ValueError, match=re.escape(message)):
             scene_from_dict(doc)
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda d: d["boxes"][1].update(class_id=0), "boxes/1: box class_id must lie in (0, 255)"),
+            (lambda d: d.update(ego_track=d["ego_track"][:1]), "ego_track: ego trajectory needs at least two keyframes"),
+            (
+                lambda d: d["ego_track"][1].update(t=d["ego_track"][0]["t"]),
+                "ego_track: ego trajectory timestamps must be strictly increasing",
+            ),
+        ],
+        ids=["class_id_0", "one_keyframe", "repeated_time"],
+    )
+    def test_constructor_errors_name_the_element(self, tmp_path, edit, message):
+        # a check that Box or Scene makes names the scene-file element, as
+        # the type check's paths do
+        doc = scene_to_dict(random_scene(seed=5))
+        edit(doc)
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=re.escape(f"{path}: invalid scene config at {message}")):
+            load_scene_json(path)
 
     @pytest.mark.parametrize("ground_range", [(0.0, 0.0), (-0.6, 0.6)])
     def test_every_written_scene_loads(self, ground_range):
