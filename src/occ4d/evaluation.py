@@ -29,6 +29,7 @@ from .field import FieldParams, MODE_AMORTIZED, encode, lattice_head, sigmoid
 from .geom import Pose, inverse
 from .queries import SamplerConfig, ego_tube_distance, past_encoder_input
 from .scene import Scene, boxes_contain, cast_lidar_scan, ego_path_vertices, ego_pose_at, lidar_pose_at
+from .training import TRAIN_DTYPE
 
 LABEL_FREE = 0
 LABEL_OCCUPIED = 1
@@ -307,10 +308,12 @@ PAST_OFFSETS = (-1.0, -0.5, 0.0)  # the suite's default past-scan times
 
 
 def scene_grid_for(fp: FieldParams, scene: Scene, past_times=PAST_OFFSETS) -> np.ndarray:
-    """The field's BEV grid for a scene: encoded from the scans at the scene
-    times ``past_times`` in amortized mode, as training's samples encode them
-    at rotation 0 with t0 = max(past_times); the learned grid itself in
-    fit-per-scene mode."""
+    """The field's BEV grid for a scene in training's dtype, TRAIN_DTYPE,
+    which the heads then score in: encoded by the params in that dtype from
+    the scans at the scene times ``past_times`` in amortized mode, as
+    training's samples encode them at rotation 0 with t0 = max(past_times);
+    the learned grid itself in fit-per-scene mode."""
+    fp = fp.astype(TRAIN_DTYPE)
     if fp.mode == MODE_AMORTIZED:
         t0 = max(past_times)
         scans = [cast_lidar_scan(scene, lidar_pose_at(scene, t), scene.rig.lidar_pattern, t) for t in past_times]

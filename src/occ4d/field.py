@@ -8,13 +8,16 @@ bilinear grid interpolation concatenated with a Fourier encoding of (z, t).
 Everything is plain numpy with hand-derived backward passes; tests pin the
 gradients against central finite differences.
 
-The compute dtype follows the params: each float64 array that meets them
-(the pillar histogram, padding and scratch buffers, the leaky gradient's
-constants, the interpolation weights and scatter, the Fourier columns and
-the loss derivative) is cast once, with ``copy=False``, to the dtype of the
-parameter or grid it meets. So float32 params run every layer in float32,
-and with float64 params every cast is a no-op and every bit is kept.
-Positions and times stay float64 up to those casts.
+Two dtype rules. In training the params set the dtype: each float64 array
+that meets them (the pillar histogram, padding and scratch buffers, the
+leaky gradient's constants, the interpolation weights and scatter, the
+Fourier columns and the loss derivative) is cast once, with ``copy=False``,
+to the dtype of the parameter or grid it meets. So float32 params run every
+layer in float32. In scoring (``query_head``, ``lattice_head``) the grid
+sets it: the head's tensors are cast to the grid's dtype, so a float32 grid
+scores in float32 even from float64 params. With float64 everywhere every
+cast is a no-op and every bit is kept. Positions and times stay float64 up
+to those casts.
 """
 
 from __future__ import annotations
@@ -426,32 +429,44 @@ def head_input(z_grid: np.ndarray, positions: np.ndarray, times: np.ndarray, cfg
     return x
 
 
+def _head_in(fp: FieldParams, name: str, dtype) -> FieldParams:
+    """Head ``name``'s tensors alone, in ``dtype`` (no copy where they are in it)."""
+    prefix = f"head.{name}."
+    params = {k: v.astype(dtype, copy=False) for k, v in fp.params.items() if k.startswith(prefix)}
+    return FieldParams(fp.config, fp.mode, params)
+
+
 def query_head(fp: FieldParams, z_grid: np.ndarray, name: str, positions: np.ndarray, times: np.ndarray):
-    """One head at probes with per-probe times; see lattice_head for a lattice."""
+    """One head at probes with per-probe times, in ``z_grid``'s dtype; see
+    lattice_head for a lattice."""
     x = head_input(z_grid, np.atleast_2d(positions), np.asarray(times, dtype=np.float64), fp.config)
-    return head_forward(fp, name, x)
+    return head_forward(_head_in(fp, name, z_grid.dtype), name, x)
 
 
-# Rows per tile in lattice_head. At the default 48 inputs and 64 hidden units
-# a row's input, pre1/h1, _leaky's slope * x and h2 take 1,920 bytes: 0.47 MiB
-# at 256 rows, inside a 2 MiB L2 per core; 3.75 MiB at 2,048. On a 2-core Xeon
-# (1 BLAS thread, 409,600 probes, middle of three runs' medians of 15)
-# lattice_head took 403, 314, 314, 326, 322, 382, 396 ms at tiles of 64, 128,
-# ..., 4,096 rows. The size changes no score: this module guarantees that
+# Rows per tile in lattice_head. Eval scores in float32 (see the module
+# docstring): at the default 48 inputs and 64 hidden units a row's input,
+# pre1/h1, _leaky's slope * x and h2 take 960 bytes, 0.94 MiB at 1,024 rows,
+# inside a 2 MiB L2 per core. On a 2-core Xeon (1 BLAS thread, 409,600
+# probes, 21 alternating calls per size) float32 lattice_head took 137.5,
+# 126.3, 116.6, 109.0 and 112.9 ms at tiles of 128, 256, ..., 2,048 rows;
+# 1,024 beat 256 in 21 of 21 pairs. A float64 grid took 204.0 ms at 256 and
+# 207.2 ms at 1,024. The size changes no score: this module guarantees that
 # head_forward gives a row the same output bits in any batch.
-_TILE = 256
+_TILE = 1024
 
 
 def lattice_head(fp: FieldParams, z_grid: np.ndarray, name: str, xy: np.ndarray, zs, t: float) -> np.ndarray:
     """One head on the lattice of (x, y) columns ``xy`` and heights ``zs`` at
     time ``t``, z-major (row k * len(xy) + i is column i at height zs[k]).
     Interpolates each column and encodes each height once, then runs
-    ``head_forward`` on ``_TILE``-row tiles: query_head's bits."""
+    ``head_forward`` in ``z_grid``'s dtype on ``_TILE``-row tiles:
+    query_head's bits, returned as float64."""
     cfg = fp.config
+    head = _head_in(fp, name, z_grid.dtype)
     feat = interp_grid(z_grid, xy[:, 0], xy[:, 1], cfg)
     ft = fourier_zt(np.asarray(zs, dtype=np.float64), np.full(len(zs), float(t)), cfg)
     out = np.empty((len(zs) * len(xy), cfg.head_out(name)))
-    x = np.empty((min(_TILE, len(out)), cfg.head_in))
+    x = np.empty((min(_TILE, len(out)), cfg.head_in), z_grid.dtype)
     for a in range(0, len(out), _TILE):
         m, r = min(_TILE, len(out) - a), 0
         while r < m:  # the tile's input, one run of columns at one height at a time
@@ -460,7 +475,7 @@ def lattice_head(fp: FieldParams, z_grid: np.ndarray, name: str, xy: np.ndarray,
             x[r : r + run, : cfg.channels] = feat[i : i + run]
             x[r : r + run, cfg.channels :] = ft[k]
             r += run
-        out[a : a + m] = head_forward(fp, name, x[:m])
+        out[a : a + m] = head_forward(head, name, x[:m])
     return out
 
 

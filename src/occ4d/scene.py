@@ -212,6 +212,12 @@ def _keyframe_times(times) -> np.ndarray:
     return times
 
 
+class BoxOutOfBounds(ValueError):
+    def __init__(self, index: int):
+        self.index = index
+        super().__init__(f"box {index} leaves 2x scene bounds during the simulated horizon")
+
+
 @dataclass(frozen=True)
 class Scene:
     """Immutable ground-truth world; the oracle for every label."""
@@ -231,12 +237,12 @@ class Scene:
         object.__setattr__(self, "ego_yaws", np.asarray(self.ego_yaws, dtype=np.float64))
         guard = self.bounds.scaled(2.0)
         for t in (self.horizon[0], self.horizon[1]):
-            for box in self.boxes:
+            for i, box in enumerate(self.boxes):
                 c = box.center_at(t)
                 radius = float(np.linalg.norm(box.half_extents))
                 corners = c[None, :] + np.array([-radius, radius])[:, None] * np.ones(3)
                 if not np.all(guard.contains(corners)):
-                    raise ValueError("box leaves 2x scene bounds during the simulated horizon")
+                    raise BoxOutOfBounds(i)
 
     @property
     def horizon(self) -> tuple:
@@ -601,20 +607,23 @@ def scene_from_dict(doc: dict) -> Scene:
         camera_offset=tuple(cam.get("offset", SensorRig.camera_offset)),
     )
     track = sorted(doc["ego_track"], key=lambda k: k["t"])
-    return Scene(
-        ground_z=doc["ground_z"],
-        boxes=tuple(
-            _built_at(
-                f"boxes/{i}", Box, b["center"], b["half_extents"], b["velocity"], b.get("yaw", 0.0), b.get("class_id", 1)
-            )
-            for i, b in enumerate(doc["boxes"])
-        ),
-        ego_times=_built_at("ego_track", _keyframe_times, [k["t"] for k in track]),
-        ego_positions=np.array([k["position"] for k in track]),
-        ego_yaws=np.array([k["yaw"] for k in track]),
-        bounds=Aabb(doc["bounds"]["lo"], doc["bounds"]["hi"]),
-        rig=rig,
-    )
+    try:
+        return Scene(
+            ground_z=doc["ground_z"],
+            boxes=tuple(
+                _built_at(
+                    f"boxes/{i}", Box, b["center"], b["half_extents"], b["velocity"], b.get("yaw", 0.0), b.get("class_id", 1)
+                )
+                for i, b in enumerate(doc["boxes"])
+            ),
+            ego_times=_built_at("ego_track", _keyframe_times, [k["t"] for k in track]),
+            ego_positions=np.array([k["position"] for k in track]),
+            ego_yaws=np.array([k["yaw"] for k in track]),
+            bounds=Aabb(doc["bounds"]["lo"], doc["bounds"]["hi"]),
+            rig=rig,
+        )
+    except BoxOutOfBounds as e:  # Scene checks all its boxes at once
+        raise ValueError(f"invalid scene config at boxes/{e.index}: {e}") from None
 
 
 def save_scene_json(scene: Scene, path) -> None:

@@ -4,12 +4,13 @@ Batch composition at step s is a pure function of (seed, s) through
 counter-based streams, so resuming from a checkpoint reproduces the
 uninterrupted run exactly.
 
-``train`` runs every step in float32: it casts the params and the Adam
-moments to float32 on entry and back to float64 on return, so everything
-outside it (checkpoints, resume, eval) sees float64. ``init_params`` draws
-values that float32 holds exactly, and a float32 value survives the round
-trip, so a resumed run is the uninterrupted one and a tensor that training
-never moves comes back with its bits.
+``train`` runs every step in float32, TRAIN_DTYPE: it casts the params and
+the Adam moments to float32 on entry and back to float64 on return, so
+checkpoints and resume see float64. ``init_params`` draws values that
+float32 holds exactly, and a float32 value survives the round trip, so a
+resumed run is the uninterrupted one and a tensor that training never moves
+comes back with its bits. Eval scores in float32 too: ``scene_grid_for``
+builds each grid in TRAIN_DTYPE, and the heads score in their grid's dtype.
 """
 
 from __future__ import annotations

@@ -10,6 +10,7 @@ from occ4d.evaluation import (
     LABEL_FREE,
     LABEL_OCCUPIED,
     LABEL_UNKNOWN,
+    PAST_OFFSETS,
     average_precision,
     eval_4d_occupancy,
     eval_ego_path,
@@ -21,9 +22,9 @@ from occ4d.evaluation import (
     write_pgm,
     write_report_json,
 )
-from occ4d.field import MODE_FIT_PER_SCENE, init_params, query_head, sigmoid
+from occ4d.field import MODE_AMORTIZED, MODE_FIT_PER_SCENE, encode, init_params, query_head, sigmoid
 from occ4d.geom import Pose, inverse
-from occ4d.queries import SamplerConfig
+from occ4d.queries import SamplerConfig, past_encoder_input
 from occ4d.scene import (
     Aabb,
     Box,
@@ -444,6 +445,55 @@ class TestHarness:
             counts = row["probe_counts"]
             assert counts == {k: int(np.sum(rl == v)) for k, v in (("free", LABEL_FREE), ("occupied", LABEL_OCCUPIED), ("unknown", LABEL_UNKNOWN))}
             assert sum(counts.values()) == 2 * len(centers)
+
+    @pytest.mark.parametrize("mode", [MODE_FIT_PER_SCENE, MODE_AMORTIZED])
+    def test_scene_grid_is_float32(self, mode):
+        # the training dtype: the fit-per-scene grid's float32 values come
+        # back unrounded, and the amortized grid is encoded in float32
+        from occ4d.field import FieldConfig
+
+        cfg = FieldConfig(x_range=(-8.0, 8.0), y_range=(-8.0, 8.0), cell=0.5, channels=4, head_hidden=8, d_feat=3, n_freqs=2)
+        fp = init_params(cfg, seed=2, mode=mode)
+        scene = random_scene(seed=34)
+        if mode == MODE_FIT_PER_SCENE:
+            fp.params["grid.z"][:] = np.random.default_rng(2).normal(size=fp.params["grid.z"].shape).astype(np.float32)
+        z_grid = scene_grid_for(fp, scene)
+        assert z_grid.dtype == np.float32
+        if mode == MODE_FIT_PER_SCENE:
+            assert np.array_equal(z_grid, fp.params["grid.z"])
+        else:
+            scans = [cast_lidar_scan(scene, lidar_pose_at(scene, t), scene.rig.lidar_pattern, t) for t in PAST_OFFSETS]
+            enc = past_encoder_input(scans, inverse(ego_pose_at(scene, 0.0)), 0.0, 0.0)
+            assert np.array_equal(z_grid, encode(fp.astype(np.float32), enc))
+            assert np.abs(z_grid - encode(fp, enc)).max() < 1e-5
+
+    def test_float32_grids_score_as_query_head(self):
+        # eval on float32 grids: each per-time row and the whole-set metrics
+        # are those of query_head's float32 scores on the same grids
+        from occ4d.field import FieldConfig
+
+        rng = np.random.default_rng(4)
+        cfg = FieldConfig(x_range=(-8.0, 8.0), y_range=(-8.0, 8.0), cell=0.5, channels=4, head_hidden=8, d_feat=3, n_freqs=2)
+        fp = init_params(cfg, seed=3, mode=MODE_FIT_PER_SCENE)
+        scenes = [random_scene(seed=35), random_scene(seed=36)]
+        z_grids = [rng.normal(size=fp.params["grid.z"].shape).astype(np.float32) for _ in scenes]
+        grid = EvalGrid(x=(-8, 8), y=(-8, 8), z=(0.0, 2.0), step=0.5, times=(0.6, 1.2))
+        t0 = -0.5
+        report = eval_4d_occupancy(fp, scenes, grid, t0, z_grids, raytrace=False)
+
+        centers = grid.centers()
+        sc, ex = np.zeros((2, len(scenes), len(grid.times), len(centers)))
+        for si, (scene, z_grid) in enumerate(zip(scenes, z_grids)):
+            for ti, t in enumerate(grid.times):
+                logits = query_head(fp, z_grid, "occ", centers, np.full(len(centers), t))[:, 0]
+                assert logits.dtype == np.float32
+                sc[si, ti] = sigmoid(logits.astype(np.float64))
+                ex[si, ti] = occupancy_oracle(scene, ego_pose_at(scene, t0).apply(centers), t0 + t)
+        assert report["ap_occ_exact"] == average_precision(sc.ravel(), ex.ravel())
+        assert report["r_at_p70_exact"] == recall_at_precision(sc.ravel(), ex.ravel(), 0.7)[0]
+        for ti, row in enumerate(report["per_time_breakdown"]):
+            assert row["ap_occ_exact"] == average_precision(sc[:, ti].ravel(), ex[:, ti].ravel())
+            assert row["r_at_p70_exact"] == recall_at_precision(sc[:, ti].ravel(), ex[:, ti].ravel(), 0.7)[0]
 
     def test_ego_eval_untrained_near_base_rate(self):
         from occ4d.field import FieldConfig

@@ -716,6 +716,116 @@ def test_scores_do_not_depend_on_the_batch(monkeypatch):
         calls[1](before)
 
 
+# float32 grids, as eval scores them: the heads run in the grid's dtype from
+# the float64 params, and lattice_head returns the float32 outputs as float64
+
+
+def float32_field_and_grid(mode, seed=3):
+    """field_and_grid's params with its grid in float32: the amortized grid
+    encoded by the params in float32, the fit-per-scene grid cast."""
+    fp, z_grid = field_and_grid(mode, seed)
+    if mode == MODE_AMORTIZED:
+        pts = np.random.default_rng(seed).uniform([-18, -18, -0.4], [18, 18, 3.0], size=(3000, 3))
+        z32 = encode(fp.astype(np.float32), EncoderInput([pts, pts[:1000], pts[:2000]], [-1.0, -0.5, 0.0]))
+    else:
+        z32 = z_grid.astype(np.float32)
+    assert z32.dtype == np.float32 and np.abs(z32 - z_grid).max() < 1e-4
+    return fp, z32
+
+
+def test_float32_grid_scores_in_float32():
+    fp, z32 = float32_field_and_grid(MODE_FIT_PER_SCENE)
+    centers = LATTICES["7x5x3"].centers()
+    whole = whole_lattice_query_head(fp, z32, "occ", centers, 0.6)
+    got = lattice_head(fp, z32, "occ", centers[:35, :2], centers[::35, 2], 0.6)
+    assert whole.dtype == np.float32 and got.dtype == np.float64
+    assert np.array_equal(got, whole)
+    x = head_input(z32, centers, np.full(len(centers), 0.6), fp.config)
+    assert x.dtype == np.float32
+    assert np.array_equal(whole, field.head_forward(fp.astype(np.float32), "occ", x))
+    assert not np.array_equal(whole, whole_lattice_query_head(fp, z32.astype(np.float64), "occ", centers, 0.6))
+
+
+@pytest.mark.parametrize("mode", [MODE_FIT_PER_SCENE, MODE_AMORTIZED])
+@pytest.mark.parametrize("lattice", sorted(LATTICES))
+def test_lattice_head_equals_chunked_query_head_float32(mode, lattice):
+    grid = LATTICES[lattice]
+    fp, z32 = float32_field_and_grid(mode)
+    _, ny, nx = grid.shape
+    centers = grid.centers()
+    for name in ("occ", "ego"):
+        got = lattice_head(fp, z32, name, centers[: ny * nx, :2], centers[:: ny * nx, 2], 1.8)
+        assert np.array_equal(got, whole_lattice_query_head(fp, z32, name, centers, 1.8))
+
+
+@pytest.mark.parametrize("mode", [MODE_FIT_PER_SCENE, MODE_AMORTIZED])
+def test_lattice_head_tiles_match_whole_blocks_float32(mode, monkeypatch):
+    grid = LATTICES["61x47x5"]
+    fp, z32 = float32_field_and_grid(mode, seed=5)
+    centers = grid.centers()
+    want = {name: whole_lattice_query_head(fp, z32, name, centers, 2.4) for name in ("occ", "ego", "feat")}
+    for tile in (16, 256, 512, 1024, 2048):
+        monkeypatch.setattr(field, "_TILE", tile)
+        assert len(centers) > field._TILE and len(centers) % field._TILE % 8
+        for name in want:
+            got = lattice_head(fp, z32, name, centers[: 47 * 61, :2], centers[:: 47 * 61, 2], 2.4)
+            assert np.array_equal(got, want[name]), (tile, name)
+
+
+def test_lattice_head_same_bits_at_one_and_two_blas_threads_float32():
+    from occ4d.cli import _blas_thread_calls
+
+    calls = _blas_thread_calls()
+    if calls is None:
+        pytest.skip("numpy's bundled OpenBLAS thread-count symbols are not available")
+    fp, z32 = float32_field_and_grid(MODE_FIT_PER_SCENE, seed=7)
+    before, got = calls[0](), []
+    try:
+        for threads in (1, 2):
+            calls[1](threads)
+            got.append([])
+            for lattice in ("default", "61x47x5"):
+                _, ny, nx = LATTICES[lattice].shape
+                centers = LATTICES[lattice].centers()
+                for name in ("occ", "ego", "feat"):
+                    got[-1].append(lattice_head(fp, z32, name, centers[: ny * nx, :2], centers[:: ny * nx, 2], 1.2))
+    finally:
+        calls[1](before)
+    assert all(np.array_equal(a, b) for a, b in zip(*got))
+
+
+def test_scores_do_not_depend_on_the_batch_float32():
+    """At 1 and 2 BLAS threads, a probe's float32 head output has the bits
+    of one query_head call on all 5,000 probes at 1 thread, whether it is
+    scored in a shuffled batch of 1-700 probes or alone."""
+    from occ4d.cli import _blas_thread_calls
+
+    calls = _blas_thread_calls()
+    if calls is None:
+        pytest.skip("numpy's bundled OpenBLAS thread-count symbols are not available")
+    fp, z32 = float32_field_and_grid(MODE_AMORTIZED, seed=8)
+    rng = np.random.default_rng(8)
+    positions = rng.uniform([-17.0, -17.0, -0.4], [17.0, 17.0, 3.0], size=(5000, 3))
+    times = rng.uniform(0.0, 3.0, size=5000)
+    before = calls[0]()
+    try:
+        calls[1](1)
+        want = {name: query_head(fp, z32, name, positions, times) for name in ("occ", "ego", "feat")}
+        for threads in (1, 2):
+            calls[1](threads)
+            for name, whole in want.items():
+                got = np.empty_like(whole)
+                order = rng.permutation(len(positions))
+                cuts = np.cumsum(rng.integers(1, 701, size=len(positions)))
+                for rows in np.split(order, cuts[cuts < len(order)]):
+                    got[rows] = query_head(fp, z32, name, positions[rows], times[rows])
+                assert np.array_equal(got, whole), (threads, name)
+                for i in rng.choice(len(positions), size=5, replace=False):
+                    assert np.array_equal(query_head(fp, z32, name, positions[i], times[i : i + 1]), whole[i : i + 1])
+    finally:
+        calls[1](before)
+
+
 @pytest.mark.parametrize(
     "cfg",
     [SMALL, FieldConfig(x_range=(-4.0, 4.0), y_range=(-2.0, 3.0), cell=0.5, channels=5)],

@@ -461,8 +461,12 @@ class TestSceneIO:
                 lambda d: d["ego_track"][1].update(t=d["ego_track"][0]["t"]),
                 "ego_track: ego trajectory timestamps must be strictly increasing",
             ),
+            (
+                lambda d: d["boxes"][2].update(velocity=[40.0, 0.0, 0.0]),
+                "boxes/2: box 2 leaves 2x scene bounds during the simulated horizon",
+            ),
         ],
-        ids=["class_id_0", "one_keyframe", "repeated_time"],
+        ids=["class_id_0", "one_keyframe", "repeated_time", "box_leaves_bounds"],
     )
     def test_constructor_errors_name_the_element(self, tmp_path, edit, message):
         # a check that Box or Scene makes names the scene-file element, as
