@@ -5,15 +5,21 @@ bird's-eye-view feature grid; three small perceptron heads decode occupancy
 logits, feature vectors, and ego-path logits at continuous (x, y, z, t) via
 bilinear grid interpolation concatenated with a Fourier encoding of (z, t).
 
+The embed is linear, so conv1 folds it in (structural re-parameterisation,
+as in RepVGG): it convolves the padded histogram plus a channel of ones with
+taps E @ W1[tap], E = [embed.w; embed.b]. A tap costs (2 * k_past + 1) * C
+multiply-adds a cell, not C * C, and conv1's input needs no gradient. The
+params and the checkpoint keep the embed and conv1 apart.
+
 Everything is plain numpy with hand-derived backward passes; tests pin the
 gradients against central finite differences.
 
 Two dtype rules. In training the params set the dtype: each float64 array
 that meets them (the pillar histogram, padding and scratch buffers, the
 leaky gradient's constants, the interpolation weights and scatter, the
-Fourier columns and the loss derivative) is cast once, with ``copy=False``,
-to the dtype of the parameter or grid it meets. So float32 params run every
-layer in float32. In scoring (``query_head``, ``lattice_head``) the grid
+Fourier columns and the loss derivative) is cast once, with ``copy=False``
+or into a buffer, to the dtype of the parameter or grid it meets. So float32
+params run every layer in float32. In scoring (``query_head``, ``lattice_head``) the grid
 sets it: the head's tensors are cast to the grid's dtype, so a float32 grid
 scores in float32 even from float64 params. With float64 everywhere every
 cast is a no-op and every bit is kept. Positions and times stay float64 up
@@ -192,25 +198,19 @@ def pillar_histogram(enc: EncoderInput, cfg: FieldConfig) -> np.ndarray:
 _CONV_ROWS = 8
 
 
-# the conv's scratch arrays, kept across calls by name: a fresh array of a
-# megabyte or more costs a page fault per 4 KiB page on every call
+# the conv's scratch arrays, kept across calls by name, shape and dtype (the
+# two convs' inputs differ in channels): a fresh array of a megabyte or more
+# costs a page fault per 4 KiB page on every call
 _scratch = {}
 
 
 def _scratch_array(name: str, shape: tuple, dtype) -> np.ndarray:
     """A zero-filled array on first use; later calls get it back as they
     left it."""
-    buf = _scratch.get((name, dtype))
-    if buf is None or buf.shape != shape:
-        buf = _scratch[name, dtype] = np.zeros(shape, dtype)
+    buf = _scratch.get((name, shape, dtype))
+    if buf is None:
+        buf = _scratch[name, shape, dtype] = np.zeros(shape, dtype)
     return buf
-
-
-def _pad(x: np.ndarray) -> np.ndarray:
-    """x inside a one-cell ring of zeros, (H,W,C) -> (H+2,W+2,C)."""
-    xp = np.zeros((x.shape[0] + 2, x.shape[1] + 2, x.shape[2]), x.dtype)
-    xp[1:-1, 1:-1] = x
-    return xp
 
 
 def _shifted_matmuls(xp: np.ndarray, taps, out: np.ndarray) -> np.ndarray:
@@ -237,25 +237,34 @@ def _conv2d(xp: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     return _shifted_matmuls(xp, [(dy, dx, w[dy, dx]) for dy in range(3) for dx in range(3)], out)
 
 
-def _conv2d_backward(xp: np.ndarray, w: np.ndarray, dout: np.ndarray):
-    """Gradients (dw, db, dx) of ``_conv2d(xp, w, b)`` given dout (H,W,Cout).
-
-    dw takes each tap's (H*W, Cin) patch as a row range of one contiguous
-    copy per column shift. dx gathers from the padded dout, adding the taps
-    in (dy, dx) order into zeros; a tap outside dout adds a GEMM's +0.0, so
-    every element gets the same sum as scattering each tap into dx would.
-    The tap weights stay transposed views: BLAS rounds a contiguous copy
-    differently at some shapes."""
-    h, wd = dout.shape[:2]
-    cin, cout = w.shape[2], w.shape[3]
+def _conv2d_dw(xp: np.ndarray, dout: np.ndarray) -> np.ndarray:
+    """The tap gradient (3,3,Cin,Cout) of ``_conv2d(xp, w, b)`` given dout
+    (H,W,Cout); each tap's (H*W, Cin) patch is a row range of one
+    contiguous copy per column shift."""
+    h, wd, cout = dout.shape
+    cin = xp.shape[2]
     flat_dout = dout.reshape(-1, cout)
-    dw = np.empty_like(w)
+    dw = np.empty((3, 3, cin, cout), dout.dtype)
     cols = _scratch_array("cols", (h + 2, wd, cin), xp.dtype)
     for dx in range(3):
         np.copyto(cols, xp[:, dx : dx + wd])
         for dy in range(3):
             dw[dy, dx] = cols[dy : dy + h].reshape(-1, cin).T @ flat_dout
-    db = flat_dout.sum(axis=0)
+    return dw
+
+
+def _conv2d_backward(xp: np.ndarray, w: np.ndarray, dout: np.ndarray):
+    """Gradients (dw, db, dx) of ``_conv2d(xp, w, b)`` given dout (H,W,Cout).
+
+    dx gathers from the padded dout, adding the taps in (dy, dx) order into
+    zeros; a tap outside dout adds a GEMM's +0.0, so every element gets the
+    same sum as scattering each tap into dx would. The tap weights stay
+    transposed views: BLAS rounds a contiguous copy differently at some
+    shapes."""
+    h, wd = dout.shape[:2]
+    cin, cout = w.shape[2], w.shape[3]
+    dw = _conv2d_dw(xp, dout)
+    db = dout.reshape(-1, cout).sum(axis=0)
     taps = [(2 - dy, 2 - dx, w[dy, dx].T) for dy in range(3) for dx in range(3)]
     doutp = _scratch_array("doutp", (h + 2, wd + 2, cout), dout.dtype)  # only the interior is ever written
     doutp[1:-1, 1:-1] = dout
@@ -273,23 +282,33 @@ def _leaky_grad(x: np.ndarray, slope: float) -> np.ndarray:
 
 
 def encode(fp: FieldParams, enc_input: EncoderInput, want_cache: bool = False):
-    """Pillar histogram -> linear embed -> conv -> leaky -> conv -> Z."""
+    """Pillar histogram -> linear embed -> conv -> leaky -> conv -> Z, with
+    the embed folded into conv1 (see the module docstring). The cache holds
+    conv1's padded input ``xp``, its ones channel 0 on the ring, the stacked
+    embed ``e``, conv1's output ``pre1`` and conv2's padded input ``hp1``."""
     if fp.mode != MODE_AMORTIZED:
         raise ValueError("encode requires amortized-mode parameters")
     cfg = fp.config
     p = fp.params
-    hist = pillar_histogram(enc_input, cfg).astype(p["enc.embed.w"].dtype, copy=False)
-    xp0 = _pad(hist @ p["enc.embed.w"] + p["enc.embed.b"])
-    pre1 = _conv2d(xp0, p["enc.conv1.w"], p["enc.conv1.b"])
-    hp1 = np.zeros_like(xp0)
+    h, wd, k = cfg.grid_h, cfg.grid_w, cfg.hist_channels
+    xp = np.zeros((h + 2, wd + 2, k + 1), p["enc.conv1.w"].dtype)
+    xp[1:-1, 1:-1, :k] = pillar_histogram(enc_input, cfg)
+    xp[1:-1, 1:-1, k] = 1.0
+    e = np.vstack([p["enc.embed.w"], p["enc.embed.b"]])
+    pre1 = _conv2d(xp, e @ p["enc.conv1.w"], p["enc.conv1.b"])
+    hp1 = np.zeros((h + 2, wd + 2, cfg.channels), pre1.dtype)
     _leaky(pre1, cfg.leaky_slope, out=hp1[1:-1, 1:-1])
     z = _conv2d(hp1, p["enc.conv2.w"], p["enc.conv2.b"])
     if want_cache:
-        return z, {"hist": hist, "xp0": xp0, "pre1": pre1, "hp1": hp1}
+        return z, {"xp": xp, "e": e, "pre1": pre1, "hp1": hp1}
     return z
 
 
 def encode_backward(fp: FieldParams, cache: dict, dz: np.ndarray) -> dict:
+    """The encoder's gradients given dZ. Conv1 gets only the folded taps'
+    gradient G, (3,3,2*k_past+1,C); then conv1.w[tap] = E^T G[tap], and E's
+    gradient, the embed's weight over its bias, sums G[tap] W1[tap]^T over
+    the taps in (dy, dx) order."""
     cfg = fp.config
     p = fp.params
     grads = {}
@@ -297,13 +316,12 @@ def encode_backward(fp: FieldParams, cache: dict, dz: np.ndarray) -> dict:
     grads["enc.conv2.w"] = dw2
     grads["enc.conv2.b"] = db2
     dpre1 = dh1 * _leaky_grad(cache["pre1"], cfg.leaky_slope)
-    dw1, db1, dx0 = _conv2d_backward(cache["xp0"], p["enc.conv1.w"], dpre1)
-    grads["enc.conv1.w"] = dw1
-    grads["enc.conv1.b"] = db1
-    hist_flat = cache["hist"].reshape(-1, cfg.hist_channels)
-    dx0_flat = dx0.reshape(-1, cfg.channels)
-    grads["enc.embed.w"] = hist_flat.T @ dx0_flat
-    grads["enc.embed.b"] = dx0_flat.sum(axis=0)
+    g = _conv2d_dw(cache["xp"], dpre1)
+    w1 = p["enc.conv1.w"]
+    grads["enc.conv1.w"] = cache["e"].T @ g
+    grads["enc.conv1.b"] = dpre1.reshape(-1, cfg.channels).sum(axis=0)
+    de = sum(g[dy, dx] @ w1[dy, dx].T for dy in range(3) for dx in range(3))
+    grads["enc.embed.w"], grads["enc.embed.b"] = de[:-1], de[-1]
     return grads
 
 

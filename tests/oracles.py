@@ -552,6 +552,13 @@ def head_block(params, name, x, slope):
 # tap's patch, and scatter each tap's dx product into a padded gradient
 
 
+def _pad(x):
+    """x inside a one-cell ring of zeros, (H,W,C) -> (H+2,W+2,C)."""
+    xp = np.zeros((x.shape[0] + 2, x.shape[1] + 2, x.shape[2]), x.dtype)
+    xp[1:-1, 1:-1] = x
+    return xp
+
+
 def conv2d_scatter(x, w, b):
     """3x3 same-padded convolution, (H,W,Cin) x (3,3,Cin,Cout) -> (H,W,Cout)."""
     h, wd, cin = x.shape
@@ -584,7 +591,38 @@ def conv2d_backward_scatter(x, w, dout):
 
 def encoder_scatter(params, hist, dz, slope):
     """The encoder's output Z for pillar histogram ``hist`` and the
-    gradients of its parameters given dZ, through the scatter-form conv."""
+    gradients of its parameters given dZ, through the scatter-form conv.
+
+    The embed is folded into conv1: conv1 convolves [hist, 1], padded with
+    zeros, with taps E @ W1[tap], E = [embed.w; embed.b]. The taps' gradient
+    G gives conv1.w[tap] = E^T G[tap], and E's gradient adds G[tap] W1[tap]^T
+    tap by tap into zeros."""
+    e = np.vstack([params["enc.embed.w"], params["enc.embed.b"]])
+    w1 = params["enc.conv1.w"]
+    x0 = np.concatenate([hist, np.ones(hist.shape[:2] + (1,))], axis=2)
+    taps = np.empty((3, 3) + e.shape)
+    for dy, dx in np.ndindex(3, 3):
+        taps[dy, dx] = e @ w1[dy, dx]
+    pre1 = conv2d_scatter(x0, taps, params["enc.conv1.b"])
+    h1 = np.where(pre1 > 0, pre1, slope * pre1)
+    z = conv2d_scatter(h1, params["enc.conv2.w"], params["enc.conv2.b"])
+    grads = {}
+    grads["enc.conv2.w"], grads["enc.conv2.b"], dh1 = conv2d_backward_scatter(h1, params["enc.conv2.w"], dz)
+    dpre1 = dh1 * np.where(pre1 > 0, 1.0, slope)
+    g, grads["enc.conv1.b"], _ = conv2d_backward_scatter(x0, taps, dpre1)
+    grads["enc.conv1.w"] = np.empty_like(w1)
+    de = np.zeros_like(e)
+    for dy, dx in np.ndindex(3, 3):
+        grads["enc.conv1.w"][dy, dx] = e.T @ g[dy, dx]
+        de += g[dy, dx] @ w1[dy, dx].T
+    grads["enc.embed.w"], grads["enc.embed.b"] = de[:-1], de[-1]
+    return z, grads
+
+
+def encoder_unfolded_scatter(params, hist, dz, slope):
+    """encoder_scatter with the embed as a layer of its own: conv1 convolves
+    the embedded histogram, padded with zeros, and the embed's gradients come
+    from conv1's input gradient."""
     x0 = hist @ params["enc.embed.w"] + params["enc.embed.b"]
     pre1 = conv2d_scatter(x0, params["enc.conv1.w"], params["enc.conv1.b"])
     h1 = np.where(pre1 > 0, pre1, slope * pre1)

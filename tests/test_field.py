@@ -25,11 +25,20 @@ from occ4d.field import (
     query_head,
     sigmoid,
 )
-from occ4d.field import _conv2d, _conv2d_backward, _leaky, _pad
+from occ4d.field import _conv2d, _conv2d_backward, _leaky
 from occ4d.evaluation import EvalGrid
 from occ4d.queries import EncoderInput, QuerySet
 
-from oracles import conv2d_backward_scatter, conv2d_scatter, encoder_scatter, head_block, interp_backward_add_at, loss
+from oracles import (
+    _pad,
+    conv2d_backward_scatter,
+    conv2d_scatter,
+    encoder_scatter,
+    encoder_unfolded_scatter,
+    head_block,
+    interp_backward_add_at,
+    loss,
+)
 
 SMALL = FieldConfig(
     x_range=(-4.0, 4.0),
@@ -181,6 +190,38 @@ def test_encoder_same_bits_as_scatter_form(cfg):
     assert got.keys() == want.keys()
     for name in want:
         assert same_bits(got[name], want[name]), name
+
+
+@pytest.mark.parametrize(
+    "cfg, n_points",
+    [
+        (SMALL, 400),
+        (FieldConfig(x_range=(-4.0, 4.0), y_range=(-2.0, 3.5), cell=0.5, channels=5), 400),
+        (FieldConfig(), 400),
+        (FieldConfig(x_range=(0.0, 0.5), y_range=(-2.0, 3.5), cell=0.5, channels=4), 400),
+        (replace(SMALL, k_past=1), 400),
+        (SMALL, 0),
+    ],
+    ids=["small", "non-square", "default-72x72x32", "one-cell-wide", "k_past-1", "empty-scans"],
+)
+def test_encoder_matches_unfolded_form(cfg, n_points):
+    # folding the embed into conv1 reorders sums and nothing else: in float64,
+    # z and every gradient agree with the unfolded encoder to 1e-12 of the
+    # tensor's largest entry. In non-square, 2 * k_past + 1 = 7 exceeds the 5
+    # channels. With empty scans only the embed's bias reaches conv1, and the
+    # pad ring must hold zeros, not the bias
+    rng = np.random.default_rng(9)
+    fp = init_params(cfg, seed=5, mode=MODE_AMORTIZED)
+    for name in ("enc.embed.b", "enc.conv1.b", "enc.conv2.b"):
+        fp.params[name] = rng.normal(size=fp.params[name].shape)
+    enc = random_enc_input(rng, cfg, n=n_points)
+    z, cache = encode(fp, enc, want_cache=True)
+    dz = rng.normal(size=z.shape)
+    want_z, want = encoder_unfolded_scatter(fp.params, pillar_histogram(enc, cfg), dz, cfg.leaky_slope)
+    got = encode_backward(fp, cache, dz)
+    assert got.keys() == want.keys()
+    for name, a, b in [("z", z, want_z), *((k, got[k], want[k]) for k in want)]:
+        assert a.shape == b.shape and np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b)), name
 
 
 class TestFieldConfigGeometry:
