@@ -333,7 +333,7 @@ def cmd_eval(cfg: dict, checkpoint_path, dataset_dir, out_path, rasters=None, fo
     total = time.perf_counter() - start
     r, o = timings.get("raytrace", 0.0), timings.get("oracle", 0.0)
     print(
-        f"eval: score {timings.get('score', 0.0):.2f} s, labels {r + o:.2f} s (raytrace {r:.2f} s, oracle {o:.2f} s), "
+        f"eval: score {timings.get('score', 0.0):.2f} s, labels {r + o:.2f} s (boxes {o:.2f} s, raytrace {r:.2f} s), "
         f"metrics {timings.get('metrics', 0.0):.2f} s of {total:.2f} s; {report['n_probes'] / total:.0f} probes/s"
     )
     return 0

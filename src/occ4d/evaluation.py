@@ -9,10 +9,11 @@ precision-recall metric is one sort (``_ranked``) and one summary
 sweep with ties grouped.
 
 The harnesses score a field from BEV grids that the caller supplies, one per
-scene (``scene_grid_for``), at the caller's t0. The occupancy harness keeps
-its scores and labels in (scene, time, probe) arrays and sorts their
-scene-major ravel once, so each per-time row and the known-ray probes are
-masks on that one order.
+scene (``scene_grid_for``), at the caller's t0. The occupancy harness runs
+one box test per scene and time for both its label sets, keeps its scores
+and labels in (scene, time, probe) arrays and sorts their scene-major ravel
+once, so each per-time row and the known-ray probes are masks on that one
+order.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .field import FieldParams, MODE_AMORTIZED, encode, lattice_head, sigmoid
-from .geom import Pose, inverse
+from .geom import inverse
 from .queries import SamplerConfig, ego_tube_distance, past_encoder_input
 from .scene import Scene, boxes_contain, cast_lidar_scan, ego_path_vertices, ego_pose_at, lidar_pose_at
 from .training import TRAIN_DTYPE
@@ -171,26 +172,20 @@ def march_voxels(p0: np.ndarray, p1: np.ndarray, grid: EvalGrid) -> np.ndarray:
     return np.concatenate(out) if out else np.zeros(0, dtype=np.int64)
 
 
-def label_by_raytrace(
-    eval_scans: list, grid: EvalGrid, scene: Scene | None = None, to_world: Pose | None = None, t0: float = 0.0
-) -> np.ndarray:
+def label_by_raytrace(eval_scans: list, grid: EvalGrid, boxes: np.ndarray | None = None) -> np.ndarray:
     """Free / occupied / unknown labels for every probe at every grid time.
 
     A voxel is free when a matched scan's ray segment traverses it, occupied
-    when a hit point falls inside it or (when ``scene`` is given) the probe
+    when a hit point falls inside it or (when ``boxes`` is given) its probe
     center sits inside a ground-truth box at that time; occupied wins
     conflicts. Probe times with no scan within the matching window stay
-    unknown. Scans must be in the grid's frame and clock; ``to_world`` maps
-    probe centers back to the scene frame, and ``t0 + t`` is grid time t on
-    the scene's clock, for the box test.
+    unknown. Scans must be in the grid's frame and clock; ``boxes`` is the
+    (len(times), n_probes) box test of the probe centers at those times.
 
     Returns int8 labels of shape (len(times), nz, ny, nx).
     """
     nz, ny, nx = grid.shape
     labels = np.full((len(grid.times), nz, ny, nx), LABEL_UNKNOWN, dtype=np.int8)
-    if scene is not None:
-        centers = grid.centers()
-        world = centers if to_world is None else to_world.apply(centers)
     lo = np.array([grid.x[0], grid.y[0], grid.z[0]])
     for ti, t in enumerate(grid.times):
         best, best_dt = None, math.inf
@@ -213,8 +208,8 @@ def label_by_raytrace(
         )
         idx = idx[keep]
         occupied[idx[:, 2], idx[:, 1], idx[:, 0]] = True
-        if scene is not None:  # annotated boxes, not terrain, are the protocol's occupancy evidence
-            occupied |= boxes_contain(scene, world, t0 + t).reshape(nz, ny, nx)
+        if boxes is not None:  # annotated boxes, not terrain, are the protocol's occupancy evidence
+            occupied |= boxes[ti].reshape(nz, ny, nx)
         slab = labels[ti]
         slab[free] = LABEL_FREE
         slab[occupied] = LABEL_OCCUPIED  # occupied wins conflicts
@@ -347,20 +342,30 @@ def eval_4d_occupancy(
     ray tracing (the paper's protocol; unknown probes are left out). Scores,
     exact labels and ray labels are (scene, time, probe) arrays: the whole
     set is their scene-major ravel and time t's row of the per-time
-    breakdown is the slice [:, t]. ``timings`` adds up the seconds of
-    "score", "raytrace" (ray-traced labels), "oracle" (exact labels) and
+    breakdown is the slice [:, t]. One box test per scene and time feeds
+    both label sets: the exact labels are ``occupancy_oracle``'s ground |
+    boxes, and the ray-traced labels take the boxes as occupied evidence.
+    ``timings`` adds up the seconds of "score", "oracle" (the box test and
+    exact labels), "raytrace" (the rest of the ray-traced labels) and
     "metrics". Returns the metric bundle with per-time breakdown and probe
     label counts.
     """
-    from .scene import occupancy_oracle
-
     centers = grid.centers()
     layer = grid.shape[1] * grid.shape[2]
     shape = (len(scenes), len(grid.times), len(centers))
     scores, exact = np.empty(shape), np.empty(shape, dtype=np.int8)
     ray = np.empty(shape if raytrace else 0, dtype=np.int8)  # without ray tracing, all counts are 0
     for si, (scene, z_grid) in enumerate(zip(scenes, z_grids)):
+        with _timed(timings, "score"):  # the logits in place, then one time's probabilities at a time
+            lattice_head(fp, z_grid, "occ", centers[:layer, :2], centers[::layer, 2], grid.times, scores[si].reshape(-1, 1))
+            for row in scores[si]:
+                row[:] = sigmoid(row)
         to_world = ego_pose_at(scene, t0)
+        with _timed(timings, "oracle"):
+            world = to_world.apply(centers)
+            scene.check_time([t0 + t for t in grid.times])
+            boxes = np.stack([boxes_contain(scene, world, t0 + t) for t in grid.times])
+            exact[si] = (world[:, 2] <= scene.ground_z) | boxes
         if raytrace:
             with _timed(timings, "raytrace"):
                 ref = inverse(to_world)
@@ -370,14 +375,8 @@ def eval_4d_occupancy(
                     .time_shifted(-t0)
                     for t in grid.times
                 ]
-                labels = label_by_raytrace(eval_scans, grid, scene=scene, to_world=to_world, t0=t0)
-                ray[si] = labels.reshape(len(grid.times), -1)
-        world = to_world.apply(centers)
-        for ti, t in enumerate(grid.times):
-            with _timed(timings, "score"):
-                scores[si, ti] = sigmoid(lattice_head(fp, z_grid, "occ", centers[:layer, :2], centers[::layer, 2], t)[:, 0])
-            with _timed(timings, "oracle"):
-                exact[si, ti] = occupancy_oracle(scene, world, t0 + t)
+                ray[si] = label_by_raytrace(eval_scans, grid, boxes).reshape(len(grid.times), -1)
+        del world, boxes  # not held through the sweeps below, where eval's RSS peaks
 
     with _timed(timings, "metrics"):
         report = {"probe_counts": _label_counts(ray), "n_probes": scores.size, "per_time_breakdown": []}

@@ -11,6 +11,10 @@ taps E @ W1[tap], E = [embed.w; embed.b]. A tap costs (2 * k_past + 1) * C
 multiply-adds a cell, not C * C, and conv1's input needs no gradient. The
 params and the checkpoint keep the embed and conv1 apart.
 
+A head's first layer is split at the grid's C channels: pre1 = x[:, :C] @
+W1[:C], then pre1 += (x[:, C:] @ W1[C:] + b1). ``lattice_head`` takes the
+first term once per (x, y) column and the second once per (time, z) layer.
+
 Everything is plain numpy with hand-derived backward passes; tests pin the
 gradients against central finite differences.
 
@@ -344,8 +348,9 @@ def fourier_zt(z: np.ndarray, t: np.ndarray, cfg: FieldConfig) -> np.ndarray:
 
 
 def _interp_setup(z_grid: np.ndarray, x: np.ndarray, y: np.ndarray, cfg: FieldConfig):
-    if np.any(x < cfg.x_range[0]) or np.any(x > cfg.x_range[1]) or np.any(y < cfg.y_range[0]) or np.any(y > cfg.y_range[1]):
-        raise OutOfRegionError("query position outside the field's x-y region")
+    # written as "all inside" so that NaN, which compares False, fails it
+    if not all(np.all(lo <= v) and np.all(v <= hi) for v, (lo, hi) in ((x, cfg.x_range), (y, cfg.y_range))):
+        raise OutOfRegionError("query position outside the field's x-y region or NaN")
     h, w = cfg.grid_h, cfg.grid_w
     u = np.clip((x - cfg.x_range[0]) / cfg.cell - 0.5, 0.0, w - 1.0)
     v = np.clip((y - cfg.y_range[0]) / cfg.cell - 0.5, 0.0, h - 1.0)
@@ -395,18 +400,24 @@ def interp_backward(cache, dfeat: np.ndarray, grid_shape) -> np.ndarray:
 
 
 def head_forward(fp: FieldParams, name: str, x: np.ndarray, want_cache=False):
-    """The head on each row of ``x``: out, or (out, (x, pre1, h1, pre2, h2))
-    with ``want_cache``; without a cache the hidden layers run in place. A
-    row's output bits do not depend on its batch: a one-output head ends in
-    a per-row einsum, not BLAS gemv, and a 1-row batch, which numpy would
-    send to gemv, runs as two copies of its row."""
+    """The head, its first layer split, on each row of ``x``: out, or (out,
+    (x, pre1, h1, pre2, h2)) with ``want_cache``; without a cache the hidden
+    layers run in place. A row's output bits do not depend on its batch: a
+    one-output head ends in a per-row einsum, not BLAS gemv, and a 1-row
+    batch, which numpy would send to gemv, runs as two copies of its row."""
     if len(x) == 1:
         res = head_forward(fp, name, np.concatenate([x, x]), want_cache)
         return (res[0][:1], tuple(a[:1] for a in res[1])) if want_cache else res[:1]
+    c, w1 = fp.config.channels, fp.params[f"head.{name}.w1"]
+    pre1 = x[:, :c] @ w1[:c]
+    pre1 += x[:, c:] @ w1[c:] + fp.params[f"head.{name}.b1"]
+    return _head_from_pre1(fp, name, pre1, x, want_cache)
+
+
+def _head_from_pre1(fp: FieldParams, name: str, pre1: np.ndarray, x=None, want_cache=False):
+    """``head_forward`` from ``pre1`` (of 2 rows or more) on; ``x`` only goes into the cache."""
     p = fp.params
     slope = fp.config.leaky_slope
-    pre1 = x @ p[f"head.{name}.w1"]
-    pre1 += p[f"head.{name}.b1"]
     h1 = _leaky(pre1, slope, out=None if want_cache else pre1)
     pre2 = h1 @ p[f"head.{name}.w2"]
     pre2 += p[f"head.{name}.b2"]
@@ -462,9 +473,9 @@ def query_head(fp: FieldParams, z_grid: np.ndarray, name: str, positions: np.nda
 
 
 # Rows per tile in lattice_head. Eval scores in float32 (see the module
-# docstring): at the default 48 inputs and 64 hidden units a row's input,
-# pre1/h1, _leaky's slope * x and h2 take 960 bytes, 0.94 MiB at 1,024 rows,
-# inside a 2 MiB L2 per core. On a 2-core Xeon (1 BLAS thread, 409,600
+# docstring): at the default 64 hidden units a row's pre1/h1, _leaky's slope
+# * x and h2 take 768 bytes, 0.75 MiB at 1,024 rows, inside a 2 MiB L2 per
+# core. Before the split first layer, on a 2-core Xeon (1 BLAS thread, 409,600
 # probes, 21 alternating calls per size) float32 lattice_head took 137.5,
 # 126.3, 116.6, 109.0 and 112.9 ms at tiles of 128, 256, ..., 2,048 rows;
 # 1,024 beat 256 in 21 of 21 pairs. A float64 grid took 204.0 ms at 256 and
@@ -473,27 +484,37 @@ def query_head(fp: FieldParams, z_grid: np.ndarray, name: str, positions: np.nda
 _TILE = 1024
 
 
-def lattice_head(fp: FieldParams, z_grid: np.ndarray, name: str, xy: np.ndarray, zs, t: float) -> np.ndarray:
+def _gemm_rows(a: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """a @ w, a 1-row ``a`` as two copies of its row (no gemv; see head_forward)."""
+    return a @ w if len(a) != 1 else (np.concatenate([a, a]) @ w)[:1]
+
+
+def lattice_head(fp: FieldParams, z_grid: np.ndarray, name: str, xy: np.ndarray, zs, times, out=None) -> np.ndarray:
     """One head on the lattice of (x, y) columns ``xy`` and heights ``zs`` at
-    time ``t``, z-major (row k * len(xy) + i is column i at height zs[k]).
-    Interpolates each column and encodes each height once, then runs
-    ``head_forward`` in ``z_grid``'s dtype on ``_TILE``-row tiles:
-    query_head's bits, returned as float64."""
+    ``times`` (one or a sequence), time-major, then z-major: row (j * len(zs)
+    + k) * len(xy) + i is column i at height zs[k] at times[j]. In
+    ``z_grid``'s dtype it takes feat @ W1[:C] once per column and ft @ W1[C:]
+    + b1 once per (time, z) layer, then per ``_TILE``-row tile adds the two
+    into pre1 and runs the rest of the head: query_head's bits, as float64,
+    written into ``out`` if given."""
     cfg = fp.config
     head = _head_in(fp, name, z_grid.dtype)
-    feat = interp_grid(z_grid, xy[:, 0], xy[:, 1], cfg)
-    ft = fourier_zt(np.asarray(zs, dtype=np.float64), np.full(len(zs), float(t)), cfg)
-    out = np.empty((len(zs) * len(xy), cfg.head_out(name)))
-    x = np.empty((min(_TILE, len(out)), cfg.head_in), z_grid.dtype)
+    c, w1 = cfg.channels, head.params[f"head.{name}.w1"]
+    col = _gemm_rows(interp_grid(z_grid, xy[:, 0], xy[:, 1], cfg), w1[:c])
+    ts = np.atleast_1d(np.asarray(times, dtype=np.float64))
+    ft = fourier_zt(np.tile(np.asarray(zs, dtype=np.float64), len(ts)), np.repeat(ts, len(zs)), cfg)
+    layer = _gemm_rows(ft.astype(z_grid.dtype, copy=False), w1[c:]) + head.params[f"head.{name}.b1"]
+    out = np.empty((len(layer) * len(xy), cfg.head_out(name))) if out is None else out
+    pre1 = np.zeros((max(2, min(_TILE, len(out))), w1.shape[1]), z_grid.dtype)
     for a in range(0, len(out), _TILE):
         m, r = min(_TILE, len(out) - a), 0
-        while r < m:  # the tile's input, one run of columns at one height at a time
+        while r < m:  # the tile's pre1, one run of columns in one layer at a time
             k, i = divmod(a + r, len(xy))
             run = min(m - r, len(xy) - i)
-            x[r : r + run, : cfg.channels] = feat[i : i + run]
-            x[r : r + run, cfg.channels :] = ft[k]
+            np.add(col[i : i + run], layer[k], out=pre1[r : r + run])
             r += run
-        out[a : a + m] = head_forward(head, name, x[:m])
+        # a 1-row tile runs with a spare row of the buffer, as head_forward's 1-row batches do
+        out[a : a + m] = _head_from_pre1(head, name, pre1[: max(m, 2)])[:m]
     return out
 
 

@@ -535,13 +535,27 @@ def interp_backward_add_at(cache, dfeat, grid_shape):
 
 
 def head_block(params, name, x, slope):
-    """A perceptron head on every row of ``x`` at once: two leaky hidden
-    layers written as np.where, then the linear output layer, a per-row
-    einsum reduction for a one-output head."""
-    h = x
-    for k in (1, 2):
-        pre = h @ params[f"head.{name}.w{k}"] + params[f"head.{name}.b{k}"]
-        h = np.where(pre > 0, pre, slope * pre)
+    """A perceptron head on every row of ``x`` at once, its first layer split
+    at the grid's C channels as the field sums it: x[:, :C] @ W1[:C] plus
+    (x[:, C:] @ W1[C:] + b1); then the leaky layers written as np.where and
+    the linear output layer, a per-row einsum reduction for a one-output
+    head."""
+    c = (params["grid.z"] if "grid.z" in params else params["enc.conv2.b"]).shape[-1]
+    w1 = params[f"head.{name}.w1"]
+    pre = x[:, :c] @ w1[:c] + (x[:, c:] @ w1[c:] + params[f"head.{name}.b1"])
+    return _head_layers(params, name, np.where(pre > 0, pre, slope * pre), slope)
+
+
+def head_block_unsplit(params, name, x, slope):
+    """``head_block`` with the first layer as one product, x @ W1 + b1."""
+    pre = x @ params[f"head.{name}.w1"] + params[f"head.{name}.b1"]
+    return _head_layers(params, name, np.where(pre > 0, pre, slope * pre), slope)
+
+
+def _head_layers(params, name, h1, slope):
+    """The head after its first hidden layer's output ``h1``."""
+    pre = h1 @ params[f"head.{name}.w2"] + params[f"head.{name}.b2"]
+    h = np.where(pre > 0, pre, slope * pre)
     w3 = params[f"head.{name}.w3"]
     out = np.einsum("ij,j->i", h, w3[:, 0])[:, None] if w3.shape[1] == 1 else h @ w3
     return out + params[f"head.{name}.b3"]

@@ -457,9 +457,8 @@ class TestEvalEncoderInput:
     def run(tmp_path, monkeypatch, past_offsets):
         """simulate, genqueries and train one scene with ``past_offsets``, then
         eval; returns the EncoderInputs eval encoded, the one genqueries wrote
-        and the scene times eval's oracle labelled."""
+        and the scene times eval's box test took (one call per probe time)."""
         import occ4d.evaluation as evaluation
-        import occ4d.scene as scene
         from occ4d.queries import load_encoder_input
 
         cfg_path = tmp_path / "config.json"
@@ -474,18 +473,18 @@ class TestEvalEncoderInput:
         assert main(["train", *args, "--queries", str(tmp_path / "q"), "--out", str(tmp_path / "run")]) == 0
 
         seen, oracle_times = [], []
-        real_encode, real_oracle = evaluation.encode, scene.occupancy_oracle
+        real_encode, real_boxes = evaluation.encode, evaluation.boxes_contain
 
         def recording_encode(fp, enc):
             seen.append(enc)
             return real_encode(fp, enc)
 
-        def recording_oracle(sc, points, times):
+        def recording_boxes(sc, points, times):
             oracle_times.append(times)
-            return real_oracle(sc, points, times)
+            return real_boxes(sc, points, times)
 
         monkeypatch.setattr(evaluation, "encode", recording_encode)
-        monkeypatch.setattr(scene, "occupancy_oracle", recording_oracle)
+        monkeypatch.setattr(evaluation, "boxes_contain", recording_boxes)
         code = main(
             ["eval", *args, "--checkpoint", str(tmp_path / "run" / "checkpoint.bin"),
              "--dataset", str(tmp_path / "data"), "--out", str(tmp_path / "report.json")]

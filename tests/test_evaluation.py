@@ -30,6 +30,7 @@ from occ4d.scene import (
     Box,
     ScanPattern,
     Scene,
+    boxes_contain,
     cast_lidar_scan,
     ego_pose_at,
     lidar_pose_at,
@@ -176,7 +177,7 @@ class TestArrayLabelling:
         scene = random_scene(seed=30)
         scans = self.scans(scene, t0, scan_times)
         to_world = ego_pose_at(scene, t0)
-        got = label_by_raytrace(scans, grid, scene=scene, to_world=to_world, t0=t0)
+        got = raytrace_with_boxes(scans, grid, scene, to_world, t0)
         assert np.array_equal(got, label_by_raytrace_scalar(scans, grid, scene=scene, to_world=to_world, t0=t0))
         assert np.array_equal(label_by_raytrace(scans, grid), label_by_raytrace_scalar(scans, grid))
         assert np.count_nonzero(got == LABEL_FREE) > 1000
@@ -192,10 +193,19 @@ class TestArrayLabelling:
         sky = ScanPattern(az_count=1, el_count=1, el_extent=(1.0, 1.2))
         scan = cast_lidar_scan(scene, Pose(np.eye(3), np.array([0.0, 0.0, 5.0])), sky, 0.5)
         for t0, inside, outside in ((0.0, 10, 12), (0.5, 12, 10)):
-            labels = label_by_raytrace([scan], grid, scene=scene, t0=t0)
+            labels = raytrace_with_boxes([scan], grid, scene, t0=t0)
             assert np.array_equal(labels, label_by_raytrace_scalar([scan], grid, scene=scene, t0=t0))
             assert labels[0, 2, 8, inside] == LABEL_OCCUPIED
             assert labels[0, 2, 8, outside] == LABEL_UNKNOWN
+
+
+def raytrace_with_boxes(scans, grid, scene, to_world=None, t0=0.0):
+    """``label_by_raytrace`` with the box evidence ``eval_4d_occupancy`` gives
+    it: the box test of the probe centers, mapped to the scene frame by
+    ``to_world``, at the scene times t0 + t."""
+    centers = grid.centers()
+    world = centers if to_world is None else to_world.apply(centers)
+    return label_by_raytrace(scans, grid, np.stack([boxes_contain(scene, world, t0 + t) for t in grid.times]))
 
 
 def tiny_scene(boxes=()):
@@ -226,7 +236,7 @@ class TestLabelByRaytrace:
         pose = Pose(np.eye(3), np.array([-3.75, 0.25, 1.05]))
         pattern = ScanPattern(az_count=1, el_count=1, az_extent=(-0.001, 0.001), el_extent=(-0.001, 0.001), max_range=20)
         scan = cast_lidar_scan(scene, pose, pattern, 0.6)
-        labels = label_by_raytrace([scan], SMALL_GRID, scene=scene)
+        labels = raytrace_with_boxes([scan], SMALL_GRID, scene)
         iy = int((0.25 + 4) / 0.5)
         # voxel centers inside the box get occupied even without a hit point
         assert labels[0, 2, iy, 14] == LABEL_OCCUPIED
@@ -258,7 +268,7 @@ class TestLabelByRaytrace:
         grid = EvalGrid(x=(-8, 8), y=(-8, 8), z=(0.0, 2.4), step=0.4, times=(0.6,))
         ref = inverse(ego_pose_at(scene, 0.0))
         scan = cast_lidar_scan(scene, lidar_pose_at(scene, 0.6), scene.rig.lidar_pattern, 0.6)
-        labels = label_by_raytrace([scan.transformed(ref).time_shifted(0.0)], grid, scene=scene, to_world=ego_pose_at(scene, 0.0))
+        labels = raytrace_with_boxes([scan.transformed(ref).time_shifted(0.0)], grid, scene, ego_pose_at(scene, 0.0))
         centers = grid.centers()
         world = ego_pose_at(scene, 0.0).apply(centers)
         exact = occupancy_oracle(scene, world, 0.6)
@@ -385,9 +395,7 @@ class TestHarness:
         grid = EvalGrid(x=(-8, 8), y=(-8, 8), z=(0.0, 2.4), step=0.4, times=(0.6,))
         ref = inverse(ego_pose_at(scene, 0.0))
         scan = cast_lidar_scan(scene, lidar_pose_at(scene, 0.6), scene.rig.lidar_pattern, 0.6)
-        labels = label_by_raytrace(
-            [scan.transformed(ref)], grid, scene=scene, to_world=ego_pose_at(scene, 0.0)
-        )[0].ravel()
+        labels = raytrace_with_boxes([scan.transformed(ref)], grid, scene, ego_pose_at(scene, 0.0))[0].ravel()
         centers = grid.centers()
         world = ego_pose_at(scene, 0.0).apply(centers)
         exact = occupancy_oracle(scene, world, 0.6)
@@ -400,6 +408,55 @@ class TestHarness:
         assert np.all(centers[occ][:, 2] <= diag)
         known = free.sum() + occ.sum()
         assert (free.sum() + np.sum(centers[occ][:, 2] <= diag)) / known >= 0.99
+
+    def test_one_box_test_feeds_both_label_sets(self, tmp_path, monkeypatch):
+        # a scene file whose first box reaches 0.5 m below the ground: there
+        # "above ground and exactly occupied" is not the box mask, so the
+        # shared box test must give the exact labels of occupancy_oracle and
+        # the ray labels of the scalar labeller, each whole
+        import occ4d.evaluation as evaluation
+        from occ4d.field import FieldConfig
+        from occ4d.scene import load_scene_json, save_scene_json
+
+        boxes = [Box([3.0, 0.5, 0.2], [1.0, 0.8, 0.7], [0.0, 0.0, 0.0]), Box([-4.0, -2.0, 0.9], [0.8, 0.6, 0.9], [1.5, 0.5, 0.0])]
+        save_scene_json(tiny_scene(boxes), tmp_path / "scene.json")
+        scene = load_scene_json(tmp_path / "scene.json")
+        cfg = FieldConfig(x_range=(-8.0, 8.0), y_range=(-8.0, 8.0), cell=0.5, channels=4, head_hidden=8, d_feat=3, n_freqs=2)
+        fp = init_params(cfg, seed=4, mode=MODE_FIT_PER_SCENE)
+        z_grid = np.random.default_rng(4).normal(size=fp.params["grid.z"].shape).astype(np.float32)
+        grid = EvalGrid(x=(-8, 8), y=(-8, 8), z=(-0.8, 2.0), step=0.4, times=(0.6, 1.2))
+        t0 = -0.5
+        seen = {}
+        real_ranked, real_counts = evaluation._ranked, evaluation._label_counts
+
+        def ranked(scores, labels):  # eval's one sort takes every exact label
+            seen.setdefault("exact", np.array(labels))
+            return real_ranked(scores, labels)
+
+        def counts(ray):  # its first count takes every ray label
+            seen.setdefault("ray", np.array(ray))
+            return real_counts(ray)
+
+        monkeypatch.setattr(evaluation, "_ranked", ranked)
+        monkeypatch.setattr(evaluation, "_label_counts", counts)
+        eval_4d_occupancy(fp, [scene], grid, t0, [z_grid], raytrace=True)
+
+        to_world = ego_pose_at(scene, t0)
+        world = to_world.apply(grid.centers())
+        below = world[:, 2] <= scene.ground_z
+        exact = np.stack([occupancy_oracle(scene, world, t0 + t) for t in grid.times])
+        in_boxes = np.stack([boxes_contain(scene, world, t0 + t) for t in grid.times])
+        assert np.any(in_boxes & below) and not np.array_equal(exact & ~below, in_boxes)
+        assert np.array_equal(seen["exact"].reshape(exact.shape), exact)
+        scans = [
+            cast_lidar_scan(scene, lidar_pose_at(scene, t0 + t), scene.rig.lidar_pattern, t0 + t)
+            .transformed(inverse(to_world))
+            .time_shifted(-t0)
+            for t in grid.times
+        ]
+        ray = label_by_raytrace_scalar(scans, grid, scene=scene, to_world=to_world, t0=t0)
+        assert np.array_equal(seen["ray"].reshape(ray.shape), ray)
+        assert np.all(ray.reshape(exact.shape)[in_boxes & below] == LABEL_OCCUPIED)
 
     def test_multi_scene_per_time_rows_are_slices(self):
         # two scenes with different grids at two times: each per-time row is
@@ -426,7 +483,7 @@ class TestHarness:
                 .time_shifted(-t0)
                 for t in grid.times
             ]
-            ray = label_by_raytrace(scans, grid, scene=scene, to_world=to_world, t0=t0).reshape(len(grid.times), -1)
+            ray = raytrace_with_boxes(scans, grid, scene, to_world, t0).reshape(len(grid.times), -1)
             per_scene.append([
                 (
                     sigmoid(query_head(fp, z_grid, "occ", centers, np.full(len(centers), t))[:, 0]),

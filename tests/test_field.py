@@ -36,6 +36,7 @@ from oracles import (
     encoder_scatter,
     encoder_unfolded_scatter,
     head_block,
+    head_block_unsplit,
     interp_backward_add_at,
     loss,
 )
@@ -293,6 +294,17 @@ class TestQuery:
         fp = init_params(SMALL, seed=5, mode=MODE_FIT_PER_SCENE)
         with pytest.raises(OutOfRegionError):
             query_head(fp, fp.params["grid.z"], "occ", np.array([[99.0, 0.0, 1.0]]), np.array([0.0]))
+
+    @pytest.mark.parametrize("bad", [[np.nan, 0.0, 1.0], [0.0, np.nan, 1.0], [np.nan, np.nan, 1.0]])
+    def test_nan_position_is_out_of_region(self, bad):
+        # NaN compares False with every bound, so it must fail an "all inside"
+        # test rather than reach the int64 cast of the cell index
+        fp = init_params(SMALL, seed=5, mode=MODE_FIT_PER_SCENE)
+        pts = np.array([[0.5, -0.5, 1.0], bad])
+        with pytest.raises(OutOfRegionError):
+            query_head(fp, fp.params["grid.z"], "occ", pts, np.zeros(2))
+        with pytest.raises(OutOfRegionError):
+            lattice_head(fp, fp.params["grid.z"], "occ", pts[:, :2], [1.0], 0.0)
 
 
 class TestLoss:
@@ -621,6 +633,23 @@ def test_query_head_and_query_field_equal_head_block(mode):
         assert np.array_equal(query_head(fp, z_grid, name, positions, times), want[name])
 
 
+@pytest.mark.parametrize("mode", [MODE_FIT_PER_SCENE, MODE_AMORTIZED])
+def test_head_block_matches_unsplit_form(mode):
+    # float64: the split first layer sums x[:, :C] @ W1[:C] and
+    # (x[:, C:] @ W1[C:] + b1) where the unsplit one sums x @ W1 + b1; the
+    # two orders agree to 1e-12 of each output's largest entry
+    fp, z_grid = field_and_grid(mode, seed=6)
+    rng = np.random.default_rng(6)
+    positions = rng.uniform([-17.0, -17.0, -0.4], [17.0, 17.0, 3.0], size=(3001, 3))
+    x = head_input(z_grid, positions, rng.uniform(0.0, 3.0, size=3001), fp.config)
+    for name in ("occ", "feat", "ego"):
+        split = head_block(fp.params, name, x, fp.config.leaky_slope)
+        unsplit = head_block_unsplit(fp.params, name, x, fp.config.leaky_slope)
+        assert split.dtype == unsplit.dtype == np.float64
+        assert np.abs(split - unsplit).max() <= 1e-12 * np.abs(unsplit).max()
+        assert not np.array_equal(split, unsplit)  # the orders do differ
+
+
 def field_and_grid(mode, seed=3):
     cfg = FieldConfig()
     rng = np.random.default_rng(seed)
@@ -638,6 +667,8 @@ LATTICES = {
     "single-layer": EvalGrid(x=(-3.0, 5.0), y=(-1.0, 1.4), z=(0.0, 0.2), step=0.2),
     "non-square": EvalGrid(x=(-6.0, 4.0), y=(-2.0, 1.2), z=(-0.4, 0.4), step=0.4),
     "61x47x5": EvalGrid(x=(-6.2, 6.0), y=(-4.6, 4.8), z=(-0.4, 0.6), step=0.2),
+    # 1 x 1 x 7: the column term is a single row
+    "one-column": EvalGrid(x=(0.4, 0.6), y=(-1.2, -1.0), z=(-0.4, 1.0), step=0.2),
 }
 
 
@@ -658,6 +689,24 @@ def test_lattice_head_equals_chunked_query_head(mode, lattice):
     for name in ("occ", "ego"):
         got = lattice_head(fp, z_grid, name, xy, zs, 1.8)
         assert np.array_equal(got, whole_lattice_query_head(fp, z_grid, name, centers, 1.8))
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("mode", [MODE_FIT_PER_SCENE, MODE_AMORTIZED])
+@pytest.mark.parametrize("lattice", ["7x5x3", "single-layer", "one-column"])
+def test_lattice_head_over_times_equals_query_head(dtype, mode, lattice):
+    """Several times in one call share the column term: row (j * nz + k) *
+    n_columns + i is column i at height k at times[j], with query_head's bits."""
+    grid, times = LATTICES[lattice], (0.0, 0.6, 1.8, 3.0)
+    fp, z_grid = field_and_grid(mode) if dtype == np.float64 else float32_field_and_grid(mode)
+    _, ny, nx = grid.shape
+    centers = grid.centers()
+    for name in ("occ", "feat", "ego"):
+        got = lattice_head(fp, z_grid, name, centers[: ny * nx, :2], centers[:: ny * nx, 2], times)
+        want = np.concatenate([whole_lattice_query_head(fp, z_grid, name, centers, t) for t in times])
+        assert got.dtype == np.float64 and want.dtype == dtype
+        assert np.array_equal(got, want)
+        assert np.array_equal(got[-len(centers) :], lattice_head(fp, z_grid, name, centers[: ny * nx, :2], centers[:: ny * nx, 2], 3.0))
 
 
 @pytest.mark.parametrize("tile", [1, 13, 35, 36])
