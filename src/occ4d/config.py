@@ -93,6 +93,7 @@ def load_config(path=None, overrides: dict | None = None) -> dict:
         (lo, hi), (f_lo, f_hi) = cfg["eval"][axis], cfg["field"][f"{axis}_range"]
         if lo < f_lo or hi > f_hi:
             raise ValueError(f"{where}eval/{axis} [{lo}, {hi}] reaches outside field/{axis}_range [{f_lo}, {f_hi}]")
+    evalgrid_from(cfg)  # a bad eval lattice fails here, not after every other stage
     return cfg
 
 

@@ -59,8 +59,8 @@ class EvalGrid:
             raise ValueError(f"lattice bounds and step must be finite, the step positive: {box}")
         if min(self.shape) < 1:
             raise ValueError(f"lattice {box} has (z, y, x) cells {self.shape}; each axis needs at least one")
-        if any(t < 0 for t in self.times):
-            raise ValueError("probe times must be >= 0")
+        if not self.times or min(self.times) < 0:
+            raise ValueError(f"eval times {list(self.times)} must hold at least one probe time, each >= 0")
 
     @property
     def shape(self) -> tuple:

@@ -22,12 +22,12 @@ Two dtype rules. In training the params set the dtype: each float64 array
 that meets them (the pillar histogram, padding and scratch buffers, the
 leaky gradient's constants, the interpolation weights and scatter, the
 Fourier columns and the loss derivative) is cast once, with ``copy=False``
-or into a buffer, to the dtype of the parameter or grid it meets. So float32
-params run every layer in float32. In scoring (``query_head``, ``lattice_head``) the grid
-sets it: the head's tensors are cast to the grid's dtype, so a float32 grid
-scores in float32 even from float64 params. With float64 everywhere every
-cast is a no-op and every bit is kept. Positions and times stay float64 up
-to those casts.
+or into a buffer, to the dtype of the parameter or grid it meets; conv1's
+input is built once per (config, dtype) and kept on the EncoderInput. In
+scoring (``query_head``, ``lattice_head``) the grid sets it: the head's
+tensors are cast to the grid's dtype, so a float32 grid scores in float32
+even from float64 params. With float64 everywhere every cast is a no-op and
+every bit is kept. Positions and times stay float64 up to those casts.
 """
 
 from __future__ import annotations
@@ -262,14 +262,14 @@ def _conv2d_backward(xp: np.ndarray, w: np.ndarray, dout: np.ndarray):
 
     dx gathers from the padded dout, adding the taps in (dy, dx) order into
     zeros; a tap outside dout adds a GEMM's +0.0, so every element gets the
-    same sum as scattering each tap into dx would. The tap weights stay
-    transposed views: BLAS rounds a contiguous copy differently at some
-    shapes."""
+    same sum as scattering each tap into dx would. The transposed taps are
+    contiguous copies: BLAS runs them as NN GEMMs, faster than NT on views,
+    and at some shapes with other bits."""
     h, wd = dout.shape[:2]
     cin, cout = w.shape[2], w.shape[3]
     dw = _conv2d_dw(xp, dout)
     db = dout.reshape(-1, cout).sum(axis=0)
-    taps = [(2 - dy, 2 - dx, w[dy, dx].T) for dy in range(3) for dx in range(3)]
+    taps = [(2 - dy, 2 - dx, np.ascontiguousarray(w[dy, dx].T)) for dy in range(3) for dx in range(3)]
     doutp = _scratch_array("doutp", (h + 2, wd + 2, cout), dout.dtype)  # only the interior is ever written
     doutp[1:-1, 1:-1] = dout
     dxs = _shifted_matmuls(doutp, taps, np.zeros((h, wd, cin), dout.dtype))
@@ -282,7 +282,7 @@ def _leaky(x: np.ndarray, slope: float, out=None) -> np.ndarray:
 
 
 def _leaky_grad(x: np.ndarray, slope: float) -> np.ndarray:
-    return np.where(x > 0, x.dtype.type(1.0), x.dtype.type(slope))
+    return np.maximum(x > 0, x.dtype.type(slope))  # np.where(x > 0, 1, slope)'s bits, with no branch
 
 
 def encode(fp: FieldParams, enc_input: EncoderInput, want_cache: bool = False):
@@ -295,9 +295,12 @@ def encode(fp: FieldParams, enc_input: EncoderInput, want_cache: bool = False):
     cfg = fp.config
     p = fp.params
     h, wd, k = cfg.grid_h, cfg.grid_w, cfg.hist_channels
-    xp = np.zeros((h + 2, wd + 2, k + 1), p["enc.conv1.w"].dtype)
-    xp[1:-1, 1:-1, :k] = pillar_histogram(enc_input, cfg)
-    xp[1:-1, 1:-1, k] = 1.0
+    dtype = p["enc.conv1.w"].dtype
+    xp = enc_input.conv_input.get((cfg, dtype))
+    if xp is None:  # read-only, and shared by every step on the sample
+        xp = enc_input.conv_input[cfg, dtype] = np.zeros((h + 2, wd + 2, k + 1), dtype)
+        xp[1:-1, 1:-1] = np.dstack([pillar_histogram(enc_input, cfg), np.ones((h, wd))])
+        xp.flags.writeable = False
     e = np.vstack([p["enc.embed.w"], p["enc.embed.b"]])
     pre1 = _conv2d(xp, e @ p["enc.conv1.w"], p["enc.conv1.b"])
     hp1 = np.zeros((h + 2, wd + 2, cfg.channels), pre1.dtype)
@@ -528,12 +531,9 @@ def _bce_from_logits(logits: np.ndarray, labels: np.ndarray) -> np.ndarray:
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    e = np.exp(x[~pos])
-    out[~pos] = e / (1.0 + e)
-    return out
+    """The logistic function with no overflow or branch; min(x, -x) is -|x| keeping a NaN's sign."""
+    e = np.exp(np.minimum(x, -x))
+    return np.maximum(x >= 0, e) / (1.0 + e)
 
 
 @dataclass

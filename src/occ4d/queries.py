@@ -568,10 +568,11 @@ def gen_ego_path_queries(
 
 @dataclass
 class EncoderInput:
-    """Past-scan hit points in the (augmented) reference frame."""
+    """Past-scan hit points in the (augmented) reference frame, fixed once encoded."""
 
     point_sets: list          # one (n_i, 3) array per past scan
     rel_times: list           # seconds relative to t0, non-positive
+    conv_input: dict = field(default_factory=dict, repr=False, compare=False)  # field.encode's, per (cfg, dtype)
 
 
 def past_encoder_input(scans, ref: Pose, t0: float, theta: float) -> EncoderInput:

@@ -4,8 +4,9 @@ Batch composition at step s is a pure function of (seed, s) through
 counter-based streams, so resuming from a checkpoint reproduces the
 uninterrupted run exactly.
 
-``train`` runs every step in float32, TRAIN_DTYPE: it casts the params and
-the Adam moments to float32 on entry and back to float64 on return, so
+``train`` runs every step in float32, TRAIN_DTYPE: it copies the params and
+each Adam moment into a flat float32 arena and works on views of it, so a
+step runs one elementwise ``adam_step``; it returns float64 copies, so
 checkpoints and resume see float64. ``init_params`` draws values that
 float32 holds exactly, and a float32 value survives the round trip, so a
 resumed run is the uninterrupted one and a tensor that training never moves
@@ -173,6 +174,13 @@ def draw_batch(sample: TrainSample, subsets: dict, cfg: TrainConfig, step: int) 
     return Batch.from_queryset(sample.queries, np.concatenate(picked))
 
 
+def _arena(tensors: dict, keys: list):
+    """A flat TRAIN_DTYPE copy of ``tensors`` in ``keys`` order, and a view of it per tensor."""
+    flat = np.concatenate([tensors[k].ravel() for k in keys], dtype=TRAIN_DTYPE)
+    start = dict(zip(keys, np.cumsum([0] + [tensors[k].size for k in keys])))
+    return flat, {k: flat[start[k] : start[k] + t.size].reshape(t.shape) for k, t in tensors.items()}
+
+
 def train(
     samples: list,
     field_cfg: FieldConfig,
@@ -203,8 +211,12 @@ def train(
     fp = init if init is not None else init_params(field_cfg, cfg.seed, cfg.mode)
     if fp.mode != cfg.mode:
         raise ValueError(f"parameter mode {fp.mode!r} != train mode {cfg.mode!r}")
-    fp = fp.astype(TRAIN_DTYPE)
-    state = adam_state.astype(TRAIN_DTYPE) if adam_state is not None else AdamState.zeros(fp.params)
+    keys = list(fp.params)
+    flat_p, params = _arena(fp.params, keys)
+    state = adam_state if adam_state is not None else AdamState.zeros(params)  # float32: freed float64 zeros raised peak RSS
+    (flat_m, m), (flat_v, v) = _arena(state.m, keys), _arena(state.v, keys)
+    fp, state, flat = FieldParams(fp.config, fp.mode, params), AdamState(m, v), AdamState({"": flat_m}, {"": flat_v})
+    flat_g = np.empty_like(flat_p)
     subsets = [{name: s.queries.indices_for(*tags) for name, tags in HEAD_TAGS.items()} for s in samples]
 
     history = []
@@ -224,7 +236,8 @@ def train(
         if not math.isfinite(terms.total):
             raise TrainingDiverged(step, terms.total)
         lr = lr_schedule(step, cfg)
-        adam_step(fp.params, grads, state, step, lr)
+        np.concatenate([grads[k].ravel() for k in keys], out=flat_g)
+        adam_step({"": flat_p}, {"": flat_g}, flat, step, lr)
         history.append((step, lr, terms.total, terms.occ, terms.feat, terms.ego))
         best_loss = min(best_loss, terms.total)
         if on_step is not None:

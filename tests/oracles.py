@@ -561,6 +561,23 @@ def _head_layers(params, name, h1, slope):
     return out + params[f"head.{name}.b3"]
 
 
+def leaky_grad_where(x, slope):
+    """The leaky unit's derivative by select: 1 where x > 0, else ``slope``,
+    in x's dtype."""
+    return np.where(x > 0, x.dtype.type(1.0), x.dtype.type(slope))
+
+
+def sigmoid_masked(x):
+    """The logistic function by boolean masks: 1 / (1 + e^-x) where x >= 0,
+    e^x / (1 + e^x) elsewhere, so no exp overflows."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    e = np.exp(x[~pos])
+    out[~pos] = e / (1.0 + e)
+    return out
+
+
 # ---------------------------------------------------------------------------
 # encoder conv in scatter form: pad the input inside the conv, copy each
 # tap's patch, and scatter each tap's dx product into a padded gradient
@@ -576,8 +593,7 @@ def _pad(x):
 def conv2d_scatter(x, w, b):
     """3x3 same-padded convolution, (H,W,Cin) x (3,3,Cin,Cout) -> (H,W,Cout)."""
     h, wd, cin = x.shape
-    xp = np.zeros((h + 2, wd + 2, cin))
-    xp[1:-1, 1:-1] = x
+    xp = _pad(x)
     out = np.broadcast_to(b, (h, wd, w.shape[3])).copy()
     for dy in range(3):
         for dx in range(3):
@@ -586,11 +602,11 @@ def conv2d_scatter(x, w, b):
 
 
 def conv2d_backward_scatter(x, w, dout):
-    """(dw, db, dx) of conv2d_scatter(x, w, b) given dout."""
+    """(dw, db, dx) of conv2d_scatter(x, w, b) given dout; each dx product
+    takes its tap transposed into a contiguous copy, as BLAS's NN path."""
     h, wd, cin = x.shape
     cout = w.shape[3]
-    xp = np.zeros((h + 2, wd + 2, cin))
-    xp[1:-1, 1:-1] = x
+    xp = _pad(x)
     dw = np.zeros_like(w)
     dxp = np.zeros_like(xp)
     flat_dout = dout.reshape(-1, cout)
@@ -598,7 +614,7 @@ def conv2d_backward_scatter(x, w, dout):
         for dx in range(3):
             patch = xp[dy : dy + h, dx : dx + wd].reshape(-1, cin)
             dw[dy, dx] = patch.T @ flat_dout
-            dxp[dy : dy + h, dx : dx + wd] += dout @ w[dy, dx].T
+            dxp[dy : dy + h, dx : dx + wd] += dout @ np.ascontiguousarray(w[dy, dx].T)
     db = flat_dout.sum(axis=0)
     return dw, db, dxp[1:-1, 1:-1]
 

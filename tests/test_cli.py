@@ -135,6 +135,24 @@ class TestJsonInputs:
         subprocess.run(args, env=env, check=True, timeout=120)
 
 
+def test_train_profile_runs_on_a_queries_dir(pipeline):
+    # the profile of three steps: one summary line, then a row per timed
+    # function that ran, with its calls and milliseconds per step
+    root, cfg_path = pipeline
+    repo = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(repo / "src"), os.environ.get("PYTHONPATH")]))}
+    args = [sys.executable, str(repo / "scripts" / "train_profile.py"), str(cfg_path), str(root / "queries"), "--steps", "3"]
+    done = subprocess.run(args, env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    head, header, *rows = done.stdout.splitlines()
+    pattern = r"train_profile: 3 amortized steps on 2 samples, (1|None) BLAS thread\(s\): [0-9.]+ ms/step, [0-9.]+ minor faults/step"
+    assert re.fullmatch(pattern, head), head
+    assert header.split() == ["function", "calls/step", "ms/step"]
+    calls = {row.split()[0]: row.split()[1] for row in rows}
+    assert calls["_conv2d"] == "2.00" and calls["adam_step"] == calls["draw_batch"] == calls["encode"] == "1.00"
+    assert 0 < float(calls["pillar_histogram"]) <= 0.67  # once per sample that a step drew
+
+
 class TestPipeline:
     def test_dataset_layout(self, pipeline):
         root, _ = pipeline

@@ -16,6 +16,7 @@ from occ4d.config import (
     train_from,
     write_manifest,
 )
+from occ4d.evaluation import EvalGrid
 
 
 class TestConfig:
@@ -147,6 +148,19 @@ class TestConfig:
             load_config(overrides={"field": {f"{axis}_range": [-15.0, 18.0]}})
         cfg = load_config(overrides={"eval": {axis: [-18.0, 18.0]}})  # the field's own edges are inside
         assert cfg["eval"][axis] == [-18.0, 18.0]
+
+    def test_empty_eval_times_rejected(self, tmp_path):
+        # with no probe time eval would fail inside numpy, after every other
+        # stage had run, with a message that names no config key
+        p = tmp_path / "notimes.json"
+        p.write_text(json.dumps({"eval": {"times": []}}))
+        message = "eval times [] must hold at least one probe time, each >= 0"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            load_config(p)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            EvalGrid(times=())
+        with pytest.raises(ValueError, match=re.escape("eval times [0.6, -1.0] must hold")):
+            load_config(overrides={"eval": {"times": [0.6, -1.0]}})
 
     def test_invalid_json_reports_line(self, tmp_path):
         p = tmp_path / "bad.json"

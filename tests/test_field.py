@@ -25,7 +25,7 @@ from occ4d.field import (
     query_head,
     sigmoid,
 )
-from occ4d.field import _conv2d, _conv2d_backward, _leaky
+from occ4d.field import _conv2d, _conv2d_backward, _leaky, _leaky_grad
 from occ4d.evaluation import EvalGrid
 from occ4d.queries import EncoderInput, QuerySet
 
@@ -38,7 +38,9 @@ from oracles import (
     head_block,
     head_block_unsplit,
     interp_backward_add_at,
+    leaky_grad_where,
     loss,
+    sigmoid_masked,
 )
 
 SMALL = FieldConfig(
@@ -146,22 +148,33 @@ class TestEncoder:
 
 
 def same_bits(a, b):
-    """Equal shapes and equal uint64 views: equal values, signs of zero
-    (np.signbit) included."""
+    """Equal dtypes, shapes and unsigned-integer views: equal values, signs
+    of zero (np.signbit) and NaN bits included."""
     a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
-    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+    uint = f"u{a.itemsize}"
+    return a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a.view(uint), b.view(uint))
 
 
-@pytest.mark.parametrize("h, w, cin, cout", [(72, 72, 32, 32), (9, 7, 16, 32), (9, 7, 5, 3), (7, 9, 3, 5), (5, 1, 4, 4), (1, 1, 2, 3)])
+# float64 at every shape; float32, the dtype training steps in, at the
+# default grid and at a shape where BLAS's NN and NT paths round apart
+CONV_CASES = [(72, 72, 32, 32), (9, 7, 16, 32), (9, 7, 5, 3), (7, 9, 3, 5), (5, 1, 4, 4), (1, 1, 2, 3)]
+CONV_CASES = [(*c, np.float64) for c in CONV_CASES] + [(72, 72, 32, 32, np.float32), (9, 7, 16, 32, np.float32)]
+
+
+@pytest.mark.parametrize(
+    "h, w, cin, cout, dtype",
+    CONV_CASES,
+    ids=["-".join(map(str, c[:4])) + ("-float32" if c[4] == np.float32 else "") for c in CONV_CASES],
+)
 @pytest.mark.parametrize("zero_rows", [0.0, 0.6])
-def test_conv_same_bits_as_scatter_form(h, w, cin, cout, zero_rows):
+def test_conv_same_bits_as_scatter_form(h, w, cin, cout, dtype, zero_rows):
     # zero_rows zeroes whole cells of dout, as the sparse dZ that conv2's
     # backward gets from the interpolation; some entries are -0.0
     rng = np.random.default_rng(h * 100 + w)
-    x = rng.normal(size=(h, w, cin))
+    x = rng.normal(size=(h, w, cin)).astype(dtype)
     x[rng.uniform(size=x.shape) < 0.1] = -0.0
-    wt, b = rng.normal(size=(3, 3, cin, cout)), rng.normal(size=cout)
-    dout = rng.normal(size=(h, w, cout))
+    wt, b = rng.normal(size=(3, 3, cin, cout)).astype(dtype), rng.normal(size=cout).astype(dtype)
+    dout = rng.normal(size=(h, w, cout)).astype(dtype)
     dout[rng.uniform(size=(h, w)) < zero_rows] = 0.0
     dout[rng.uniform(size=dout.shape) < 0.1] = -0.0
     assert same_bits(_conv2d(_pad(x), wt, b), conv2d_scatter(x, wt, b))
@@ -596,6 +609,29 @@ class TestSigmoid:
     def test_matches_definition(self):
         x = np.linspace(-30, 30, 101)
         np.testing.assert_allclose(sigmoid(x), 1.0 / (1.0 + np.exp(-x)), atol=1e-12)
+
+
+def select_inputs(dtype):
+    """±0, ±inf, NaNs of both signs, subnormals, the extremes, logits that
+    saturate the sigmoid in ``dtype`` and a random-sign 72 x 72 x 32 array."""
+    fi = np.finfo(dtype)
+    sat = 90.0 if dtype == np.float32 else 750.0
+    special = np.array(
+        [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, fi.smallest_subnormal, -fi.smallest_subnormal, fi.tiny, -fi.tiny]
+        + [sat, -sat, fi.max, -fi.max, 1.0, -1.0],
+        dtype,
+    )
+    rand = np.random.default_rng(34).normal(size=(72, 72, 32)) * 10.0 ** np.random.default_rng(35).integers(-3, 3, (72, 72, 32))
+    return special, rand.astype(dtype)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_branch_free_selects_same_bits_as_masked_forms(dtype):
+    for x in select_inputs(dtype):
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert same_bits(sigmoid(x), sigmoid_masked(x))
+        for slope in (0.0, 0.1, 1.0):
+            assert same_bits(_leaky_grad(x, slope), leaky_grad_where(x, slope)), slope
 
 
 def test_leaky_slope_outside_unit_interval_rejected():
