@@ -5,10 +5,12 @@ process with 1 BLAS thread, and print the milliseconds and minor page faults
 function of the step that was called.
 
 Each function is timed by a wrapper that this script installs in its module
-before training; a function called inside another (``_conv2d`` inside
-``encode``) counts in both. The run keeps the config's learning-rate
-schedule and stops after ``--steps`` steps (default 100, at most the
-config's ``train.total_steps``). Fit-per-scene mode trains on the first
+before training; a function called inside another (``_conv_at`` inside
+``encode``) counts in both, and a TIMED name that its module lacks stops
+the script with a message that names it. The process pins glibc's heap as
+``occ4d`` does. The run keeps the config's learning-rate schedule and stops
+after ``--steps`` steps (default 100, at most the config's
+``train.total_steps``). Fit-per-scene mode trains on the first
 sample, as ``occ4d train`` does. Nothing is written.
 
 Usage: python scripts/train_profile.py CONFIG QUERIES [--steps N]
@@ -26,13 +28,12 @@ TIMED = {
         "encode",
         "encode_backward",
         "pillar_histogram",
-        "_conv2d",
-        "_conv2d_backward",
-        "_conv2d_dw",
+        "_conv_at",
+        "_conv_dx",
         "_leaky_grad",
         "head_forward",
         "head_backward",
-        "head_input",
+        "_interp_setup",
         "interp_grid",
         "interp_backward",
         "fourier_zt",
@@ -44,6 +45,9 @@ TIMED = {
 def install_timers(modules: dict, seconds: dict, calls: dict) -> None:
     """Replace each TIMED function in ``modules`` by a wrapper that adds its
     wall time to ``seconds[name]`` and counts its calls."""
+    missing = [f"{m}.{n}" for m, names in TIMED.items() for n in names if not callable(getattr(modules[m], n, None))]
+    if missing:
+        raise SystemExit(f"train_profile: no function {', '.join(missing)} to time; update TIMED")
     for mod_name, names in TIMED.items():
         module = modules[mod_name]
         for name in names:
@@ -71,9 +75,10 @@ def main(argv) -> int:
     import resource
 
     from occ4d import field, training
-    from occ4d.cli import _blas_threads, _load_samples
+    from occ4d.cli import _blas_threads, _load_samples, _pin_heap
     from occ4d.config import field_from, load_config, train_from
 
+    _pin_heap()
     cfg = load_config(args.config)
     tcfg = train_from(cfg)
     samples = _load_samples(Path(args.queries))

@@ -72,6 +72,18 @@ def _blas_thread_calls():
     return None
 
 
+def _pin_heap():
+    """Fix glibc's malloc thresholds, so that a freed array of up to 32 MiB
+    stays in the heap and the next reuses its pages, whatever the heap's
+    history; idempotent, and a no-op where libc has no mallopt."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, TypeError, AttributeError):
+        return
+    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
+    mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
+
+
 def _one_blas_thread():
     """--workers processes run side by side, so each runs BLAS on one thread
     rather than oversubscribing the cores; without the symbols, a no-op."""
@@ -485,6 +497,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    _pin_heap()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

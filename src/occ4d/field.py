@@ -11,6 +11,17 @@ taps E @ W1[tap], E = [embed.w; embed.b]. A tap costs (2 * k_past + 1) * C
 multiply-adds a cell, not C * C, and conv1's input needs no gradient. The
 params and the checkpoint keep the embed and conv1 apart.
 
+A batch reads the grid only at its queries' bilinear corner cells T, so a
+training step makes only those rows: ``loss_and_grads`` finds T, and the
+encoder runs conv2 on T and conv1 on D, the grid cells of T's 3x3 windows.
+Each conv is one GEMM of a cell's whole window, gathered by flat index from
+the input padded by a ring of zeros, with the stacked taps; conv2 reads
+conv1's output from a zeroed padded grid filled only on D. The backward
+pass runs over T and D alone. Eval encodes every cell the same way, and a
+row's bits do not depend on the cells beside it, where BLAS computes each
+GEMM row on its own (OpenBLAS does at the default 32 channels). In
+fit-per-scene mode the learned grid is read and differentiated whole.
+
 A head's first layer is split at the grid's C channels: pre1 = x[:, :C] @
 W1[:C], then pre1 += (x[:, C:] @ W1[C:] + b1). ``lattice_head`` takes the
 first term once per (x, y) column and the second once per (time, z) layer.
@@ -19,11 +30,11 @@ Everything is plain numpy with hand-derived backward passes; tests pin the
 gradients against central finite differences.
 
 Two dtype rules. In training the params set the dtype: each float64 array
-that meets them (the pillar histogram, padding and scratch buffers, the
-leaky gradient's constants, the interpolation weights and scatter, the
-Fourier columns and the loss derivative) is cast once, with ``copy=False``
-or into a buffer, to the dtype of the parameter or grid it meets; conv1's
-input is built once per (config, dtype) and kept on the EncoderInput. In
+that meets them (the pillar histogram, padding, the leaky gradient's
+constants, the interpolation weights and scatter, the Fourier columns and
+the loss derivative) is cast once, with ``copy=False`` or into a buffer,
+to the dtype of the parameter or grid it meets; conv1's input is built
+once per (config, dtype) and kept on the EncoderInput. In
 scoring (``query_head``, ``lattice_head``) the grid sets it: the head's
 tensors are cast to the grid's dtype, so a float32 grid scores in float32
 even from float64 params. With float64 everywhere every cast is a no-op and
@@ -197,83 +208,35 @@ def pillar_histogram(enc: EncoderInput, cfg: FieldConfig) -> np.ndarray:
     return out
 
 
-# output rows per block of _shifted_matmuls: a block and its tap product
-# stay in L2 at the default 72x72x32 grid
-_CONV_ROWS = 8
+def _padded(cells: np.ndarray, w: int) -> np.ndarray:
+    """Flat cell indices j * W + i as flat indices into the grid inside a
+    one-cell ring, (H + 2) x (W + 2)."""
+    return cells + 2 * (cells // w) + w + 3
 
 
-# the conv's scratch arrays, kept across calls by name, shape and dtype (the
-# two convs' inputs differ in channels): a fresh array of a megabyte or more
-# costs a page fault per 4 KiB page on every call
-_scratch = {}
+def _taps(w: int) -> np.ndarray:
+    """The padded flat offsets of a 3x3 window's taps, in (dy, dx) order."""
+    return ((np.arange(3)[:, None] - 1) * (w + 2) + np.arange(3) - 1).ravel()
 
 
-def _scratch_array(name: str, shape: tuple, dtype) -> np.ndarray:
-    """A zero-filled array on first use; later calls get it back as they
-    left it."""
-    buf = _scratch.get((name, shape, dtype))
-    if buf is None:
-        buf = _scratch[name, shape, dtype] = np.zeros(shape, dtype)
-    return buf
+def _conv_at(xp: np.ndarray, p: np.ndarray, taps: np.ndarray, w: np.ndarray, b: np.ndarray):
+    """A 3x3 conv (3,3,Cin,Cout) of the flat padded input ``xp`` at the
+    padded flat cells ``p``: (windows, out). A cell's row of windows holds
+    its taps' inputs in (dy, dx) order, (len(p), 9 * Cin), and out is one
+    GEMM of them with the stacked taps, plus b."""
+    windows = xp.take((p[:, None] + taps).ravel(), axis=0).reshape(len(p), -1)
+    return windows, _gemm_rows(windows, w.reshape(-1, w.shape[3])) + b
 
 
-def _shifted_matmuls(xp: np.ndarray, taps, out: np.ndarray) -> np.ndarray:
-    """out += xp[i:i+H, j:j+W] @ m for each (i, j, m) of taps, in order.
-
-    Runs _CONV_ROWS rows of out at a time. Each product is the same batch
-    of per-row GEMMs as ``xp[i:i+H, j:j+W] @ m``, so the bits do not depend
-    on the blocking."""
-    h, wd = out.shape[:2]
-    products = _scratch_array("products", (min(h, _CONV_ROWS), wd, out.shape[2]), out.dtype)
-    for r in range(0, h, _CONV_ROWS):
-        acc = out[r : r + _CONV_ROWS]
-        product = products[: len(acc)]
-        for i, j, m in taps:
-            np.matmul(xp[r + i : r + i + len(acc), j : j + wd], m, out=product)
-            acc += product
-    return out
-
-
-def _conv2d(xp: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """3x3 same-padded convolution of the zero-padded input,
-    (H+2,W+2,Cin) x (3,3,Cin,Cout) -> (H,W,Cout)."""
-    out = np.broadcast_to(b, (xp.shape[0] - 2, xp.shape[1] - 2, w.shape[3])).copy()
-    return _shifted_matmuls(xp, [(dy, dx, w[dy, dx]) for dy in range(3) for dx in range(3)], out)
-
-
-def _conv2d_dw(xp: np.ndarray, dout: np.ndarray) -> np.ndarray:
-    """The tap gradient (3,3,Cin,Cout) of ``_conv2d(xp, w, b)`` given dout
-    (H,W,Cout); each tap's (H*W, Cin) patch is a row range of one
-    contiguous copy per column shift."""
-    h, wd, cout = dout.shape
-    cin = xp.shape[2]
-    flat_dout = dout.reshape(-1, cout)
-    dw = np.empty((3, 3, cin, cout), dout.dtype)
-    cols = _scratch_array("cols", (h + 2, wd, cin), xp.dtype)
-    for dx in range(3):
-        np.copyto(cols, xp[:, dx : dx + wd])
-        for dy in range(3):
-            dw[dy, dx] = cols[dy : dy + h].reshape(-1, cin).T @ flat_dout
-    return dw
-
-
-def _conv2d_backward(xp: np.ndarray, w: np.ndarray, dout: np.ndarray):
-    """Gradients (dw, db, dx) of ``_conv2d(xp, w, b)`` given dout (H,W,Cout).
-
-    dx gathers from the padded dout, adding the taps in (dy, dx) order into
-    zeros; a tap outside dout adds a GEMM's +0.0, so every element gets the
-    same sum as scattering each tap into dx would. The transposed taps are
-    contiguous copies: BLAS runs them as NN GEMMs, faster than NT on views,
-    and at some shapes with other bits."""
-    h, wd = dout.shape[:2]
-    cin, cout = w.shape[2], w.shape[3]
-    dw = _conv2d_dw(xp, dout)
-    db = dout.reshape(-1, cout).sum(axis=0)
-    taps = [(2 - dy, 2 - dx, np.ascontiguousarray(w[dy, dx].T)) for dy in range(3) for dx in range(3)]
-    doutp = _scratch_array("doutp", (h + 2, wd + 2, cout), dout.dtype)  # only the interior is ever written
-    doutp[1:-1, 1:-1] = dout
-    dxs = _shifted_matmuls(doutp, taps, np.zeros((h, wd, cin), dout.dtype))
-    return dw, db, dxs
+def _conv_dx(dout: np.ndarray, w: np.ndarray, p: np.ndarray, taps: np.ndarray, n_pad: int) -> np.ndarray:
+    """The input gradient of ``_conv_at`` on the n_pad rows of the flat
+    padded input: each tap's dout @ W[tap]^T, an NN GEMM with the tap's
+    contiguous transpose, scattered into zeros in (dy, dx) order."""
+    dwin = dout @ np.ascontiguousarray(w.reshape(9, *w.shape[2:]).transpose(0, 2, 1))
+    dxp = np.zeros((n_pad, w.shape[2]), dout.dtype)
+    for k, off in enumerate(taps):  # p holds each cell once, so one tap's rows are distinct
+        dxp[p + off] += dwin[k]
+    return dxp
 
 
 def _leaky(x: np.ndarray, slope: float, out=None) -> np.ndarray:
@@ -285,48 +248,61 @@ def _leaky_grad(x: np.ndarray, slope: float) -> np.ndarray:
     return np.maximum(x > 0, x.dtype.type(slope))  # np.where(x > 0, 1, slope)'s bits, with no branch
 
 
-def encode(fp: FieldParams, enc_input: EncoderInput, want_cache: bool = False):
-    """Pillar histogram -> linear embed -> conv -> leaky -> conv -> Z, with
-    the embed folded into conv1 (see the module docstring). The cache holds
-    conv1's padded input ``xp``, its ones channel 0 on the ring, the stacked
-    embed ``e``, conv1's output ``pre1`` and conv2's padded input ``hp1``."""
+def encode(fp: FieldParams, enc_input: EncoderInput, cells=None, want_cache: bool = False):
+    """Pillar histogram -> linear embed -> conv -> leaky -> conv -> Z at the
+    distinct flat cells ``cells`` (j * W + i), as rows (len(cells), C), or
+    as the grid (H, W, C) when ``cells`` is None. The embed is folded into
+    conv1, which runs only on D, the grid cells of the cells' 3x3 windows
+    (see the module docstring). The cache holds the padded cells ``pt`` and
+    ``pd``, both convs' windows, the stacked embed ``e`` and conv1's output
+    ``pre1``."""
     if fp.mode != MODE_AMORTIZED:
         raise ValueError("encode requires amortized-mode parameters")
     cfg = fp.config
     p = fp.params
-    h, wd, k = cfg.grid_h, cfg.grid_w, cfg.hist_channels
+    h, wd, c = cfg.grid_h, cfg.grid_w, cfg.channels
     dtype = p["enc.conv1.w"].dtype
     xp = enc_input.conv_input.get((cfg, dtype))
-    if xp is None:  # read-only, and shared by every step on the sample
-        xp = enc_input.conv_input[cfg, dtype] = np.zeros((h + 2, wd + 2, k + 1), dtype)
+    if xp is None:  # flat, read-only, and shared by every step on the sample
+        xp = np.zeros((h + 2, wd + 2, cfg.hist_channels + 1), dtype)
         xp[1:-1, 1:-1] = np.dstack([pillar_histogram(enc_input, cfg), np.ones((h, wd))])
+        xp = enc_input.conv_input[cfg, dtype] = xp.reshape(-1, xp.shape[2])
         xp.flags.writeable = False
+    taps = _taps(wd)
+    pt = _padded(np.arange(h * wd) if cells is None else np.asarray(cells), wd)
+    in_d = np.zeros((h + 2, wd + 2), bool)
+    in_d.ravel()[(pt[:, None] + taps).ravel()] = True
+    in_d[[0, -1]] = in_d[:, [0, -1]] = False  # the ring stays zero
+    pd = np.flatnonzero(in_d)
     e = np.vstack([p["enc.embed.w"], p["enc.embed.b"]])
-    pre1 = _conv2d(xp, e @ p["enc.conv1.w"], p["enc.conv1.b"])
-    hp1 = np.zeros((h + 2, wd + 2, cfg.channels), pre1.dtype)
-    _leaky(pre1, cfg.leaky_slope, out=hp1[1:-1, 1:-1])
-    z = _conv2d(hp1, p["enc.conv2.w"], p["enc.conv2.b"])
+    cols1, pre1 = _conv_at(xp, pd, taps, e @ p["enc.conv1.w"], p["enc.conv1.b"])
+    hp1 = np.zeros((in_d.size, c), dtype)
+    hp1[pd] = _leaky(pre1, cfg.leaky_slope)
+    cols2, z = _conv_at(hp1, pt, taps, p["enc.conv2.w"], p["enc.conv2.b"])
+    if cells is None:
+        z = z.reshape(h, wd, c)
     if want_cache:
-        return z, {"xp": xp, "e": e, "pre1": pre1, "hp1": hp1}
+        return z, {"pt": pt, "pd": pd, "taps": taps, "cols1": cols1, "cols2": cols2, "e": e, "pre1": pre1}
     return z
 
 
 def encode_backward(fp: FieldParams, cache: dict, dz: np.ndarray) -> dict:
-    """The encoder's gradients given dZ. Conv1 gets only the folded taps'
-    gradient G, (3,3,2*k_past+1,C); then conv1.w[tap] = E^T G[tap], and E's
-    gradient, the embed's weight over its bias, sums G[tap] W1[tap]^T over
-    the taps in (dy, dx) order."""
+    """The encoder's gradients given dZ at the cells ``encode`` ran on, as
+    rows or as the grid. Conv2's input gradient reaches only D. Conv1 gets
+    only the folded taps' gradient G, (3,3,2*k_past+1,C); then conv1.w[tap]
+    = E^T G[tap], and E's gradient, the embed's weight over its bias, sums
+    G[tap] W1[tap]^T over the taps in (dy, dx) order."""
     cfg = fp.config
     p = fp.params
-    grads = {}
-    dw2, db2, dh1 = _conv2d_backward(cache["hp1"], p["enc.conv2.w"], dz)
-    grads["enc.conv2.w"] = dw2
-    grads["enc.conv2.b"] = db2
-    dpre1 = dh1 * _leaky_grad(cache["pre1"], cfg.leaky_slope)
-    g = _conv2d_dw(cache["xp"], dpre1)
-    w1 = p["enc.conv1.w"]
+    c = cfg.channels
+    w1, w2 = p["enc.conv1.w"], p["enc.conv2.w"]
+    dz = dz.reshape(-1, c)
+    grads = {"enc.conv2.w": (cache["cols2"].T @ dz).reshape(w2.shape), "enc.conv2.b": dz.sum(axis=0)}
+    dhp1 = _conv_dx(dz, w2, cache["pt"], cache["taps"], (cfg.grid_h + 2) * (cfg.grid_w + 2))
+    dpre1 = dhp1[cache["pd"]] * _leaky_grad(cache["pre1"], cfg.leaky_slope)
+    g = (cache["cols1"].T @ dpre1).reshape(3, 3, -1, c)
     grads["enc.conv1.w"] = cache["e"].T @ g
-    grads["enc.conv1.b"] = dpre1.reshape(-1, cfg.channels).sum(axis=0)
+    grads["enc.conv1.b"] = dpre1.sum(axis=0)
     de = sum(g[dy, dx] @ w1[dy, dx].T for dy in range(3) for dx in range(3))
     grads["enc.embed.w"], grads["enc.embed.b"] = de[:-1], de[-1]
     return grads
@@ -350,7 +326,12 @@ def fourier_zt(z: np.ndarray, t: np.ndarray, cfg: FieldConfig) -> np.ndarray:
     return np.stack(cols, axis=-1)
 
 
-def _interp_setup(z_grid: np.ndarray, x: np.ndarray, y: np.ndarray, cfg: FieldConfig):
+def _interp_setup(x: np.ndarray, y: np.ndarray, cfg: FieldConfig, dtype):
+    """(corners, weights) of bilinear interpolation at continuous (x, y):
+    each query's four corner cells as flat indices j * W + i, (4, n), in
+    the order (j0, i0), (j0, i0+1), (j0+1, i0), (j0+1, i0+1), and their
+    weights in ``dtype``. The outer half-cell ring clamps to the edge
+    cells, keeping outputs continuous up to the region boundary."""
     # written as "all inside" so that NaN, which compares False, fails it
     if not all(np.all(lo <= v) and np.all(v <= hi) for v, (lo, hi) in ((x, cfg.x_range), (y, cfg.y_range))):
         raise OutOfRegionError("query position outside the field's x-y region or NaN")
@@ -358,48 +339,42 @@ def _interp_setup(z_grid: np.ndarray, x: np.ndarray, y: np.ndarray, cfg: FieldCo
     u = np.clip((x - cfg.x_range[0]) / cfg.cell - 0.5, 0.0, w - 1.0)
     v = np.clip((y - cfg.y_range[0]) / cfg.cell - 0.5, 0.0, h - 1.0)
     # u, v >= 0, so every corner lies in the grid; along an axis one cell
-    # wide the far corner is the near one (see interp_grid)
+    # wide the far corner is the near one
     i0 = np.minimum(np.floor(u).astype(np.int64), max(w - 2, 0))
     j0 = np.minimum(np.floor(v).astype(np.int64), max(h - 2, 0))
     fx = u - i0
     fy = v - j0
     weights = ((1 - fy) * (1 - fx), (1 - fy) * fx, fy * (1 - fx), fy * fx)
-    return i0, j0, tuple(wk.astype(z_grid.dtype, copy=False) for wk in weights)
-
-
-def interp_grid(z_grid: np.ndarray, x: np.ndarray, y: np.ndarray, cfg: FieldConfig, want_cache=False):
-    """Bilinear interpolation of the grid at continuous (x, y); the outer
-    half-cell ring clamps to the edge cells, keeping outputs continuous up
-    to the region boundary."""
-    i0, j0, (w00, w01, w10, w11) = _interp_setup(z_grid, x, y, cfg)
-    i1, j1 = i0 + min(cfg.grid_w - 1, 1), j0 + min(cfg.grid_h - 1, 1)
-    out = (
-        w00[:, None] * z_grid[j0, i0]
-        + w01[:, None] * z_grid[j0, i1]
-        + w10[:, None] * z_grid[j1, i0]
-        + w11[:, None] * z_grid[j1, i1]
-    )
-    if want_cache:
-        return out, (i0, j0, (w00, w01, w10, w11))
-    return out
-
-
-def interp_backward(cache, dfeat: np.ndarray, grid_shape) -> np.ndarray:
-    """Gradient of interp_grid's output w.r.t. the grid.
-
-    One bincount over corner-major flat indices (corner, query, channel)
-    adds into each grid entry in the order of one unbuffered scatter-add
-    per corner, (j0, i0), (j0, i0+1), (j0+1, i0), (j0+1, i0+1), starting
-    from 0.0; so no entry is -0.0."""
-    i0, j0, weights = cache
-    h, w, c = grid_shape
     cell = j0 * w + i0
     di, dj = min(w - 1, 1), min(h - 1, 1) * w
-    corners = np.concatenate([cell, cell + di, cell + dj, cell + dj + di])
-    flat = (corners[:, None] * c + np.arange(c)).ravel()
+    corners = np.stack([cell, cell + di, cell + dj, cell + dj + di])
+    return corners, tuple(wk.astype(dtype, copy=False) for wk in weights)
+
+
+def interp_grid(rows: np.ndarray, corners: np.ndarray, weights) -> np.ndarray:
+    """Bilinear interpolation from ``_interp_setup``'s corners and weights:
+    each query's weighted sum of its four corner rows of ``rows``, a grid's
+    cells flat (H * W, C) or a table of the cells a batch reads."""
+    w00, w01, w10, w11 = weights
+    return (
+        w00[:, None] * rows[corners[0]]
+        + w01[:, None] * rows[corners[1]]
+        + w10[:, None] * rows[corners[2]]
+        + w11[:, None] * rows[corners[3]]
+    )
+
+
+def interp_backward(corners: np.ndarray, weights, dfeat: np.ndarray, n_rows: int) -> np.ndarray:
+    """Gradient (n_rows, C) of interp_grid's output w.r.t. its rows.
+
+    One bincount over corner-major flat indices (corner, query, channel)
+    adds into each entry in the order of one unbuffered scatter-add per
+    corner, starting from 0.0; so no entry is -0.0."""
+    c = dfeat.shape[1]
+    flat = (corners.reshape(-1, 1) * c + np.arange(c)).ravel()
     vals = np.concatenate([wk[:, None] * dfeat for wk in weights]).ravel()
-    dz = np.bincount(flat, weights=vals, minlength=h * w * c).reshape(grid_shape)
-    return dz.astype(dfeat.dtype, copy=False)
+    drows = np.bincount(flat, weights=vals, minlength=n_rows * c).reshape(n_rows, c)
+    return drows.astype(dfeat.dtype, copy=False)
 
 
 def head_forward(fp: FieldParams, name: str, x: np.ndarray, want_cache=False):
@@ -449,16 +424,17 @@ def head_backward(fp: FieldParams, name: str, cache, dout: np.ndarray):
     return grads, dx
 
 
-def head_input(z_grid: np.ndarray, positions: np.ndarray, times: np.ndarray, cfg: FieldConfig, want_cache=False):
+def head_input(z_grid: np.ndarray, positions: np.ndarray, times: np.ndarray, cfg: FieldConfig) -> np.ndarray:
+    """The heads' input rows at probes on the grid (H, W, C): interpolated
+    features, then the Fourier (z, t) columns."""
     positions = np.atleast_2d(positions)
-    grid_feat = interp_grid(z_grid, positions[:, 0], positions[:, 1], cfg, want_cache=want_cache)
-    if want_cache:
-        grid_feat, cache = grid_feat
-    ft = fourier_zt(positions[:, 2], times, cfg).astype(grid_feat.dtype, copy=False)
-    x = np.concatenate([grid_feat, ft], axis=1)
-    if want_cache:
-        return x, cache
-    return x
+    corners, weights = _interp_setup(positions[:, 0], positions[:, 1], cfg, z_grid.dtype)
+    return _with_fourier(interp_grid(z_grid.reshape(-1, cfg.channels), corners, weights), positions, times, cfg)
+
+
+def _with_fourier(feat: np.ndarray, positions: np.ndarray, times: np.ndarray, cfg: FieldConfig) -> np.ndarray:
+    ft = fourier_zt(positions[:, 2], times, cfg).astype(feat.dtype, copy=False)
+    return np.concatenate([feat, ft], axis=1)
 
 
 def _head_in(fp: FieldParams, name: str, dtype) -> FieldParams:
@@ -503,7 +479,8 @@ def lattice_head(fp: FieldParams, z_grid: np.ndarray, name: str, xy: np.ndarray,
     cfg = fp.config
     head = _head_in(fp, name, z_grid.dtype)
     c, w1 = cfg.channels, head.params[f"head.{name}.w1"]
-    col = _gemm_rows(interp_grid(z_grid, xy[:, 0], xy[:, 1], cfg), w1[:c])
+    feat = interp_grid(z_grid.reshape(-1, c), *_interp_setup(xy[:, 0], xy[:, 1], cfg, z_grid.dtype))
+    col = _gemm_rows(feat, w1[:c])
     ts = np.atleast_1d(np.asarray(times, dtype=np.float64))
     ft = fourier_zt(np.tile(np.asarray(zs, dtype=np.float64), len(ts)), np.repeat(ts, len(zs)), cfg)
     layer = _gemm_rows(ft.astype(z_grid.dtype, copy=False), w1[c:]) + head.params[f"head.{name}.b1"]
@@ -590,13 +567,12 @@ def _head_loss(name: str, out: np.ndarray, target: np.ndarray):
     return float(np.mean(_bce_from_logits(logits, target))), dlogits[:, None]
 
 
-def _heads_loss(fp: FieldParams, z_grid: np.ndarray, batch: Batch, weights, per_term_average: bool, grads=None):
-    """The batch's LossTerms, the forward pass of ``loss_and_grads``. Given
-    a ``grads`` dict, each head's backward runs right after its forward, so
-    its activations are freed before the next head runs; its gradients go
-    into ``grads``. Returns (LossTerms, d total / d head input or None,
-    interp cache)."""
-    x, interp_cache = head_input(z_grid, batch.positions, batch.times, fp.config, want_cache=True)
+def _heads_loss(fp: FieldParams, x: np.ndarray, batch: Batch, weights, per_term_average: bool, grads=None):
+    """The batch's LossTerms from the heads' input rows ``x``, the forward
+    pass of ``loss_and_grads``. Given a ``grads`` dict, each head's backward
+    runs right after its forward, so its activations are freed before the
+    next head runs; its gradients go into ``grads``. Returns (LossTerms,
+    d total / d x or None)."""
     dx = None if grads is None else np.zeros_like(x)
     coeffs = _term_weights(batch, weights, per_term_average)
     terms = dict.fromkeys(HEAD_NAMES, 0.0)
@@ -614,13 +590,12 @@ def _heads_loss(fp: FieldParams, z_grid: np.ndarray, batch: Batch, weights, per_
     else:
         parts = [c * terms[name] * len(batch.rows[name]) for name, c in zip(HEAD_NAMES, coeffs)]
     total = sum(parts[1:], parts[0])  # left to right, from the first part
-    return LossTerms(float(total), **terms), dx, interp_cache
+    return LossTerms(float(total), **terms), dx
 
 
 def loss_and_grads(
     fp: FieldParams,
     batch: Batch,
-    z_grid: np.ndarray | None = None,
     enc_input: EncoderInput | None = None,
     weights=(1.0, 0.5, 0.1),
     per_term_average: bool = True,
@@ -630,29 +605,35 @@ def loss_and_grads(
     weighted sum of per-term means: BCE for occupancy and ego labels,
     elementwise L1 for feature targets; absent subsets contribute 0.
 
-    In amortized mode pass ``enc_input`` (the grid is recomputed and the
-    encoder receives gradients unless frozen); in fit-per-scene mode the
-    grid itself is the parameter. Returns (LossTerms, grads dict).
+    In amortized mode pass ``enc_input``: the batch reads the grid only at
+    its queries' corner cells T, so the encoder makes only their rows (and
+    receives gradients unless frozen). In fit-per-scene mode the grid
+    itself is the parameter. Returns (LossTerms, grads dict).
     """
     if batch.n == 0:
         raise ValueError("batch must be non-empty")
-    enc_cache = None
+    cfg = fp.config
+    dtype = fp.params["head.occ.w1"].dtype  # the params set the dtype
+    at, weights_xy = _interp_setup(batch.positions[:, 0], batch.positions[:, 1], cfg, dtype)
     if fp.mode == MODE_AMORTIZED:
         if enc_input is None:
             raise ValueError("amortized mode needs enc_input")
-        z_grid, enc_cache = encode(fp, enc_input, want_cache=True)
-    elif z_grid is None:
-        z_grid = fp.params["grid.z"]
+        cells, at = np.unique(at, return_inverse=True)
+        rows, enc_cache = encode(fp, enc_input, cells, want_cache=True)
+    else:
+        rows = fp.params["grid.z"].reshape(-1, cfg.channels)
 
     grads = {}
-    terms, dx, interp_cache = _heads_loss(fp, z_grid, batch, weights, per_term_average, grads)
-    dz = interp_backward(interp_cache, dx[:, : fp.config.channels], z_grid.shape)
+    at = at.reshape(4, -1)
+    x = _with_fourier(interp_grid(rows, at, weights_xy), batch.positions, batch.times, cfg)
+    terms, dx = _heads_loss(fp, x, batch, weights, per_term_average, grads)
+    drows = interp_backward(at, weights_xy, dx[:, : cfg.channels], len(rows))
     if fp.mode == MODE_AMORTIZED and not freeze_encoder:
-        grads.update(encode_backward(fp, enc_cache, dz))
+        grads.update(encode_backward(fp, enc_cache, drows))
     for v in grads.values():
         v += 0.0  # -0.0 -> +0.0, the gradient a sum from 0.0 gives; nothing else moves
     if fp.mode == MODE_FIT_PER_SCENE:
-        grads["grid.z"] = dz  # summed from 0.0 already
+        grads["grid.z"] = drows.reshape(fp.params["grid.z"].shape)  # summed from 0.0 already
     # a head with no rows in the batch, or a frozen encoder, gets zeros
     grads = {k: grads[k] if k in grads else np.zeros_like(v) for k, v in fp.params.items()}
     return terms, grads

@@ -517,16 +517,13 @@ def adam_step_out_of_place(params, grads, m, v, step_index, lr, beta1=0.9, beta2
         params[k] = params[k] - lr * (m[k] / bc1) / (np.sqrt(v[k] / bc2) + eps)
 
 
-def interp_backward_add_at(cache, dfeat, grid_shape):
-    """Bilinear scatter of ``dfeat`` into a zero grid: one unbuffered
+def interp_backward_add_at(corners, weights, dfeat, n_rows):
+    """Bilinear scatter of ``dfeat`` into n_rows zero rows: one unbuffered
     np.add.at per corner, (j0, i0), (j0, i0+1), (j0+1, i0), (j0+1, i0+1)."""
-    i0, j0, (w00, w01, w10, w11) = cache
-    dz = np.zeros(grid_shape)
-    np.add.at(dz, (j0, i0), w00[:, None] * dfeat)
-    np.add.at(dz, (j0, i0 + 1), w01[:, None] * dfeat)
-    np.add.at(dz, (j0 + 1, i0), w10[:, None] * dfeat)
-    np.add.at(dz, (j0 + 1, i0 + 1), w11[:, None] * dfeat)
-    return dz
+    drows = np.zeros((n_rows, dfeat.shape[1]))
+    for at, wk in zip(corners, weights):
+        np.add.at(drows, at, wk[:, None] * dfeat)
+    return drows
 
 
 # ---------------------------------------------------------------------------
@@ -680,9 +677,10 @@ def reconstruct(model, coords) -> np.ndarray:
 def loss(fp, z_grid, batch, weights=(1.0, 0.5, 0.1), per_term_average=True):
     """The LossTerms of ``loss_and_grads`` from the forward pass alone, on the
     BEV grid ``z_grid``; ``batch`` is a Batch or a QuerySet."""
-    from occ4d.field import Batch, _heads_loss
+    from occ4d.field import Batch, _heads_loss, head_input
     from occ4d.queries import QuerySet
 
     if isinstance(batch, QuerySet):
         batch = Batch.from_queryset(batch)
-    return _heads_loss(fp, z_grid, batch, weights, per_term_average)[0]
+    x = head_input(z_grid, batch.positions, batch.times, fp.config)
+    return _heads_loss(fp, x, batch, weights, per_term_average)[0]

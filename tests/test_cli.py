@@ -149,8 +149,34 @@ def test_train_profile_runs_on_a_queries_dir(pipeline):
     assert re.fullmatch(pattern, head), head
     assert header.split() == ["function", "calls/step", "ms/step"]
     calls = {row.split()[0]: row.split()[1] for row in rows}
-    assert calls["_conv2d"] == "2.00" and calls["adam_step"] == calls["draw_batch"] == calls["encode"] == "1.00"
+    assert calls["_conv_at"] == "2.00" and calls["adam_step"] == calls["draw_batch"] == calls["encode"] == "1.00"
     assert 0 < float(calls["pillar_histogram"]) <= 0.67  # once per sample that a step drew
+
+
+def test_pin_heap_is_idempotent_and_quiet_without_mallopt(monkeypatch):
+    # cli.main pins the heap on every call, and one process may call it
+    # once per pipeline stage
+    cli._pin_heap()
+    cli._pin_heap()
+    monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: object())  # a libc without mallopt
+    cli._pin_heap()
+
+
+def test_train_profile_names_a_missing_function(monkeypatch):
+    # a TIMED name that its module lacks stops the script before training,
+    # with the module and the name in the message
+    import importlib.util
+
+    from occ4d import field, training
+
+    path = Path(__file__).resolve().parents[1] / "scripts" / "train_profile.py"
+    spec = importlib.util.spec_from_file_location("train_profile", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    monkeypatch.setitem(script.TIMED, "field", ("encode", "_conv2d"))
+    with pytest.raises(SystemExit, match=r"field\._conv2d"):
+        script.install_timers({"field": field, "training": training}, {}, {})
+    assert field.encode.__module__ == "occ4d.field"  # nothing was wrapped
 
 
 class TestPipeline:

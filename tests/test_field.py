@@ -25,7 +25,7 @@ from occ4d.field import (
     query_head,
     sigmoid,
 )
-from occ4d.field import _conv2d, _conv2d_backward, _leaky, _leaky_grad
+from occ4d.field import _conv_at, _conv_dx, _leaky, _leaky_grad
 from occ4d.evaluation import EvalGrid
 from occ4d.queries import EncoderInput, QuerySet
 
@@ -155,6 +155,13 @@ def same_bits(a, b):
     return a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a.view(uint), b.view(uint))
 
 
+def round_off_close(a, b):
+    """Equal dtypes and shapes, and every entry within round-off of the
+    other: 1e-12 (float64) or 1e-5 (float32) of b's largest entry."""
+    tol = 1e-12 if b.dtype == np.float64 else 1e-5
+    return a.dtype == b.dtype and a.shape == b.shape and np.max(np.abs(a - b), initial=0.0) <= tol * np.max(np.abs(b), initial=0.0)
+
+
 # float64 at every shape; float32, the dtype training steps in, at the
 # default grid and at a shape where BLAS's NN and NT paths round apart
 CONV_CASES = [(72, 72, 32, 32), (9, 7, 16, 32), (9, 7, 5, 3), (7, 9, 3, 5), (5, 1, 4, 4), (1, 1, 2, 3)]
@@ -168,6 +175,13 @@ CONV_CASES = [(*c, np.float64) for c in CONV_CASES] + [(72, 72, 32, 32, np.float
 )
 @pytest.mark.parametrize("zero_rows", [0.0, 0.6])
 def test_conv_same_bits_as_scatter_form(h, w, cin, cout, dtype, zero_rows):
+    """The windowed conv at every cell, its dw (windows^T dout) and its
+    scattered dx agree with the scatter form to round-off; one GEMM over a
+    cell's whole window sums in another order than the form's tap-by-tap
+    GEMMs. At 32 output channels the conv's rows at a subset of the cells
+    have the same bits as at every cell: OpenBLAS computes each GEMM row on
+    its own at that width (at 3-5 columns a row's bits depend on the row
+    count)."""
     # zero_rows zeroes whole cells of dout, as the sparse dZ that conv2's
     # backward gets from the interpolation; some entries are -0.0
     rng = np.random.default_rng(h * 100 + w)
@@ -177,11 +191,17 @@ def test_conv_same_bits_as_scatter_form(h, w, cin, cout, dtype, zero_rows):
     dout = rng.normal(size=(h, w, cout)).astype(dtype)
     dout[rng.uniform(size=(h, w)) < zero_rows] = 0.0
     dout[rng.uniform(size=dout.shape) < 0.1] = -0.0
-    assert same_bits(_conv2d(_pad(x), wt, b), conv2d_scatter(x, wt, b))
-    for _ in range(2):  # the second call reuses the conv's scratch arrays
-        got = _conv2d_backward(_pad(x), wt, dout)
-        for g, want in zip(got, conv2d_backward_scatter(x, wt, dout)):
-            assert same_bits(g, want)
+    xp, p, taps = _pad(x).reshape(-1, cin), field._padded(np.arange(h * w), w), field._taps(w)
+    windows, out = _conv_at(xp, p, taps, wt, b)
+    assert round_off_close(out.reshape(h, w, cout), conv2d_scatter(x, wt, b))
+    flat_dout = dout.reshape(-1, cout)
+    got = (windows.T @ flat_dout).reshape(wt.shape), flat_dout.sum(axis=0), _conv_dx(flat_dout, wt, p, taps, len(xp))
+    want_dw, want_db, want_dx = conv2d_backward_scatter(x, wt, dout)
+    assert round_off_close(got[0], want_dw) and same_bits(got[1], want_db)
+    assert round_off_close(got[2].reshape(h + 2, w + 2, cin)[1:-1, 1:-1], want_dx)
+    if cout == 32:
+        cells = np.sort(rng.choice(h * w, size=max(1, h * w // 3), replace=False))
+        assert same_bits(_conv_at(xp, p[cells], taps, wt, b)[1], out[cells])
 
 
 @pytest.mark.parametrize(
@@ -190,20 +210,72 @@ def test_conv_same_bits_as_scatter_form(h, w, cin, cout, dtype, zero_rows):
     ids=["small", "non-square", "default-72x72x32"],
 )
 def test_encoder_same_bits_as_scatter_form(cfg):
+    """float64: Z at every cell agrees with the scatter form to round-off,
+    and Z at a third of the cells has the bits of those rows; the gradients
+    from dZ at those cells agree with the scatter form's from the same dZ,
+    zero elsewhere, to round-off."""
     rng = np.random.default_rng(8)
     fp = init_params(cfg, seed=4, mode=MODE_AMORTIZED)
     for name in ("enc.embed.b", "enc.conv1.b", "enc.conv2.b"):
         fp.params[name] = rng.normal(size=fp.params[name].shape)
     enc = random_enc_input(rng, cfg, n=400)
-    z, cache = encode(fp, enc, want_cache=True)
-    dz = rng.normal(size=z.shape)
-    dz[rng.uniform(size=z.shape[:2]) < 0.6] = 0.0
+    z = encode(fp, enc)
+    dz = np.zeros_like(z)
+    cells = np.sort(rng.choice(z.shape[0] * z.shape[1], size=z.shape[0] * z.shape[1] // 3, replace=False))
+    dz.reshape(-1, cfg.channels)[cells] = rng.normal(size=(len(cells), cfg.channels))
     want_z, want = encoder_scatter(fp.params, pillar_histogram(enc, cfg), dz, cfg.leaky_slope)
-    assert same_bits(z, want_z)
-    got = encode_backward(fp, cache, dz)
+    assert round_off_close(z, want_z)
+    rows, cache = encode(fp, enc, cells, want_cache=True)
+    assert same_bits(rows, z.reshape(-1, cfg.channels)[cells])
+    got = encode_backward(fp, cache, dz.reshape(-1, cfg.channels)[cells])
     assert got.keys() == want.keys()
     for name in want:
-        assert same_bits(got[name], want[name]), name
+        assert round_off_close(got[name], want[name]), name
+
+
+def query_cells(cfg, xy):
+    """The distinct corner cells that queries at ``xy`` read."""
+    return np.unique(field._interp_setup(xy[:, 0], xy[:, 1], cfg, np.float64)[0])
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("h, w", [(1, 5), (5, 1), (9, 7)], ids=["1x5", "5x1", "9x7"])
+def test_encode_on_a_batchs_cells_same_bits_as_every_cell(h, w, dtype):
+    """At the default 32 channels, Z at the cells that a batch reads has the
+    bits of those rows of Z at every cell, for random cell sets, a batch on
+    the grid's border, one at the region's corner and one that reads every
+    cell; the gradients from dZ at a batch's cells agree with the scatter
+    form's to round-off."""
+    cfg = FieldConfig(x_range=(0.0, 0.5 * w), y_range=(0.0, 0.5 * h), cell=0.5)
+    rng = np.random.default_rng(h * 10 + w)
+    fp = init_params(cfg, seed=6, mode=MODE_AMORTIZED)
+    for name in ("enc.embed.b", "enc.conv1.b", "enc.conv2.b"):
+        fp.params[name] = rng.normal(size=fp.params[name].shape)
+    fp = fp.astype(dtype)
+    enc = random_enc_input(rng, cfg, n=60)
+    whole = encode(fp, enc).reshape(-1, cfg.channels)
+    lo, hi = np.array([cfg.x_range[0], cfg.y_range[0]]), np.array([cfg.x_range[1], cfg.y_range[1]])
+    edge = rng.uniform(lo, hi, size=(50, 2))
+    edge[:25, 0] = rng.choice([lo[0], hi[0]], 25)
+    edge[25:, 1] = rng.choice([lo[1], hi[1]], 25)
+    batches = {
+        "border": query_cells(cfg, edge),
+        "corner": query_cells(cfg, np.array([lo, lo + 0.1])),
+        "every cell": query_cells(cfg, rng.uniform(lo, hi, size=(2000, 2))),
+    }
+    assert len(batches["every cell"]) == h * w
+    for k in range(5):
+        batches[f"random {k}"] = np.sort(rng.choice(h * w, size=rng.integers(1, h * w + 1), replace=False))
+    for kind, cells in batches.items():
+        rows, cache = encode(fp, enc, cells, want_cache=True)
+        assert same_bits(rows, whole[cells]), kind
+        dz = np.zeros((h * w, cfg.channels))
+        dz[cells] = rng.normal(size=(len(cells), cfg.channels))
+        params64 = fp.astype(np.float64).params
+        want = encoder_scatter(params64, pillar_histogram(enc, cfg), dz.reshape(h, w, -1), cfg.leaky_slope)[1]
+        got = encode_backward(fp, cache, dz[cells].astype(dtype))
+        for name in want:
+            assert round_off_close(got[name], want[name].astype(dtype)), (kind, name)
 
 
 @pytest.mark.parametrize(
@@ -276,7 +348,8 @@ class TestQuery:
         # center of cell (3, 5)
         x = SMALL.x_range[0] + 5.5 * SMALL.cell
         y = SMALL.y_range[0] + 3.5 * SMALL.cell
-        out = interp_grid(z, np.array([x]), np.array([y]), SMALL)
+        corners, weights = field._interp_setup(np.array([x]), np.array([y]), SMALL, z.dtype)
+        out = interp_grid(z.reshape(-1, SMALL.channels), corners, weights)
         np.testing.assert_array_equal(out[0], z[3, 5])
 
     def test_continuity_small_perturbation(self):
@@ -442,7 +515,7 @@ class TestGradients:
     @pytest.mark.parametrize("mode", [MODE_FIT_PER_SCENE, MODE_AMORTIZED])
     def test_finite_differences_all_groups(self, mode):
         rng = np.random.default_rng(13)
-        for instance in range(3):
+        for instance in range(4):
             fp = init_params(SMALL, seed=100 + instance, mode=mode)
             if mode == MODE_FIT_PER_SCENE:
                 fp.params["grid.z"][:] = rng.normal(size=fp.params["grid.z"].shape) * 0.2
@@ -450,6 +523,8 @@ class TestGradients:
             else:
                 enc = random_enc_input(rng, SMALL)
             qs = random_queryset(rng, SMALL)
+            if instance == 3:  # the queries read only the cells of the grid's two left columns
+                qs.positions[:, 0] = rng.uniform(SMALL.x_range[0], SMALL.x_range[0] + 1.5 * SMALL.cell, qs.n)
             batch = Batch.from_queryset(qs)
             terms, grads = loss_and_grads(fp, batch, enc_input=enc)
             h = 1e-5
@@ -960,7 +1035,9 @@ def test_scores_do_not_depend_on_the_batch_float32():
 def test_interp_backward_same_bits_as_add_at(cfg):
     # positions at the region edges, on cell centers (integer grid
     # coordinates), on cell faces and in the clamped outer half-cell ring,
-    # drawn with repeats so that many queries add into the same entries
+    # drawn with repeats so that many queries add into the same entries; the
+    # scatter into the rows of the cells read, placed into a zero grid, has
+    # the same bits as the scatter into the grid
     rng = np.random.default_rng(6)
     h, w, c = cfg.grid_h, cfg.grid_w, cfg.channels
 
@@ -973,21 +1050,24 @@ def test_interp_backward_same_bits_as_add_at(cfg):
     xs, ys = axis(cfg.x_range[0], w), axis(cfg.y_range[0], h)
     for _ in range(50):
         n = int(rng.integers(1, 300))
-        x, y = rng.choice(xs, n), rng.choice(ys, n)
-        _, cache = interp_grid(np.zeros((h, w, c)), x, y, cfg, want_cache=True)
+        corners, weights = field._interp_setup(rng.choice(xs, n), rng.choice(ys, n), cfg, np.float64)
         dfeat = rng.normal(size=(n, c))
         dfeat[rng.uniform(size=dfeat.shape) < 0.2] = -0.0
         dfeat[rng.uniform(size=dfeat.shape) < 0.1] = 0.0
-        got = interp_backward(cache, dfeat, (h, w, c))
-        want = interp_backward_add_at(cache, dfeat, (h, w, c))
-        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        want = interp_backward_add_at(corners, weights, dfeat, h * w)
+        assert same_bits(interp_backward(corners, weights, dfeat, h * w), want)
+        cells, at = np.unique(corners, return_inverse=True)
+        placed = np.zeros((h * w, c))
+        placed[cells] = interp_backward(at.reshape(corners.shape), weights, dfeat, len(cells))
+        assert same_bits(placed, want)
 
 
 @pytest.mark.parametrize("mode", [MODE_FIT_PER_SCENE, MODE_AMORTIZED])
 def test_float32_step_stays_float32(mode, monkeypatch):
     # a float32 step must not promote to float64 anywhere: every gradient and
-    # every conv scratch buffer is float32, and the gradients agree with the
-    # float64 step's to 1e-5 of each tensor's norm (measured: under 4e-7)
+    # every conv output (windows, rows and scattered dx) is float32, and the
+    # gradients agree with the float64 step's to 1e-5 of each tensor's norm
+    # (measured: under 4e-7)
     rng = np.random.default_rng(31)
     fp64 = init_params(SMALL, seed=32, mode=mode)
     enc = random_enc_input(rng, SMALL) if mode == MODE_AMORTIZED else None
@@ -995,15 +1075,26 @@ def test_float32_step_stays_float32(mode, monkeypatch):
         fp64.params["grid.z"][:] = rng.normal(size=fp64.params["grid.z"].shape) * 0.3
     batch = Batch.from_queryset(random_queryset(rng, SMALL, n_occ=200, n_feat=40, n_ego=40))
     terms64, grads64 = loss_and_grads(fp64, batch, enc_input=enc)
-    monkeypatch.setattr(field, "_scratch", {})
+    conv_outputs = []
+
+    def recorded(fn):
+        def wrapped(*args):
+            out = fn(*args)
+            conv_outputs.extend(out if isinstance(out, tuple) else [out])
+            return out
+
+        return wrapped
+
+    monkeypatch.setattr(field, "_conv_at", recorded(field._conv_at))
+    monkeypatch.setattr(field, "_conv_dx", recorded(field._conv_dx))
     terms32, grads32 = loss_and_grads(fp64.astype(np.float32), batch, enc_input=enc)
     assert list(grads32) == list(grads64)
     for k, g in grads32.items():
         assert g.dtype == np.float32, k
         want = grads64[k]
         assert np.linalg.norm(g - want) <= 1e-5 * np.linalg.norm(want), k
-    assert all(buf.dtype == np.float32 for buf in field._scratch.values())
-    assert (mode == MODE_AMORTIZED) == bool(field._scratch)
+    assert all(a.dtype == np.float32 for a in conv_outputs)
+    assert len(conv_outputs) == (5 if mode == MODE_AMORTIZED else 0)
     assert terms32.total == pytest.approx(terms64.total, rel=1e-5)
 
 
