@@ -325,7 +325,7 @@ def cmd_eval(cfg: dict, checkpoint_path, dataset_dir, out_path, rasters=None, fo
     if fp.mode == MODE_FIT_PER_SCENE:
         scenes = scenes[:1]
     timings = {}
-    report, ego = _evaluate(fp, scenes, cfg, cfg["eval"]["raytrace"], timings)
+    report, ego = _evaluate(fp, scenes, cfg, raytrace=True, timings=timings)
     report["ap_ego"] = ego["ap_ego"]
     report["ego_base_rate"] = ego["ego_base_rate"]
     report["config_digest"] = digest

@@ -57,11 +57,10 @@ DEFAULT_CONFIG = {
     "augment": {
         "theta_min_deg": -20.0,
         "theta_max_deg": 20.0,
-        "rotation_enabled": True,
     },
     "field": _section(FieldConfig, "d_feat", "k_past", "z_range", "t_max"),
     "train": _section(TrainConfig, "seed"),
-    "eval": {**_section(EvalGrid), "raytrace": True, "ego_bev_step": 0.5},
+    "eval": {**_section(EvalGrid), "ego_bev_step": 0.5},
     "scaling": {"sample_counts": [1, 4, 16, 64], "seeds": [0], "total_steps": 800, "warmup_steps": 50},
 }
 
@@ -73,18 +72,17 @@ def _deep_merge(base: dict, override: dict) -> dict:
     return out
 
 
-def load_config(path=None, overrides: dict | None = None) -> dict:
-    """``DEFAULT_CONFIG`` merged with the JSON file ``path``, then with
-    ``overrides``; ValueError if either holds a key or a type that the
-    defaults do not."""
+def load_config(path=None) -> dict:
+    """``DEFAULT_CONFIG`` merged with the JSON file ``path``, if given;
+    ValueError if it holds a key or a type that the defaults do not."""
     cfg = copy.deepcopy(DEFAULT_CONFIG)
     where = "" if path is None else f"{path}: "
-    docs = [] if path is None else [(where, read_json(path))]
-    for prefix, doc in [*docs, ("", overrides or {})]:
+    if path is not None:
+        doc = read_json(path)
         try:
             check_json(doc, DEFAULT_CONFIG)
         except ValueError as e:
-            raise ValueError(f"{prefix}invalid config at {e}") from None
+            raise ValueError(f"{where}invalid config at {e}") from None
         cfg = _deep_merge(cfg, doc)
     d, d_raw = cfg["pca"]["d"], cfg["suite"]["d_raw"]
     if d > d_raw:
@@ -115,7 +113,6 @@ def augment_from(cfg: dict) -> AugmentConfig:
     return AugmentConfig(
         theta_min=math.radians(a["theta_min_deg"]),
         theta_max=math.radians(a["theta_max_deg"]),
-        rotation_enabled=a["rotation_enabled"],
     )
 
 

@@ -160,16 +160,13 @@ def _param_shapes(cfg: FieldConfig, mode: str) -> list:
     return shapes
 
 
-def init_params(cfg: FieldConfig, seed: int, mode: str = MODE_AMORTIZED, zero: bool = False) -> FieldParams:
-    """Weights U(-1/sqrt(fan_in), +1/sqrt(fan_in)), biases zero, grid zero.
-
-    ``zero=True`` zeroes every tensor (constant 0.5-probability predictor,
-    used as the untrained baseline in tests)."""
+def init_params(cfg: FieldConfig, seed: int, mode: str = MODE_AMORTIZED) -> FieldParams:
+    """Weights U(-1/sqrt(fan_in), +1/sqrt(fan_in)), biases zero, grid zero."""
     gen = per_ray_rng(seed, 0, _INIT_STREAM)
     params = {}
     for name, shape in _param_shapes(cfg, mode):
         base = name.rsplit(".", 1)[-1]
-        if zero or base.startswith("b") or name == "grid.z":
+        if base.startswith("b") or name == "grid.z":
             params[name] = np.zeros(shape)
         else:
             fan_in = int(np.prod(shape[:-1]))
@@ -246,6 +243,13 @@ def _leaky(x: np.ndarray, slope: float, out=None) -> np.ndarray:
 
 def _leaky_grad(x: np.ndarray, slope: float) -> np.ndarray:
     return np.maximum(x > 0, x.dtype.type(slope))  # np.where(x > 0, 1, slope)'s bits, with no branch
+
+
+def _gemm_rows(a: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """a @ w with each row's bits independent of the other rows: numpy
+    sends a 1-row ``a`` to BLAS gemv, which sums in another order than
+    gemm, so it runs as two copies of its row."""
+    return a @ w if len(a) != 1 else (np.concatenate([a, a]) @ w)[:1]
 
 
 def encode(fp: FieldParams, enc_input: EncoderInput, cells=None, want_cache: bool = False):
@@ -381,27 +385,24 @@ def head_forward(fp: FieldParams, name: str, x: np.ndarray, want_cache=False):
     """The head, its first layer split, on each row of ``x``: out, or (out,
     (x, pre1, h1, pre2, h2)) with ``want_cache``; without a cache the hidden
     layers run in place. A row's output bits do not depend on its batch: a
-    one-output head ends in a per-row einsum, not BLAS gemv, and a 1-row
-    batch, which numpy would send to gemv, runs as two copies of its row."""
-    if len(x) == 1:
-        res = head_forward(fp, name, np.concatenate([x, x]), want_cache)
-        return (res[0][:1], tuple(a[:1] for a in res[1])) if want_cache else res[:1]
+    one-output head ends in a per-row einsum, not BLAS gemv, and every GEMM
+    goes through ``_gemm_rows``."""
     c, w1 = fp.config.channels, fp.params[f"head.{name}.w1"]
-    pre1 = x[:, :c] @ w1[:c]
-    pre1 += x[:, c:] @ w1[c:] + fp.params[f"head.{name}.b1"]
+    pre1 = _gemm_rows(x[:, :c], w1[:c])
+    pre1 += _gemm_rows(x[:, c:], w1[c:]) + fp.params[f"head.{name}.b1"]
     return _head_from_pre1(fp, name, pre1, x, want_cache)
 
 
 def _head_from_pre1(fp: FieldParams, name: str, pre1: np.ndarray, x=None, want_cache=False):
-    """``head_forward`` from ``pre1`` (of 2 rows or more) on; ``x`` only goes into the cache."""
+    """``head_forward`` from ``pre1`` on; ``x`` only goes into the cache."""
     p = fp.params
     slope = fp.config.leaky_slope
     h1 = _leaky(pre1, slope, out=None if want_cache else pre1)
-    pre2 = h1 @ p[f"head.{name}.w2"]
+    pre2 = _gemm_rows(h1, p[f"head.{name}.w2"])
     pre2 += p[f"head.{name}.b2"]
     h2 = _leaky(pre2, slope, out=None if want_cache else pre2)
     w3 = p[f"head.{name}.w3"]
-    out = (np.einsum("ij,j->i", h2, w3[:, 0])[:, None] if w3.shape[1] == 1 else h2 @ w3) + p[f"head.{name}.b3"]
+    out = (np.einsum("ij,j->i", h2, w3[:, 0])[:, None] if w3.shape[1] == 1 else _gemm_rows(h2, w3)) + p[f"head.{name}.b3"]
     return (out, (x, pre1, h1, pre2, h2)) if want_cache else out
 
 
@@ -463,11 +464,6 @@ def query_head(fp: FieldParams, z_grid: np.ndarray, name: str, positions: np.nda
 _TILE = 1024
 
 
-def _gemm_rows(a: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """a @ w, a 1-row ``a`` as two copies of its row (no gemv; see head_forward)."""
-    return a @ w if len(a) != 1 else (np.concatenate([a, a]) @ w)[:1]
-
-
 def lattice_head(fp: FieldParams, z_grid: np.ndarray, name: str, xy: np.ndarray, zs, times, out=None) -> np.ndarray:
     """One head on the lattice of (x, y) columns ``xy`` and heights ``zs`` at
     ``times`` (one or a sequence), time-major, then z-major: row (j * len(zs)
@@ -485,7 +481,7 @@ def lattice_head(fp: FieldParams, z_grid: np.ndarray, name: str, xy: np.ndarray,
     ft = fourier_zt(np.tile(np.asarray(zs, dtype=np.float64), len(ts)), np.repeat(ts, len(zs)), cfg)
     layer = _gemm_rows(ft.astype(z_grid.dtype, copy=False), w1[c:]) + head.params[f"head.{name}.b1"]
     out = np.empty((len(layer) * len(xy), cfg.head_out(name))) if out is None else out
-    pre1 = np.zeros((max(2, min(_TILE, len(out))), w1.shape[1]), z_grid.dtype)
+    pre1 = np.empty((min(_TILE, len(out)), w1.shape[1]), z_grid.dtype)
     for a in range(0, len(out), _TILE):
         m, r = min(_TILE, len(out) - a), 0
         while r < m:  # the tile's pre1, one run of columns in one layer at a time
@@ -493,8 +489,7 @@ def lattice_head(fp: FieldParams, z_grid: np.ndarray, name: str, xy: np.ndarray,
             run = min(m - r, len(xy) - i)
             np.add(col[i : i + run], layer[k], out=pre1[r : r + run])
             r += run
-        # a 1-row tile runs with a spare row of the buffer, as head_forward's 1-row batches do
-        out[a : a + m] = _head_from_pre1(head, name, pre1[: max(m, 2)])[:m]
+        out[a : a + m] = _head_from_pre1(head, name, pre1[:m])
     return out
 
 
@@ -599,15 +594,14 @@ def loss_and_grads(
     enc_input: EncoderInput | None = None,
     weights=(1.0, 0.5, 0.1),
     per_term_average: bool = True,
-    freeze_encoder: bool = False,
 ):
     """Loss plus exact analytic gradients of every parameter. The loss is a
     weighted sum of per-term means: BCE for occupancy and ego labels,
     elementwise L1 for feature targets; absent subsets contribute 0.
 
     In amortized mode pass ``enc_input``: the batch reads the grid only at
-    its queries' corner cells T, so the encoder makes only their rows (and
-    receives gradients unless frozen). In fit-per-scene mode the grid
+    its queries' corner cells T, so the encoder makes only their rows and
+    receives their gradients. In fit-per-scene mode the grid
     itself is the parameter. Returns (LossTerms, grads dict).
     """
     if batch.n == 0:
@@ -628,12 +622,12 @@ def loss_and_grads(
     x = _with_fourier(interp_grid(rows, at, weights_xy), batch.positions, batch.times, cfg)
     terms, dx = _heads_loss(fp, x, batch, weights, per_term_average, grads)
     drows = interp_backward(at, weights_xy, dx[:, : cfg.channels], len(rows))
-    if fp.mode == MODE_AMORTIZED and not freeze_encoder:
+    if fp.mode == MODE_AMORTIZED:
         grads.update(encode_backward(fp, enc_cache, drows))
     for v in grads.values():
         v += 0.0  # -0.0 -> +0.0, the gradient a sum from 0.0 gives; nothing else moves
     if fp.mode == MODE_FIT_PER_SCENE:
         grads["grid.z"] = drows.reshape(fp.params["grid.z"].shape)  # summed from 0.0 already
-    # a head with no rows in the batch, or a frozen encoder, gets zeros
+    # a head with no rows in the batch gets zeros
     grads = {k: grads[k] if k in grads else np.zeros_like(v) for k, v in fp.params.items()}
     return terms, grads

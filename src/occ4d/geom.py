@@ -91,12 +91,11 @@ def inverse(p: Pose) -> Pose:
 
 @dataclass(frozen=True)
 class AugmentConfig:
-    """Training-sample augmentation knobs: theta is drawn uniformly from
-    [theta_min, theta_max] when rotation is enabled."""
+    """Training-sample augmentation: theta is drawn uniformly from
+    [theta_min, theta_max]; [0, 0] rotates nothing."""
 
     theta_min: float = -math.radians(20.0)
     theta_max: float = math.radians(20.0)
-    rotation_enabled: bool = True
 
     def __post_init__(self):
         if self.theta_min > self.theta_max:

@@ -663,10 +663,9 @@ def assemble_sample(
     ]
     queries = QuerySet.concat(ordered, d)
 
-    theta = 0.0
-    if aug.rotation_enabled:
-        rot_gen = per_ray_rng(cfg.seed, 0, _stream(_PURPOSE_ROT, 0))
-        theta = float(rot_gen.uniform(aug.theta_min, aug.theta_max))
+    rot_gen = per_ray_rng(cfg.seed, 0, _stream(_PURPOSE_ROT, 0))
+    theta = float(rot_gen.uniform(aug.theta_min, aug.theta_max))
+    if theta != 0.0:
         queries = queries.rotated(theta)
 
     enc = past_encoder_input(past_scans, ref, t0, theta)

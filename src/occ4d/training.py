@@ -68,7 +68,6 @@ class TrainConfig:
     batch_ego: int = 64
     seed: int = 0
     mode: str = MODE_AMORTIZED
-    freeze_encoder: bool = False
     per_term_average: bool = True
 
     def __post_init__(self):
@@ -231,7 +230,6 @@ def train(
             enc_input=samples[sel].enc_input if cfg.mode == MODE_AMORTIZED else None,
             weights=cfg.weights,
             per_term_average=cfg.per_term_average,
-            freeze_encoder=cfg.freeze_encoder,
         )
         if not math.isfinite(terms.total):
             raise TrainingDiverged(step, terms.total)

@@ -674,6 +674,17 @@ def reconstruct(model, coords) -> np.ndarray:
 # test-only helpers over package internals
 
 
+def zero_params(cfg, mode):
+    """FieldParams of ``mode`` with every tensor zero: every logit is 0, a
+    constant 0.5-probability predictor (the untrained baseline)."""
+    from occ4d.field import init_params
+
+    fp = init_params(cfg, seed=0, mode=mode)
+    for v in fp.params.values():
+        v[:] = 0.0
+    return fp
+
+
 def loss(fp, z_grid, batch, weights=(1.0, 0.5, 0.1), per_term_average=True):
     """The LossTerms of ``loss_and_grads`` from the forward pass alone, on the
     BEV grid ``z_grid``; ``batch`` is a Batch or a QuerySet."""

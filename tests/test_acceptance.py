@@ -227,7 +227,7 @@ def test_criterion_4_training_efficacy():
     rng = np.random.default_rng(0)
     pca = fit_pca(np.concatenate([im.features.reshape(-1, 16) for im in images])[::5], 8)
     sampler = SamplerConfig(seed=1)
-    enc, qs, _ = assemble_sample(past, future, images, scene, sampler, AugmentConfig(rotation_enabled=False), pca=pca)
+    enc, qs, _ = assemble_sample(past, future, images, scene, sampler, AugmentConfig(theta_min=0.0, theta_max=0.0), pca=pca)
 
     baseline = math.log(2.0)
     field_cfg = FieldConfig(d_feat=8)

@@ -509,7 +509,7 @@ class TestEvalEncoderInput:
         doc = json.loads(json.dumps(SMOKE_OVERRIDES))
         doc["suite"].update({"n_scenes": 1, "n_future": 2, "past_offsets": past_offsets})
         doc["train"].update({"total_steps": 3, "warmup_steps": 1})
-        doc["augment"] = {"rotation_enabled": False}
+        doc["augment"] = {"theta_min_deg": 0.0, "theta_max_deg": 0.0}
         cfg_path.write_text(json.dumps(doc))
         args = ["--config", str(cfg_path)]
         assert main(["simulate", *args, "--out", str(tmp_path / "data")]) == 0

@@ -19,6 +19,13 @@ from occ4d.config import (
 from occ4d.evaluation import EvalGrid
 
 
+def load_with(tmp_path, doc: dict) -> dict:
+    """load_config of ``doc`` written to a JSON file."""
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    return load_config(path)
+
+
 class TestConfig:
     def test_defaults_match_published_regime(self):
         cfg = load_config()
@@ -50,12 +57,14 @@ class TestConfig:
     def test_default_digest_pinned(self):
         # every manifest and sample meta embeds this digest: the defaults'
         # values and key set must not move (field.z_range and field.t_max
-        # left the defaults on purpose: the roi fixes both)
-        assert config_digest(load_config()) == "0ff76464bda28702f4b014e30ae4f84c4591eea8f3a92e52dfc6e351fec56683"
+        # left the defaults on purpose: the roi fixes both; so did
+        # train.freeze_encoder, eval.raytrace and augment.rotation_enabled,
+        # which no run set)
+        assert config_digest(load_config()) == "0def6f6b2f740c7353ee33bd1eb12e5a8d49345e2cf7811a5e68da3949e83cd6"
 
-    def test_digest_changes_with_content(self):
+    def test_digest_changes_with_content(self, tmp_path):
         cfg = load_config()
-        other = load_config(overrides={"seed": 1})
+        other = load_with(tmp_path, {"seed": 1})
         assert config_digest(cfg) != config_digest(other)
 
     def test_unknown_key_rejected(self, tmp_path):
@@ -69,11 +78,14 @@ class TestConfig:
         [
             ("eval", "thresholds", {}), ("augment", "jitter_enabled", True), ("augment", "jitter_tau", 2.0),
             ("field", "k_past", 4), ("field", "t_max", 3.0), ("field", "z_range", [-0.4, 3.0]),
+            ("train", "freeze_encoder", True), ("eval", "raytrace", False), ("augment", "rotation_enabled", False),
         ],
     )
     def test_removed_key_rejected(self, tmp_path, section, key, value):
         # sampler.jitter_tau is the one tau, k_past comes from the suite, and
-        # the field's z range and horizon from the sampler's roi
+        # the field's z range and horizon from the sampler's roi; eval always
+        # ray-traces, a [0, 0] theta range rotates nothing, and no pipeline
+        # stage trains with a frozen encoder
         p = tmp_path / "old.json"
         p.write_text(json.dumps({section: {key: value}}))
         with pytest.raises(ValueError, match=f"old.json: invalid config at {section}/{key}: unknown key"):
@@ -86,7 +98,7 @@ class TestConfig:
         with pytest.raises(ValueError, match=re.escape(f"bad.json: invalid config at suite: {value!r} is not of type 'object'")):
             load_config(p)
         with pytest.raises(ValueError, match=re.escape(f"invalid config at sampler/roi: {value!r} is not of type 'object'")):
-            load_config(overrides={"sampler": {"roi": value}})
+            load_with(tmp_path, {"sampler": {"roi": value}})
 
     @pytest.mark.parametrize(
         "doc, message",
@@ -94,7 +106,7 @@ class TestConfig:
             ({"suite": {"n_scenes": "2"}}, "invalid config at suite/n_scenes: '2' is not of type 'integer'"),
             ({"suite": {"n_boxes": [3]}}, "invalid config at suite/n_boxes: [3] is too short; it must have 2 items"),
             ({"seed": {"a": 1}}, "invalid config at seed: {'a': 1} is not of type 'integer'"),
-            ({"augment": {"rotation_enabled": 1}}, "invalid config at augment/rotation_enabled: 1 is not of type 'boolean'"),
+            ({"train": {"per_term_average": 1}}, "invalid config at train/per_term_average: 1 is not of type 'boolean'"),
             ({"suite": {"n_boxes": [3.5, 6]}}, "invalid config at suite/n_boxes/0: 3.5 is not of type 'integer'"),
             ([1, 2], "invalid config at <root>: [1, 2] is not of type 'object'"),
         ],
@@ -106,9 +118,9 @@ class TestConfig:
         with pytest.raises(ValueError, match=re.escape(f"bad.json: {message}")):
             load_config(p)
 
-    def test_leaf_types_that_fit_are_accepted(self):
+    def test_leaf_types_that_fit_are_accepted(self, tmp_path):
         # an integer is a number; variable-length lists take any length
-        cfg = load_config(overrides={"sampler": {"w_ego": 2}, "suite": {"past_offsets": [-0.5, 0.0]}})
+        cfg = load_with(tmp_path, {"sampler": {"w_ego": 2}, "suite": {"past_offsets": [-0.5, 0.0]}})
         assert cfg["sampler"]["w_ego"] == 2 and sampler_from(cfg).w_ego == 2
         assert field_from(cfg).k_past == 2
 
@@ -118,19 +130,19 @@ class TestConfig:
         with pytest.raises(ValueError, match=re.escape("bad.json: pca.d (16) exceeds suite.d_raw (12)")):
             load_config(p)
         with pytest.raises(ValueError, match=re.escape("pca.d (7) exceeds suite.d_raw (6)")):
-            load_config(overrides={"suite": {"d_raw": 6}, "pca": {"d": 7}})
-        assert load_config(overrides={"suite": {"d_raw": 6}, "pca": {"d": 6}})["pca"]["d"] == 6
+            load_with(tmp_path, {"suite": {"d_raw": 6}, "pca": {"d": 7}})
+        assert load_with(tmp_path, {"suite": {"d_raw": 6}, "pca": {"d": 6}})["pca"]["d"] == 6
 
-    def test_k_past_counts_the_past_offsets(self):
+    def test_k_past_counts_the_past_offsets(self, tmp_path):
         assert field_from(load_config()).k_past == 3
-        cfg = load_config(overrides={"suite": {"past_offsets": [-1.5, -1.0, -0.5, 0.0]}})
+        cfg = load_with(tmp_path, {"suite": {"past_offsets": [-1.5, -1.0, -0.5, 0.0]}})
         assert field_from(cfg).k_past == 4
         assert field_from(cfg).hist_channels == 8
 
-    def test_field_z_and_t_follow_the_roi(self):
+    def test_field_z_and_t_follow_the_roi(self, tmp_path):
         default = field_from(load_config())
         assert (default.z_range, default.t_max) == ((-0.4, 3.0), 3.0)
-        cfg = load_config(overrides={"sampler": {"roi": {"z": [-1.0, 2.5], "t_max": 2.4}}})
+        cfg = load_with(tmp_path, {"sampler": {"roi": {"z": [-1.0, 2.5], "t_max": 2.4}}})
         fc = field_from(cfg)
         assert (fc.z_range, fc.t_max) == ((-1.0, 2.5), 2.4)
         assert sampler_from(cfg).roi.z == fc.z_range and sampler_from(cfg).t_max == fc.t_max
@@ -145,8 +157,8 @@ class TestConfig:
         with pytest.raises(ValueError, match=re.escape(message)):
             load_config(p)
         with pytest.raises(ValueError, match=f"eval/{axis} .* field/{axis}_range"):
-            load_config(overrides={"field": {f"{axis}_range": [-15.0, 18.0]}})
-        cfg = load_config(overrides={"eval": {axis: [-18.0, 18.0]}})  # the field's own edges are inside
+            load_with(tmp_path, {"field": {f"{axis}_range": [-15.0, 18.0]}})
+        cfg = load_with(tmp_path, {"eval": {axis: [-18.0, 18.0]}})  # the field's own edges are inside
         assert cfg["eval"][axis] == [-18.0, 18.0]
 
     def test_empty_eval_times_rejected(self, tmp_path):
@@ -160,7 +172,7 @@ class TestConfig:
         with pytest.raises(ValueError, match=re.escape(message)):
             EvalGrid(times=())
         with pytest.raises(ValueError, match=re.escape("eval times [0.6, -1.0] must hold")):
-            load_config(overrides={"eval": {"times": [0.6, -1.0]}})
+            load_with(tmp_path, {"eval": {"times": [0.6, -1.0]}})
 
     def test_invalid_json_reports_line(self, tmp_path):
         p = tmp_path / "bad.json"
@@ -176,7 +188,10 @@ class TestConfig:
             load_config(p)
 
     def test_nonfinite_override_has_no_digest(self):
-        cfg = load_config(overrides={"sampler": {"delta": float("nan")}})
+        # a config file cannot hold NaN (see test_nonfinite_constant_rejected),
+        # so the value is set on the loaded config
+        cfg = load_config()
+        cfg["sampler"]["delta"] = float("nan")
         with pytest.raises(ValueError):
             config_digest(cfg)
 

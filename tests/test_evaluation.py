@@ -38,7 +38,7 @@ from occ4d.scene import (
     random_scene,
 )
 
-from oracles import label_by_raytrace_scalar, segment_voxel_overlap
+from oracles import label_by_raytrace_scalar, segment_voxel_overlap, zero_params
 
 
 SMALL_GRID = EvalGrid(x=(-4.0, 4.0), y=(-4.0, 4.0), z=(0.0, 2.0), step=0.5, times=(0.6,))
@@ -324,7 +324,7 @@ class TestHarness:
                            head_hidden=8, d_feat=3, n_freqs=2)
         from occ4d.field import FieldConfig
 
-        fp = init_params(FieldConfig(**fcfg_kwargs), seed=0, mode=MODE_FIT_PER_SCENE, zero=True)
+        fp = zero_params(FieldConfig(**fcfg_kwargs), MODE_FIT_PER_SCENE)
         grid = EvalGrid(x=(-8, 8), y=(-8, 8), z=(0.0, 2.0), step=1.0, times=(0.6, 1.2))
         report = eval_4d_occupancy(fp, [scene], grid, 0.0, [scene_grid_for(fp, scene)], raytrace=False)
         # all logits 0 -> all scores exactly 0.5 -> single threshold
@@ -342,7 +342,7 @@ class TestHarness:
 
         scene = random_scene(seed=31)
         cfg = FieldConfig(x_range=(-8.0, 8.0), y_range=(-8.0, 8.0), cell=0.5, channels=4, head_hidden=8, d_feat=3, n_freqs=2)
-        fp = init_params(cfg, seed=0, mode=MODE_FIT_PER_SCENE, zero=True)
+        fp = zero_params(cfg, MODE_FIT_PER_SCENE)
         grid = EvalGrid(x=(-8, 8), y=(-8, 8), z=(0.0, 2.0), step=1.0, times=(0.6, 1.2))
         report = eval_4d_occupancy(fp, [scene], grid, 0.0, [scene_grid_for(fp, scene)], raytrace=True)
         assert report["threshold_exact"] == math.inf and report["threshold"] == math.inf

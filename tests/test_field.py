@@ -41,6 +41,7 @@ from oracles import (
     leaky_grad_where,
     loss,
     sigmoid_masked,
+    zero_params,
 )
 
 SMALL = FieldConfig(
@@ -395,7 +396,7 @@ class TestQuery:
 
 class TestLoss:
     def test_bce_at_zero_logits(self):
-        fp = init_params(SMALL, seed=0, mode=MODE_FIT_PER_SCENE, zero=True)
+        fp = zero_params(SMALL, MODE_FIT_PER_SCENE)
         qs = QuerySet(
             tags=np.array([0], np.uint8),
             times=np.array([1.0]),
@@ -605,16 +606,16 @@ class TestGradients:
             assert np.array_equal(g.view(np.uint64), np.zeros_like(g).view(np.uint64)), k
 
     def test_every_parameter_has_a_gradient(self):
-        # a frozen encoder and a head with no rows in the batch get all-zero
-        # entries, in parameter order
+        # a head with no rows in the batch gets all-zero entries, in
+        # parameter order
         rng = np.random.default_rng(18)
         fp = init_params(SMALL, seed=19, mode=MODE_AMORTIZED)
         batch = Batch.from_queryset(random_queryset(rng, SMALL, n_ego=0))
-        _, grads = loss_and_grads(fp, batch, enc_input=random_enc_input(rng, SMALL), freeze_encoder=True)
+        _, grads = loss_and_grads(fp, batch, enc_input=random_enc_input(rng, SMALL))
         assert list(grads) == list(fp.params)
         for k, g in grads.items():
             assert g.shape == fp.params[k].shape and g.dtype == np.float64
-            if k.startswith(("enc.", "head.ego.")):
+            if k.startswith("head.ego."):
                 assert np.array_equal(g.view(np.uint64), np.zeros_like(g).view(np.uint64)), k
             else:
                 assert np.any(g != 0.0), k

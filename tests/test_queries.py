@@ -358,7 +358,7 @@ class TestFeatureQueries:
         # assemble_sample caps the feature queries of all scans at n_feat
         scene, past, future, images = scene_sample_inputs(13)
         cfg = SamplerConfig(seed=1, n_occ_neg=60, n_occ_pos=60, n_feat=37, n_ego_pos=5, n_ego_neg=5)
-        _, qs, _ = assemble_sample(past, future, images, scene, cfg, AugmentConfig(rotation_enabled=False), pca=pca16)
+        _, qs, _ = assemble_sample(past, future, images, scene, cfg, AugmentConfig(theta_min=0.0, theta_max=0.0), pca=pca16)
         assert qs.counts()["feature"] == 37
         assert qs.feats.shape == (37, 8)
 
@@ -702,7 +702,7 @@ class TestAssembleSample:
     def test_tag_order_and_counts(self, pca16):
         scene, past, future, images = scene_sample_inputs(18)
         cfg = SamplerConfig(seed=2, n_occ_neg=600, n_occ_pos=600, n_feat=150, n_ego_pos=40, n_ego_neg=40)
-        aug = AugmentConfig(rotation_enabled=False)
+        aug = AugmentConfig(theta_min=0.0, theta_max=0.0)
         enc, qs, meta = assemble_sample(past, future, images, scene, cfg, aug, pca=pca16)
         counts = qs.counts()
         assert counts["ray_negative"] == 600
