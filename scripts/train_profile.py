@@ -8,10 +8,11 @@ Each function is timed by a wrapper that this script installs in its module
 before training; a function called inside another (``_conv_at`` inside
 ``encode``) counts in both, and a TIMED name that its module lacks stops
 the script with a message that names it. The process pins glibc's heap as
-``occ4d`` does. The run keeps the config's learning-rate schedule and stops
-after ``--steps`` steps (default 100, at most the config's
-``train.total_steps``). Fit-per-scene mode trains on the first
-sample, as ``occ4d train`` does. Nothing is written.
+``occ4d`` does. The run trains the config for ``--steps`` steps (default
+100, at most the config's ``train.total_steps``), with its warmup cut to
+fit; batches depend only on the seed and the step, so each step draws the
+batch that the full run draws. Fit-per-scene mode trains on the first sample, as
+``occ4d train`` does. Nothing is written.
 
 Usage: python scripts/train_profile.py CONFIG QUERIES [--steps N]
 """
@@ -80,19 +81,20 @@ def main(argv) -> int:
 
     _pin_heap()
     cfg = load_config(args.config)
-    tcfg = train_from(cfg)
+    full = train_from(cfg)
+    steps = min(args.steps, full.total_steps)
+    tcfg = train_from(cfg, total_steps=steps, warmup_steps=min(full.warmup_steps, steps))
     samples = _load_samples(Path(args.queries))
     if not samples:
         ap.error(f"no samples in {args.queries}")
     if tcfg.mode == field.MODE_FIT_PER_SCENE:
         samples = samples[:1]
-    steps = min(args.steps, tcfg.total_steps)
 
     seconds, calls = defaultdict(float), defaultdict(int)
     install_timers({"field": field, "training": training}, seconds, calls)
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     start = time.perf_counter()
-    training.train(samples, field_from(cfg), tcfg, stop_step=steps)
+    training.train(samples, field_from(cfg), tcfg)
     wall = time.perf_counter() - start
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
 

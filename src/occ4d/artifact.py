@@ -20,8 +20,8 @@ pca            mean <f8 (d_raw,); components <f8 (d, d_raw);
 queryset       tags, labels u1 (n,); times <f4 (n,); positions <f4 (n, 3);
                feats <f4 (m, d), one row per FEATURE record
 encoder-input  points0, points1, ... <f8 (n_i, 3); rel_times <f8 (k,)
-checkpoint     one <f8 array per parameter, then ``adam.m.<name>`` and
-               ``adam.v.<name>`` moments; meta mode, step, field_config, meta
+checkpoint     one <f8 array per parameter, exactly the field's; meta mode,
+               field_config, meta
 =============  ==========================================================
 
 The JSON helpers serve the run config, the scene files, the checkpoint's

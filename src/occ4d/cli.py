@@ -241,18 +241,17 @@ def _load_samples(queries_dir: Path):
     return samples
 
 
-def _train_progress(tcfg, start_step: int):
+def _train_progress(tcfg):
     """``train``'s on_step hook: a stdout line with step, lr, loss terms,
-    steps/s and ETA after every tenth of the steps left to run."""
+    steps/s and ETA after every tenth of the steps."""
     total = tcfg.total_steps
-    every = max(1, math.ceil((total - start_step) / _PROGRESS_LINES))
+    every = max(1, math.ceil(total / _PROGRESS_LINES))
     t0 = time.perf_counter()
 
     def on_step(step, terms):
-        done = step - start_step
-        if done % every and step != total:
+        if step % every and step != total:
             return
-        rate = done / max(time.perf_counter() - t0, 1e-9)
+        rate = step / max(time.perf_counter() - t0, 1e-9)
         print(
             f"train: step {step}/{total} lr {lr_schedule(step, tcfg):.3e} loss {terms.total:.4f} "
             f"(occ {terms.occ:.4f} feat {terms.feat:.4f} ego {terms.ego:.4f}) "
@@ -263,7 +262,7 @@ def _train_progress(tcfg, start_step: int):
     return on_step
 
 
-def cmd_train(cfg: dict, queries_dir, out_dir, resume=None, force: bool = False) -> int:
+def cmd_train(cfg: dict, queries_dir, out_dir, force: bool = False) -> int:
     queries = Path(queries_dir)
     if not (queries / "manifest.json").exists():
         raise FileNotFoundError(f"queries dir {queries} is missing manifest.json (run genqueries first)")
@@ -274,25 +273,13 @@ def cmd_train(cfg: dict, queries_dir, out_dir, resume=None, force: bool = False)
         tcfg = train_from(cfg)
         if tcfg.mode == MODE_FIT_PER_SCENE and len(samples) > 1:
             samples = samples[:1]
-        init = state = None
-        start_step = 0
-        if resume is not None:
-            init, state, start_step, ckpt_meta = load_checkpoint(resume)
-            if ckpt_meta.get("config_digest") not in (None, digest):
-                raise ValueError("resume checkpoint was produced by a different config")
-        progress = _train_progress(tcfg, start_step)
-        result = train(samples, field_cfg, tcfg, init=init, adam_state=state, start_step=start_step, on_step=progress)
-        save_checkpoint(
-            tmp / "checkpoint.bin",
-            result.params,
-            result.adam_state,
-            step=result.last_step,
-            meta={"config_digest": digest, "best_loss": result.best_loss},
-        )
+        result = train(samples, field_cfg, tcfg, on_step=_train_progress(tcfg))
+        meta = {"config_digest": digest, "best_loss": result.best_loss}
+        save_checkpoint(tmp / "checkpoint.bin", result.params, meta=meta)
         write_loss_csv(result.history, tmp / "loss.csv")
-        write_manifest(tmp, "train", digest, {"steps": result.last_step, "blas_threads": _blas_threads()})
-    final = result.history[-1][2] if result.history else math.nan
-    print(f"train: {result.last_step} steps, final loss {final:.4f}, best {result.best_loss:.4f} -> {out_dir}")
+        write_manifest(tmp, "train", digest, {"steps": tcfg.total_steps, "blas_threads": _blas_threads()})
+    final = result.history[-1][2]
+    print(f"train: {tcfg.total_steps} steps, final loss {final:.4f}, best {result.best_loss:.4f} -> {out_dir}")
     return 0
 
 
@@ -315,7 +302,7 @@ def _evaluate(fp, scenes, cfg: dict, raytrace: bool, timings=None) -> tuple:
 def cmd_eval(cfg: dict, checkpoint_path, dataset_dir, out_path, rasters=None, force: bool = False) -> int:
     start = time.perf_counter()
     digest = config_digest(cfg)
-    fp, _, _, meta = load_checkpoint(checkpoint_path)
+    fp, meta = load_checkpoint(checkpoint_path)
     ckpt_digest = meta.get("config_digest")
     if ckpt_digest is not None and ckpt_digest != digest and not force:
         raise ValueError(
@@ -475,7 +462,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.add_argument("--queries", default=env_default("queries"), required=env_default("queries") is None)
     p.add_argument("--out", default=env_default("run"), required=env_default("run") is None)
-    p.add_argument("--resume", default=None, help="checkpoint to resume from")
 
     p = sub.add_parser("eval", help="evaluate a checkpoint on a scene suite")
     add_common(p)
@@ -509,7 +495,7 @@ def main(argv=None) -> int:
         if args.command == "genqueries":
             return cmd_genqueries(cfg, args.dataset, args.out, workers=args.workers, force=args.force)
         if args.command == "train":
-            return cmd_train(cfg, args.queries, args.out, resume=args.resume, force=args.force)
+            return cmd_train(cfg, args.queries, args.out, force=args.force)
         if args.command == "eval":
             return cmd_eval(cfg, args.checkpoint, args.dataset, args.out, rasters=args.rasters, force=args.force)
         if args.command == "scaling":

@@ -75,9 +75,6 @@ class Pose:
         """Rotate direction vectors (no translation)."""
         return np.asarray(vecs, dtype=np.float64) @ self.rotation.T
 
-    def yaw(self) -> float:
-        return math.atan2(self.rotation[1, 0], self.rotation[0, 0])
-
 
 def compose(a: Pose, b: Pose) -> Pose:
     """Pose applying ``b`` first, then ``a``."""

@@ -150,10 +150,6 @@ class LidarScan:
     thickness: np.ndarray
 
     @property
-    def n(self) -> int:
-        return len(self.ranges)
-
-    @property
     def hit_indices(self) -> np.ndarray:
         return np.nonzero(~self.miss)[0]
 

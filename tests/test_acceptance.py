@@ -24,11 +24,6 @@ from occ4d.pca import fit_pca, project
 from occ4d.queries import (
     Roi4,
     SamplerConfig,
-    TAG_EGO_NEG,
-    TAG_EGO_POS,
-    TAG_MISSING_RAY,
-    TAG_RAY_NEG,
-    TAG_RAY_POS,
     assemble_sample,
     gen_ego_path_queries,
     gen_feature_queries,

@@ -179,6 +179,27 @@ def test_train_profile_names_a_missing_function(monkeypatch):
     assert field.encode.__module__ == "occ4d.field"  # nothing was wrapped
 
 
+def test_traffic_lines_lists_what_a_pipeline_never_runs(tmp_path):
+    # one traced run of the small config: the scaling command never runs,
+    # and the train loop runs, so only train()'s raise lines are listed
+    repo = Path(__file__).resolve().parents[1]
+    args = [sys.executable, str(repo / "scripts" / "traffic_lines.py"), str(write_smoke_config(tmp_path))]
+    done = subprocess.run(args, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    counts = re.fullmatch(r"traffic_lines: (\d+) of (\d+) function lines never ran in 1 run\(s\)\n", done.stderr)
+    assert counts and 0 < int(counts[1]) < int(counts[2]), done.stderr
+    listed = {}
+    for row in done.stdout.splitlines():
+        m = re.fullmatch(r"src/occ4d/(\w+\.py):([\d,-]+)  ([\w.<>]+)", row)
+        assert m, row
+        lines = [range(int(a), int(b or a) + 1) for a, _, b in (span.partition("-") for span in m[2].split(","))]
+        listed[m[1], m[3]] = lines
+    assert ("cli.py", "cmd_scaling") in listed
+    source = (repo / "src" / "occ4d" / "training.py").read_text().splitlines()
+    train_lines = [n for span in listed["training.py", "train"] for n in span if source[n - 1].strip()]
+    assert train_lines and all(source[n - 1].strip().startswith("raise ") for n in train_lines)
+
+
 class TestPipeline:
     def test_dataset_layout(self, pipeline):
         root, _ = pipeline

@@ -8,13 +8,11 @@ from occ4d import field
 from occ4d.field import (
     Batch,
     FieldConfig,
-    FieldParams,
     MODE_AMORTIZED,
     MODE_FIT_PER_SCENE,
     OutOfRegionError,
     encode,
     encode_backward,
-    fourier_zt,
     head_input,
     init_params,
     interp_backward,

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from occ4d.pca import PcaModel, RankDeficiencyError, fit_pca, load_pca, project, save_pca
+from occ4d.pca import RankDeficiencyError, fit_pca, load_pca, project, save_pca
 
 from oracles import reconstruct
 

@@ -5,7 +5,7 @@ import zlib
 import numpy as np
 import pytest
 
-from occ4d.geom import AugmentConfig, Pose, inverse, per_ray_rng, philox_uniforms, rotate_about_z, yaw_matrix
+from occ4d.geom import AugmentConfig, Pose, inverse, philox_uniforms, rotate_about_z, yaw_matrix
 from occ4d import queries
 from occ4d.field import init_params
 from occ4d.pca import fit_pca, load_pca, project, save_pca
@@ -20,7 +20,6 @@ from occ4d.queries import (
     TAG_FEATURE,
     TAG_MISSING_RAY,
     TAG_RAY_NEG,
-    TAG_RAY_POS,
     assemble_sample,
     closest_image,
     ego_tube_distance,
@@ -33,7 +32,6 @@ from occ4d.queries import (
     load_queryset,
     min_depth_visible,
     missing_ray_regions,
-    project_to_pixels,
     save_encoder_input,
     save_queryset,
 )
@@ -43,7 +41,6 @@ from occ4d.scene import (
     FeatureImage,
     HIT_GROUND,
     LidarScan,
-    ScanPattern,
     camera_pose_at,
     cast_lidar_scan,
     ego_pose_at,

@@ -1,18 +1,14 @@
-import math
-
 import numpy as np
 import pytest
 
-from occ4d import artifact, field
-from occ4d.field import MODE_AMORTIZED, MODE_FIT_PER_SCENE, init_params, loss_and_grads, query_head
+from occ4d import artifact, field, training
+from occ4d.field import MODE_AMORTIZED, MODE_FIT_PER_SCENE, init_params, loss_and_grads
 from occ4d.geom import per_ray_rng
 from occ4d.queries import HEAD_TAGS, EncoderInput
 from occ4d.training import (
     _STREAM_SAMPLE_SEL,
-    AdamState,
     TrainConfig,
     TrainingDiverged,
-    TrainResult,
     TrainSample,
     adam_step,
     draw_batch,
@@ -56,109 +52,74 @@ class TestSchedule:
         assert lr_schedule(1, cfg) > 0
 
 
+def sparse_adam_run(dtype, start, seed):
+    """50 Adam steps in ``dtype`` on the flat params of a fit-per-scene field,
+    from zero moments or (``start == "checkpoint"``) from mid-run moments
+    with -0.0 entries, with sparse gradients whose zeros include -0.0: the
+    in-place update and the out-of-place oracle, side by side."""
+    rng = np.random.default_rng(seed)
+    fp = init_params(SMALL, seed=seed + 1, mode=MODE_FIT_PER_SCENE)
+    fp.params["grid.z"][:] = rng.normal(size=fp.params["grid.z"].shape)
+    p = np.concatenate([t.ravel() for t in fp.params.values()]).astype(dtype)
+    m, v = np.zeros_like(p), np.zeros_like(p)
+    if start == "checkpoint":
+        m[:] = rng.normal(size=p.shape) * (rng.uniform(size=p.shape) < 0.5)
+        v[:] = m**2
+        v[rng.uniform(size=p.shape) < 0.1] = -0.0
+    ref_p, ref_m, ref_v = {"p": p.copy()}, {"p": m.copy()}, {"p": v.copy()}
+    cfg = TrainConfig(warmup_steps=5, total_steps=50)
+    for step in range(1, 51):
+        g = (rng.normal(size=p.shape) * (rng.uniform(size=p.shape) < 0.2)).astype(dtype)
+        g[rng.uniform(size=p.shape) < 0.05] = -0.0
+        lr = lr_schedule(step, cfg)
+        adam_step(p, g, m, v, step, lr)
+        adam_step_out_of_place(ref_p, {"p": g}, ref_m, ref_v, step, lr)
+    return (p, m, v), (ref_p["p"], ref_m["p"], ref_v["p"])
+
+
 class TestAdam:
     def test_first_step_closed_form(self):
         # w = 1, grad = 2w: first update is lr * m_hat / (sqrt(v_hat) + eps)
-        params = {"w": np.array([1.0])}
-        state = AdamState.zeros(params)
-        adam_step(params, {"w": np.array([2.0])}, state, step_index=1, lr=0.1)
+        w, m, v = np.array([1.0]), np.zeros(1), np.zeros(1)
+        adam_step(w, np.array([2.0]), m, v, step_index=1, lr=0.1)
         expected = 1.0 - 0.1 * 2.0 / (2.0 + 1e-8)
-        assert params["w"][0] == pytest.approx(expected, abs=1e-12)
-        assert params["w"][0] == pytest.approx(0.9, abs=1e-8)
+        assert w[0] == pytest.approx(expected, abs=1e-12)
+        assert w[0] == pytest.approx(0.9, abs=1e-8)
 
     def test_zero_gradient_fixed_point(self):
-        params = {"w": np.array([3.0, -1.0])}
-        state = AdamState.zeros(params)
+        w, m, v = np.array([3.0, -1.0]), np.zeros(2), np.zeros(2)
         for step in range(1, 20):
-            adam_step(params, {"w": np.zeros(2)}, state, step, lr=0.1)
-        np.testing.assert_array_equal(params["w"], [3.0, -1.0])
+            adam_step(w, np.zeros(2), m, v, step, lr=0.1)
+        np.testing.assert_array_equal(w, [3.0, -1.0])
 
     def test_converged_gradient_small(self):
         # minimize (w - 2)^2 on a single parameter
-        params = {"w": np.array([10.0])}
-        state = AdamState.zeros(params)
+        w, m, v = np.array([10.0]), np.zeros(1), np.zeros(1)
         g = None
         for step in range(1, 4000):
-            g = 2.0 * (params["w"] - 2.0)
-            adam_step(params, {"w": g}, state, step, lr=0.01)
+            g = 2.0 * (w - 2.0)
+            adam_step(w, g, m, v, step, lr=0.01)
         assert abs(g[0]) < 1e-8
 
     def test_moments_updated_in_place(self):
-        params = {"w": np.ones(4), "b": np.zeros(2)}
-        state = AdamState.zeros(params)
-        m, v = dict(state.m), dict(state.v)
-        adam_step(params, {"w": np.full(4, 2.0), "b": np.ones(2)}, state, step_index=1, lr=0.1)
-        for k in params:
-            assert state.m[k] is m[k] and state.v[k] is v[k]
-            assert np.all(m[k] != 0.0) and np.all(v[k] != 0.0)
+        w, m, v = np.ones(4), np.zeros(4), np.zeros(4)
+        adam_step(w, np.array([2.0, 1.0, -1.0, 0.5]), m, v, step_index=1, lr=0.1)
+        assert np.all(m != 0.0) and np.all(v != 0.0) and np.all(w != 1.0)
 
     @pytest.mark.parametrize("start", ["zeros", "checkpoint"])
-    def test_same_bits_as_out_of_place_update(self, start, tmp_path):
-        # 50 steps of sparse gradients whose zeros include -0.0, from fresh
-        # moments or from moments (with -0.0 entries) reloaded from disk
-        rng = np.random.default_rng(22)
-        fp = init_params(SMALL, seed=23, mode=MODE_FIT_PER_SCENE)
-        fp.params["grid.z"][:] = rng.normal(size=fp.params["grid.z"].shape)
-        state = AdamState.zeros(fp.params)
-        if start == "checkpoint":
-            for k, p in fp.params.items():
-                state.m[k][:] = rng.normal(size=p.shape) * (rng.uniform(size=p.shape) < 0.5)
-                state.v[k][:] = state.m[k] ** 2
-                state.v[k][rng.uniform(size=p.shape) < 0.1] = -0.0
-            path = tmp_path / "ck.bin"
-            save_checkpoint(path, fp, state, step=7)
-            fp, state, _, _ = load_checkpoint(path)
-        params = {k: p.copy() for k, p in fp.params.items()}
-        m = {k: a.copy() for k, a in state.m.items()}
-        v = {k: a.copy() for k, a in state.v.items()}
-        cfg = TrainConfig(warmup_steps=5, total_steps=50)
-        for step in range(1, 51):
-            grads = {}
-            for k, p in params.items():
-                g = rng.normal(size=p.shape) * (rng.uniform(size=p.shape) < 0.2)
-                g[rng.uniform(size=p.shape) < 0.05] = -0.0
-                grads[k] = g
-            lr = lr_schedule(step, cfg)
-            adam_step(fp.params, grads, state, step, lr)
-            adam_step_out_of_place(params, grads, m, v, step, lr)
-        for k in params:
-            for got, want in ((fp.params[k], params[k]), (state.m[k], m[k]), (state.v[k], v[k])):
-                assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), k
+    def test_same_bits_as_out_of_place_update(self, start):
+        got, want = sparse_adam_run(np.float64, start, seed=22)
+        for name, a, b in zip("pmv", got, want):
+            assert np.array_equal(a.view(np.uint64), b.view(np.uint64)), name
 
     @pytest.mark.parametrize("start", ["zeros", "checkpoint"])
-    def test_float32_same_bits_as_out_of_place_update(self, start, tmp_path):
+    def test_float32_same_bits_as_out_of_place_update(self, start):
         # the dtype train() steps in: Python-float constants take the arrays'
-        # float32 on both sides, so 50 sparse steps with -0.0 zeros keep the bits
-        rng = np.random.default_rng(24)
-        fp = init_params(SMALL, seed=25, mode=MODE_FIT_PER_SCENE)
-        fp.params["grid.z"][:] = rng.normal(size=fp.params["grid.z"].shape)
-        state = AdamState.zeros(fp.params)
-        if start == "checkpoint":
-            for k, p in fp.params.items():
-                state.m[k][:] = rng.normal(size=p.shape) * (rng.uniform(size=p.shape) < 0.5)
-                state.v[k][:] = state.m[k] ** 2
-                state.v[k][rng.uniform(size=p.shape) < 0.1] = -0.0
-            save_checkpoint(tmp_path / "ck.bin", fp, state, step=7)
-            fp, state, _, _ = load_checkpoint(tmp_path / "ck.bin")
-        f32 = {k: p.astype(np.float32) for k, p in fp.params.items()}
-        state = state.astype(np.float32)
-        params = {k: p.copy() for k, p in f32.items()}
-        m = {k: a.copy() for k, a in state.m.items()}
-        v = {k: a.copy() for k, a in state.v.items()}
-        cfg = TrainConfig(warmup_steps=5, total_steps=50)
-        for step in range(1, 51):
-            grads = {}
-            for k, p in params.items():
-                g = (rng.normal(size=p.shape) * (rng.uniform(size=p.shape) < 0.2)).astype(np.float32)
-                g[rng.uniform(size=p.shape) < 0.05] = -0.0
-                grads[k] = g
-            lr = lr_schedule(step, cfg)
-            adam_step(f32, grads, state, step, lr)
-            adam_step_out_of_place(params, grads, m, v, step, lr)
-        for k in params:
-            for got, want in ((f32[k], params[k]), (state.m[k], m[k]), (state.v[k], v[k])):
-                assert got.dtype == want.dtype == np.float32, k
-                assert np.array_equal(got.view(np.uint32), want.view(np.uint32)), k
+        # float32 on both sides, so the bits match
+        got, want = sparse_adam_run(np.float32, start, seed=24)
+        for name, a, b in zip("pmv", got, want):
+            assert a.dtype == b.dtype == np.float32, name
+            assert np.array_equal(a.view(np.uint32), b.view(np.uint32)), name
 
 
 class TestTrain:
@@ -198,45 +159,50 @@ class TestTrain:
         with pytest.raises(ValueError):
             train([make_sample(1, False), make_sample(2, False)], SMALL, cfg)
 
-    def test_divergence_detection(self):
+    def test_divergence_detection(self, monkeypatch):
+        def nan_grid(*args):
+            fp = init_params(*args)
+            fp.params["grid.z"][:] = np.nan
+            return fp
+
+        monkeypatch.setattr(training, "init_params", nan_grid)
         sample = make_sample(11, amortized=False)
         cfg = TrainConfig(mode=MODE_FIT_PER_SCENE, total_steps=30, warmup_steps=1, seed=5)
-        fp = init_params(SMALL, seed=5, mode=MODE_FIT_PER_SCENE)
-        fp.params["grid.z"][:] = np.nan
         with pytest.raises(TrainingDiverged) as e:
-            train([sample], SMALL, cfg, init=fp)
+            train([sample], SMALL, cfg)
         assert e.value.step == 1
 
     @pytest.mark.parametrize("mode", [MODE_FIT_PER_SCENE, MODE_AMORTIZED])
     def test_steps_run_in_float32_and_return_float64(self, mode, tmp_path):
-        # params and moments come back float64 holding float32 values, and
-        # the checkpoint keeps one <f8 array per tensor
+        # params come back float64 holding float32 values, and the
+        # checkpoint keeps one <f8 array per param
         sample = make_sample(15, amortized=mode == MODE_AMORTIZED)
         cfg = TrainConfig(mode=mode, total_steps=10, warmup_steps=2, seed=8)
         result = train([sample], SMALL, cfg)
-        tensors = {**result.params.params, **result.adam_state.m, **result.adam_state.v}
-        for k, v in tensors.items():
+        for k, v in result.params.params.items():
             assert v.dtype == np.float64, k
             assert np.array_equal(v.astype(np.float32).astype(np.float64), v), k
         path = tmp_path / "ck.bin"
-        save_checkpoint(path, result.params, result.adam_state, step=result.last_step)
+        save_checkpoint(path, result.params)
         _, arrays = artifact.load(path, "checkpoint")
-        assert len(arrays) == 3 * len(result.params.params)
+        assert list(arrays) == list(result.params.params)
         assert {a.dtype.str for a in arrays.values()} == {"<f8"}
 
 
 def train_per_tensor(samples, cfg):
-    """``train`` as a plain loop: float32 tensors of their own, and one
-    ``adam_step`` over the per-tensor dicts each step."""
+    """``train`` as a plain loop: float32 tensors and moments of their own,
+    and one ``adam_step`` per tensor each step."""
     fp = init_params(SMALL, cfg.seed, cfg.mode).astype(np.float32)
-    state = AdamState.zeros(fp.params)
+    m = {k: np.zeros_like(p) for k, p in fp.params.items()}
+    v = {k: np.zeros_like(p) for k, p in fp.params.items()}
     subsets = [{name: s.queries.indices_for(*tags) for name, tags in HEAD_TAGS.items()} for s in samples]
     for step in range(1, cfg.total_steps + 1):
         sel = int(per_ray_rng(cfg.seed, step, _STREAM_SAMPLE_SEL).integers(0, len(samples)))
         batch = draw_batch(samples[sel], subsets[sel], cfg, step)
         _, grads = loss_and_grads(fp, batch, enc_input=samples[sel].enc_input, weights=cfg.weights)
-        adam_step(fp.params, grads, state, step, lr_schedule(step, cfg))
-    return fp, state
+        for k, p in fp.params.items():
+            adam_step(p, grads[k], m[k], v[k], step, lr_schedule(step, cfg))
+    return fp
 
 
 class TestArena:
@@ -247,11 +213,8 @@ class TestArena:
         amortized = mode == MODE_AMORTIZED
         samples = [make_sample(40, amortized)] + ([make_sample(41)] if amortized else [])
         cfg = TrainConfig(mode=mode, total_steps=5, warmup_steps=2, seed=9)
-        result = train(samples, SMALL, cfg)
-        fp, state = train_per_tensor(samples, cfg)
-        got = {**result.params.params, **{f"m.{k}": a for k, a in result.adam_state.m.items()}}
-        got.update({f"v.{k}": a for k, a in result.adam_state.v.items()})
-        want = {**fp.params, **{f"m.{k}": a for k, a in state.m.items()}, **{f"v.{k}": a for k, a in state.v.items()}}
+        got = train(samples, SMALL, cfg).params.params
+        want = train_per_tensor(samples, cfg).params
         assert list(got) == list(want)
         for k, a in got.items():
             assert a.dtype == np.float64 and np.array_equal(a.view(np.uint64), want[k].astype(np.float64).view(np.uint64)), k
@@ -300,51 +263,49 @@ class TestConvInputCache:
 class TestCheckpoint:
     def test_round_trip(self, tmp_path):
         fp = init_params(SMALL, seed=20, mode=MODE_AMORTIZED)
-        state = AdamState.zeros(fp.params)
-        state.m["enc.embed.w"] += 0.25
         p = tmp_path / "ckpt.bin"
-        save_checkpoint(p, fp, state, step=123, meta={"config_digest": "abc"})
-        back, bstate, step, meta = load_checkpoint(p)
-        assert step == 123
+        save_checkpoint(p, fp, meta={"config_digest": "abc"})
+        back, meta = load_checkpoint(p)
         assert meta["config_digest"] == "abc"
         assert back.mode == MODE_AMORTIZED
         assert back.config == SMALL
+        assert list(back.params) == list(fp.params)
         for k in fp.params:
             np.testing.assert_array_equal(back.params[k], fp.params[k])
-        np.testing.assert_array_equal(bstate.m["enc.embed.w"], state.m["enc.embed.w"])
 
     @pytest.mark.parametrize("cut", [lambda n: 0, lambda n: 10, lambda n: n // 2], ids=["empty", "10_bytes", "half"])
     def test_truncated_checkpoint_raises_value_error(self, tmp_path, cut):
         fp = init_params(SMALL, seed=20, mode=MODE_AMORTIZED)
         p = tmp_path / "ckpt.bin"
-        save_checkpoint(p, fp, AdamState.zeros(fp.params), step=5)
+        save_checkpoint(p, fp)
         raw = p.read_bytes()
         p.write_bytes(raw[: cut(len(raw))])
         with pytest.raises(ValueError, match="truncated") as e:
             load_checkpoint(p)
         assert str(p) in str(e.value)
 
-    def test_resume_equals_uninterrupted(self, tmp_path):
-        sample = make_sample(21)
-        cfg = TrainConfig(mode=MODE_AMORTIZED, total_steps=40, warmup_steps=5, seed=7)
-        full = train([sample], SMALL, cfg)
-
-        part1 = train([sample], SMALL, cfg, stop_step=20)
-        assert part1.last_step == 20
-        p = tmp_path / "ck.bin"
-        save_checkpoint(p, part1.params, part1.adam_state, step=part1.last_step)
-        fp, state, step, _ = load_checkpoint(p)
-        part2 = train([sample], SMALL, cfg, init=fp, adam_state=state, start_step=step)
-
-        stitched = part1.history + part2.history
-        assert [r[0] for r in stitched] == list(range(1, 41))
-        np.testing.assert_array_equal(
-            np.array([r[2] for r in full.history]), np.array([r[2] for r in stitched])
-        )
-        for k in full.params.params:
-            np.testing.assert_array_equal(full.params.params[k], part2.params.params[k])
-            np.testing.assert_array_equal(full.adam_state.m[k], part2.adam_state.m[k])
-            np.testing.assert_array_equal(full.adam_state.v[k], part2.adam_state.v[k])
+    @pytest.mark.parametrize(
+        "edit, found",
+        [
+            (lambda a: a.pop("head.ego.w3"), "missing head.ego.w3"),
+            (lambda a: a.update({"adam.m.head.ego.b3": a["head.ego.b3"]}), "unexpected adam.m.head.ego.b3"),
+            (lambda a: a.update({"enc.conv1.b": np.zeros(3)}), "misshapen enc.conv1.b"),
+        ],
+        ids=["missing", "extra", "misshapen"],
+    )
+    def test_arrays_must_be_the_fields_params(self, tmp_path, edit, found):
+        # a well-formed file whose arrays are not the field's params (one
+        # short, an Adam moment as a checkpoint held it before, a wrong
+        # shape) fails on load, naming the file and the arrays
+        fp = init_params(SMALL, seed=20, mode=MODE_AMORTIZED)
+        p = tmp_path / "ckpt.bin"
+        save_checkpoint(p, fp)
+        doc, arrays = artifact.load(p, "checkpoint")
+        edit(arrays)
+        artifact.save(p, "checkpoint", {k: doc[k] for k in ("mode", "field_config", "meta")}, **arrays)
+        with pytest.raises(ValueError, match=f"do not match the amortized field: {found}$") as e:
+            load_checkpoint(p)
+        assert str(p) in str(e.value)
 
     def test_csv_format(self, tmp_path):
         hist = [(1, 1e-4, 0.5, 0.4, 0.05, 0.05), (2, 2e-4, 0.45, 0.36, 0.05, 0.04)]
